@@ -11,7 +11,6 @@
 //! [--from SECS] [--to SECS] [--quick]`
 
 use p2p_bench::{save_xy, Args};
-use p2p_core::dist::DistConfig;
 use p2p_metrics::{ascii_plot, TimeSeries};
 use p2p_sched::AuctionScheduler;
 use p2p_streaming::fig2::{price_series_for, representative_trace, run_distributed_slot};
@@ -51,8 +50,7 @@ fn main() {
     for s in first_traced_slot..last_traced_slot {
         let start = sys.now();
         slot_starts.push(start);
-        let out = run_distributed_slot(&mut sys, DistConfig::paper())
-            .expect("distributed slot converges");
+        let out = run_distributed_slot(&mut sys).expect("message-level slot converges");
         eprintln!(
             "fig2: slot {s}: {} transfers, {} messages, converged {:.2} s into the slot",
             out.metrics.transfers,

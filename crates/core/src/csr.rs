@@ -85,12 +85,12 @@
 //! ```
 
 use crate::bidder::{AbstainReason, BidDecision};
-use crate::engine::{AuctionConfig, AuctionOutcome, EpsilonScaling, PriceChange};
+use crate::engine::{AuctionConfig, AuctionOutcome, EpsilonScaling};
 use crate::instance::WelfareInstance;
 use crate::shard::ShardCount;
 use crate::solution::{Assignment, DualSolution};
 use p2p_metrics::{AuctionProbe, NoProbe};
-use p2p_types::P2pError;
+use p2p_types::{P2pError, SimTime};
 use std::sync::mpsc;
 use std::sync::Arc;
 
@@ -482,11 +482,9 @@ pub struct AuctionScratch {
     slice_retired: Vec<u32>,
     /// Slice-generation marks for the merge collision check.
     collision_mark: Vec<u64>,
-    trace: Vec<PriceChange>,
     // ---- warm-start buffers ----
     warm_prices: Vec<f64>,
     potential: Vec<u32>,
-    warm_trace: Vec<PriceChange>,
 }
 
 impl AuctionScratch {
@@ -533,7 +531,6 @@ impl AuctionScratch {
         self.assigned.resize(requests, NONE);
         self.retired.clear();
         self.retired.resize(requests, false);
-        self.trace.clear();
     }
 }
 
@@ -629,8 +626,6 @@ pub struct FlatOutcome {
     rounds: u64,
     /// Total bids submitted.
     bids_submitted: u64,
-    /// Price changes, if tracing was enabled.
-    price_trace: Vec<PriceChange>,
 }
 
 impl FlatOutcome {
@@ -690,7 +685,6 @@ impl FlatOutcome {
             rounds: self.rounds,
             bids_submitted: self.bids_submitted,
             converged: true,
-            price_trace: self.price_trace.clone(),
         }
     }
 }
@@ -905,9 +899,7 @@ impl FlatAuction {
         // empty vectors, and the buffers go back below).
         let mut prices = std::mem::take(&mut self.scratch.warm_prices);
         let mut potential = std::mem::take(&mut self.scratch.potential);
-        let mut trace = std::mem::take(&mut self.scratch.warm_trace);
         clamp_warm_prices(csr.data(), prior_prices, eps, &mut prices, &mut potential);
-        trace.clear();
         let mut rounds = 0;
         let mut bids = 0;
         let result = loop {
@@ -916,7 +908,6 @@ impl FlatAuction {
             }
             rounds += out.rounds;
             bids += out.bids_submitted;
-            trace.extend(out.price_trace.iter().copied());
             // CS 1 support check, identical to the nested repair loop: a
             // provider with spare capacity at λ > 0 kept an unsupported
             // warm price; zero it (never re-warming a repaired one) and
@@ -933,14 +924,11 @@ impl FlatAuction {
             if !repaired {
                 out.rounds = rounds;
                 out.bids_submitted = bids;
-                out.price_trace.clear();
-                out.price_trace.extend(trace.iter().copied());
                 break Ok(());
             }
         };
         self.scratch.warm_prices = prices;
         self.scratch.potential = potential;
-        self.scratch.warm_trace = trace;
         result
     }
 
@@ -964,18 +952,15 @@ impl FlatAuction {
         let mut prices: Option<Vec<f64>> = None;
         let mut rounds = 0;
         let mut bids = 0;
-        let mut trace = Vec::new();
         loop {
             let last_phase = epsilon <= scaling.final_epsilon;
             let eps = epsilon.max(scaling.final_epsilon);
             self.run_from(csr, prices.as_deref(), eps, &mut out, &mut NoProbe)?;
             rounds += out.rounds;
             bids += out.bids_submitted;
-            trace.extend(out.price_trace.iter().copied());
             if last_phase {
                 out.rounds = rounds;
                 out.bids_submitted = bids;
-                out.price_trace = trace;
                 return Ok(out.to_outcome());
             }
             // Carry prices relaxed by the phase's ε (see the nested
@@ -1076,15 +1061,13 @@ impl FlatAuction {
                                     conflicts_this_round += 1;
                                 }
                                 if let Some(p) = new_price {
-                                    probe.price_change(provider, p - s.eff_price[provider]);
+                                    probe.price_change(
+                                        provider,
+                                        s.eff_price[provider],
+                                        p,
+                                        SimTime::ZERO,
+                                    );
                                     s.eff_price[provider] = p;
-                                    if self.config.record_price_trace {
-                                        s.trace.push(PriceChange {
-                                            round: rounds,
-                                            provider,
-                                            price: p,
-                                        });
-                                    }
                                 }
                             }
                         }
@@ -1258,16 +1241,11 @@ impl FlatAuction {
                             if let Some(p) = new_price {
                                 probe.price_change(
                                     bid.provider as usize,
-                                    p - s.eff_price[bid.provider as usize],
+                                    s.eff_price[bid.provider as usize],
+                                    p,
+                                    SimTime::ZERO,
                                 );
                                 s.eff_price[bid.provider as usize] = p;
-                                if self.config.record_price_trace {
-                                    s.trace.push(PriceChange {
-                                        round: rounds,
-                                        provider: bid.provider as usize,
-                                        price: p,
-                                    });
-                                }
                             }
                         }
                     }
@@ -1440,8 +1418,6 @@ fn finalize<P: AuctionProbe>(
     }
     out.rounds = rounds;
     out.bids_submitted = bids_submitted;
-    out.price_trace.clear();
-    out.price_trace.extend_from_slice(&s.trace);
     if probe.enabled() {
         // Theorem 1's ε-certificate: the duality gap `Σ λ·B + Σ η − welfare`
         // bounds the welfare loss. Only computed when someone is listening,
@@ -1491,10 +1467,20 @@ mod tests {
     use super::*;
     use crate::engine::SyncAuction;
     use crate::shard::ShardedAuction;
+    use p2p_metrics::{PricePoint, PriceRecorder};
     use p2p_types::{ChunkId, Cost, PeerId, RequestId, Valuation, VideoId};
 
     fn rid(d: u32, c: u32) -> RequestId {
         RequestId::new(PeerId::new(d), ChunkId::new(VideoId::new(0), c))
+    }
+
+    /// Runs `engine` under a recording probe: the outcome plus the price
+    /// trajectory the engine reported.
+    fn traced(engine: &mut FlatAuction, csr: &CsrInstance) -> (AuctionOutcome, Vec<PricePoint>) {
+        let mut out = FlatOutcome::default();
+        let mut trace = PriceRecorder::new();
+        engine.run_into_probed(csr, &mut out, &mut trace).unwrap();
+        (out.to_outcome(), trace.points)
     }
 
     /// A deterministic hash in [0, 1) — tie-free instance material.
@@ -1593,17 +1579,20 @@ mod tests {
         for shards in [2usize, 4, 8] {
             let inst = contended_instance(24);
             let csr = CsrInstance::compile(&inst);
+            let mut nested_trace = PriceRecorder::new();
             let nested =
                 ShardedAuction::new(AuctionConfig::with_epsilon(0.01), ShardCount::Fixed(shards))
-                    .run(&inst)
+                    .run_probed(&inst, &mut nested_trace)
                     .unwrap();
             let mut flat =
                 FlatAuction::new(AuctionConfig::with_epsilon(0.01), ShardCount::Fixed(shards));
-            let out = flat.run(&csr).unwrap();
+            let (out, trace) = traced(&mut flat, &csr);
             assert_eq!(out.assignment, nested.assignment, "shards={shards}");
             assert_eq!(out.duals, nested.duals, "shards={shards}");
             assert_eq!(out.rounds, nested.rounds, "shards={shards}");
             assert_eq!(out.bids_submitted, nested.bids_submitted, "shards={shards}");
+            assert!(!trace.is_empty(), "shards={shards}");
+            assert_eq!(trace, nested_trace.points, "shards={shards}: price trajectories diverge");
         }
     }
 
@@ -1658,16 +1647,17 @@ mod tests {
     fn forced_worker_threads_match_the_inline_path() {
         let inst = contended_instance(64);
         let csr = CsrInstance::compile(&inst);
-        let cfg = AuctionConfig::with_epsilon(0.01).recording_trace();
+        let cfg = AuctionConfig::with_epsilon(0.01);
         let mut inline = FlatAuction::new(cfg, ShardCount::Fixed(4)).with_workers(1);
         let mut threaded = FlatAuction::new(cfg, ShardCount::Fixed(4)).with_workers(3);
-        let a = inline.run(&csr).unwrap();
-        let b = threaded.run(&csr).unwrap();
+        let (a, a_trace) = traced(&mut inline, &csr);
+        let (b, b_trace) = traced(&mut threaded, &csr);
         assert_eq!(a.assignment, b.assignment);
         assert_eq!(a.duals, b.duals);
         assert_eq!(a.rounds, b.rounds);
         assert_eq!(a.bids_submitted, b.bids_submitted);
-        assert_eq!(a.price_trace, b.price_trace);
+        assert!(!a_trace.is_empty());
+        assert_eq!(a_trace, b_trace);
         // The lease persists: a second run reuses the same workers.
         let c = threaded.run(&csr).unwrap();
         assert_eq!(a.assignment, c.assignment);
@@ -1770,18 +1760,18 @@ mod tests {
         for (shards, eps) in [(1usize, 0.0), (1, 0.01), (4, 0.0), (4, 0.01)] {
             let inst = contended_instance(40);
             let csr = CsrInstance::compile(&inst);
-            let cfg = AuctionConfig::with_epsilon(eps).recording_trace();
+            let cfg = AuctionConfig::with_epsilon(eps);
             let mut lanes =
                 FlatAuction::new(cfg, ShardCount::Fixed(shards)).with_kernel(BidKernel::Lanes);
             let mut scalar =
                 FlatAuction::new(cfg, ShardCount::Fixed(shards)).with_kernel(BidKernel::Scalar);
-            let a = lanes.run(&csr).unwrap();
-            let b = scalar.run(&csr).unwrap();
+            let (a, a_trace) = traced(&mut lanes, &csr);
+            let (b, b_trace) = traced(&mut scalar, &csr);
             assert_eq!(a.assignment, b.assignment, "shards={shards} eps={eps}");
             assert_eq!(a.duals, b.duals, "shards={shards} eps={eps}");
             assert_eq!(a.rounds, b.rounds, "shards={shards} eps={eps}");
             assert_eq!(a.bids_submitted, b.bids_submitted, "shards={shards} eps={eps}");
-            assert_eq!(a.price_trace, b.price_trace, "shards={shards} eps={eps}");
+            assert_eq!(a_trace, b_trace, "shards={shards} eps={eps}");
             // Warm starts agree too.
             let aw = lanes.run_warm(&csr, &a.duals.lambda).unwrap();
             let bw = scalar.run_warm(&csr, &b.duals.lambda).unwrap();

@@ -8,16 +8,16 @@
 //! "no auctioneer wishes to change its allocation and no bidder wishes to
 //! bid again".
 //!
-//! This is the fast path used by the slot scheduler, the property tests and
-//! the benchmarks; the message-level execution with latencies lives in
-//! [`crate::dist`].
+//! This is the readable reference oracle the other engines are checked
+//! against; the message-level execution with latencies and faults lives
+//! in [`crate::swarm`].
 
 use crate::auctioneer::{Auctioneer, BidOutcome};
 use crate::bidder::{decide_bid, BidDecision, EdgeView};
-use crate::instance::{ProviderIdx, WelfareInstance};
+use crate::instance::WelfareInstance;
 use crate::solution::{Assignment, DualSolution};
 use p2p_metrics::{AuctionProbe, NoProbe};
-use p2p_types::P2pError;
+use p2p_types::{P2pError, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Auction engine configuration.
@@ -28,8 +28,6 @@ pub struct AuctionConfig {
     pub epsilon: f64,
     /// Safety cap on rounds before declaring divergence.
     pub max_rounds: u64,
-    /// Record every price change (for convergence plots).
-    pub record_price_trace: bool,
     /// Permanently retire priced-out requests in the sequential sweep.
     ///
     /// Prices are monotone within a run, so a request whose best net
@@ -44,27 +42,15 @@ pub struct AuctionConfig {
 }
 
 impl AuctionConfig {
-    /// The paper's configuration: ε = 0, no trace.
+    /// The paper's configuration: ε = 0.
     pub fn paper() -> Self {
-        AuctionConfig {
-            epsilon: 0.0,
-            max_rounds: 1_000_000,
-            record_price_trace: false,
-            retire_priced_out: false,
-        }
+        AuctionConfig { epsilon: 0.0, max_rounds: 1_000_000, retire_priced_out: false }
     }
 
     /// Paper configuration with a positive ε (Bertsekas ε-complementary
     /// slackness).
     pub fn with_epsilon(epsilon: f64) -> Self {
         AuctionConfig { epsilon, ..Self::paper() }
-    }
-
-    /// Enables price-trace recording (builder-style).
-    #[must_use]
-    pub fn recording_trace(mut self) -> Self {
-        self.record_price_trace = true;
-        self
     }
 
     /// Enables permanent retirement of priced-out requests in the
@@ -122,17 +108,6 @@ impl EpsilonScaling {
     }
 }
 
-/// One recorded price change.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PriceChange {
-    /// Round during which the change happened (1-based).
-    pub round: u64,
-    /// The provider whose price changed.
-    pub provider: ProviderIdx,
-    /// The new price `λ_u`.
-    pub price: f64,
-}
-
 /// Result of a converged auction.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AuctionOutcome {
@@ -148,8 +123,6 @@ pub struct AuctionOutcome {
     /// returned by [`SyncAuction::run`]; kept for symmetry with the
     /// distributed engine).
     pub converged: bool,
-    /// Price changes, if tracing was enabled.
-    pub price_trace: Vec<PriceChange>,
 }
 
 /// The synchronous auction engine.
@@ -309,21 +282,14 @@ impl SyncAuction {
         let mut prices: Option<Vec<f64>> = None;
         let mut rounds = 0;
         let mut bids = 0;
-        let mut trace = Vec::new();
         loop {
             let last_phase = epsilon <= scaling.final_epsilon;
             let eps = epsilon.max(scaling.final_epsilon);
             let outcome = self.run_from(instance, prices.as_deref(), eps, &mut NoProbe)?;
             rounds += outcome.rounds;
             bids += outcome.bids_submitted;
-            trace.extend(outcome.price_trace.iter().copied());
             if last_phase {
-                return Ok(AuctionOutcome {
-                    rounds,
-                    bids_submitted: bids,
-                    price_trace: trace,
-                    ..outcome
-                });
+                return Ok(AuctionOutcome { rounds, bids_submitted: bids, ..outcome });
             }
             // Carry prices relaxed by the phase's ε: a winner can overbid
             // its value by up to ε, and carrying that price verbatim would
@@ -374,7 +340,6 @@ impl SyncAuction {
         let mut assigned: Vec<Option<usize>> = vec![None; instance.request_count()];
         let retire = self.config.retire_priced_out;
         let mut retired: Vec<bool> = vec![false; if retire { instance.request_count() } else { 0 }];
-        let mut trace = Vec::new();
         let mut rounds = 0u64;
         let mut bids_submitted = 0u64;
 
@@ -426,15 +391,13 @@ impl SyncAuction {
                                     conflicts_this_round += 1;
                                 }
                                 if let Some(p) = new_price {
-                                    probe.price_change(provider, p - eff_price[provider]);
+                                    probe.price_change(
+                                        provider,
+                                        eff_price[provider],
+                                        p,
+                                        SimTime::ZERO,
+                                    );
                                     eff_price[provider] = p;
-                                    if self.config.record_price_trace {
-                                        trace.push(PriceChange {
-                                            round: rounds,
-                                            provider,
-                                            price: p,
-                                        });
-                                    }
                                 }
                             }
                         }
@@ -455,7 +418,6 @@ impl SyncAuction {
             rounds,
             bids_submitted,
             converged: true,
-            price_trace: trace,
         };
         if probe.enabled() {
             // Theorem 1's certificate: the duality gap bounds the welfare
@@ -488,19 +450,12 @@ pub fn run_warm_with(
     let mut prices = clamped_warm_prices(instance, prior_prices, epsilon);
     let mut rounds = 0;
     let mut bids = 0;
-    let mut trace = Vec::new();
     loop {
         let outcome = run_from(Some(&prices))?;
         rounds += outcome.rounds;
         bids += outcome.bids_submitted;
-        trace.extend(outcome.price_trace.iter().copied());
         if !zero_unsupported_prices(instance, &outcome, &mut prices) {
-            return Ok(AuctionOutcome {
-                rounds,
-                bids_submitted: bids,
-                price_trace: trace,
-                ..outcome
-            });
+            return Ok(AuctionOutcome { rounds, bids_submitted: bids, ..outcome });
         }
     }
 }
@@ -701,11 +656,13 @@ mod tests {
     #[test]
     fn price_trace_records_monotone_prices() {
         let inst = competitive_instance();
-        let out = SyncAuction::new(AuctionConfig::paper().recording_trace()).run(&inst).unwrap();
-        assert!(!out.price_trace.is_empty());
+        let mut trace = p2p_metrics::PriceRecorder::new();
+        let out = SyncAuction::new(AuctionConfig::paper()).run_probed(&inst, &mut trace).unwrap();
+        assert!(!trace.points.is_empty());
         let mut last: Vec<f64> = vec![0.0; inst.provider_count()];
-        for pc in &out.price_trace {
+        for pc in &trace.points {
             assert!(pc.price >= last[pc.provider], "price decreased in trace");
+            assert!(pc.round <= out.rounds);
             last[pc.provider] = pc.price;
         }
     }

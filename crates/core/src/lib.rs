@@ -16,28 +16,31 @@
 //! bandwidth units at price `λ_u` (the dual variable of its capacity
 //! constraint) and every request bids at the provider offering the largest
 //! net utility `v − w − λ`, with bid `b = λ* + φ* − φ̂` (best-minus-second
-//! margin). Three interchangeable executions of the same bidder/auctioneer
-//! logic are provided:
+//! margin). Four executions of the same bidder/auctioneer logic are
+//! provided, plus a classic reference:
 //!
-//! * [`engine::SyncAuction`] — deterministic synchronous rounds (fast path
-//!   used by schedulers, tests and benchmarks);
+//! * [`engine::SyncAuction`] — deterministic synchronous rounds, the
+//!   readable reference oracle;
 //! * [`shard::ShardedAuction`] — sharded Jacobi rounds with batched price
 //!   updates and price-delta worklists, for 10³–10⁴-request slots (parallel
 //!   across cores when the machine has them);
 //! * [`csr::FlatAuction`] — the same sequential and sharded schedules over
 //!   a flat CSR compilation of the instance ([`csr::CsrInstance`]) with
 //!   reusable scratch: zero heap allocations in the hot loop after
-//!   warm-up, bit-identical outcomes to the two engines above;
-//! * [`dist::DistributedAuction`] — message-level asynchronous execution on
-//!   the discrete-event simulator with per-link latencies (used to
-//!   reproduce Fig. 2's within-slot price convergence);
+//!   warm-up, bit-identical outcomes to the two engines above — the fast
+//!   path used by schedulers and benchmarks;
 //! * [`swarm::SwarmAuction`] — the transport-agnostic [`protocol`] state
-//!   machines as logical actors on virtual time, behind a seeded
-//!   fault-injecting [`swarm::NetworkModel`]: bit-identical to the
-//!   synchronous sweep under the ideal model, certified within `n·ε`
-//!   under drop/delay/reorder/duplicate faults, 10⁵-peer slots in seconds;
+//!   machines as logical actors on virtual time, the one message-level
+//!   simulator: bit-identical to the synchronous sweep under the ideal
+//!   network model, certified within `n·ε` under seeded
+//!   drop/delay/reorder/duplicate faults, with cost-derived link latency
+//!   and Sec. IV-C mid-auction departures for Fig. 2's within-slot price
+//!   trace, and 10⁵-peer slots in seconds;
 //! * the classic assignment-problem auction ([`bertsekas`]) together with
 //!   the transportation → assignment expansion of the paper's Fig. 1.
+//!
+//! The real transport — tracker and peer processes exchanging the
+//! [`codec`] frames over TCP — lives in the `p2p-net` crate.
 //!
 //! # Optimality verification
 //!
@@ -77,7 +80,6 @@ pub mod bidder;
 pub mod codec;
 pub mod csr;
 pub mod diff;
-pub mod dist;
 pub mod engine;
 pub mod instance;
 pub mod messages;
@@ -96,12 +98,16 @@ pub use csr::{BidKernel, CsrBuilder, CsrInstance, FlatAuction, FlatOutcome, Work
 pub use diff::{InstanceDiff, InstancePatch};
 pub use engine::{AuctionConfig, AuctionOutcome, EpsilonScaling, SyncAuction};
 pub use instance::{EdgeSpec, InstanceBuilder, ProviderSpec, RequestSpec, WelfareInstance};
-pub use p2p_metrics::{AuctionProbe, CountingProbe, EngineReport, NoProbe};
+pub use p2p_metrics::{
+    AuctionProbe, CountingProbe, EngineReport, NoProbe, PricePoint, PriceRecorder,
+};
 pub use p2p_sim::derive_seed;
 pub use protocol::{AuctioneerNode, BidReply, BidderNode, BidderPhase, LearnPolicy};
 pub use shard::{available_cores, ShardCount, ShardedAuction};
 pub use solution::{Assignment, DualSolution};
-pub use swarm::{FaultStats, NetworkModel, SwarmAuction, SwarmConfig, SwarmOutcome};
+pub use swarm::{
+    CostLatency, DepartureEvent, FaultStats, NetworkModel, SwarmAuction, SwarmConfig, SwarmOutcome,
+};
 pub use verify::{verify_optimality, OptimalityReport};
 
 pub(crate) use ordf64::OrdF64;

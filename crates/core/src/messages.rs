@@ -1,6 +1,6 @@
 //! Protocol messages exchanged by bidders and auctioneers in asynchronous
-//! executions (the discrete-event engine in [`crate::dist`] and the
-//! threaded runtime in the `p2p-runtime` crate share this vocabulary).
+//! executions (the swarm simulator in [`crate::swarm`] and the networked
+//! tracker and peers of the `p2p-net` crate share this vocabulary).
 
 use crate::instance::{ProviderIdx, RequestIdx};
 use serde::{Deserialize, Serialize};

@@ -1,23 +1,20 @@
 //! Transport-agnostic protocol state machines for the distributed auction.
 //!
-//! The per-peer bid/price logic used to live twice: once inside the
-//! threaded runtime's actor closures and once inside the discrete-event
-//! world of [`crate::dist`]. This module extracts it into two pure state
+//! The per-peer bid/price logic lives here once, as two pure state
 //! machines — [`BidderNode`] (one per request) and [`AuctioneerNode`] (one
-//! per provider) — that know nothing about threads, channels, wall clocks
+//! per provider) — that know nothing about threads, sockets, wall clocks
 //! or event queues. A transport feeds them messages and forwards the
 //! messages they emit; *when* and *in what order* those messages arrive is
 //! entirely the transport's business.
 //!
-//! Three transports drive these machines today:
+//! Two transports drive these machines today:
 //!
-//! * the threaded runtime (`p2p_runtime`): real OS threads, crossbeam
-//!   mailboxes, wall-clock latency — the paper's emulator style;
-//! * the reactive discrete-event world ([`crate::dist`]): virtual-time
-//!   message races with per-link latency, reproducing Fig. 2;
 //! * the virtual-time swarm backend ([`crate::swarm`]): logical actors on
-//!   the simulator's event queue with a seeded fault-injecting network
-//!   model, scaling to 10⁵ peers in seconds.
+//!   the simulator's event queue with cost-derived link latency, a seeded
+//!   fault-injecting network model and Sec. IV-C departures — Fig. 2's
+//!   price races, reproducibly, at 10⁵ peers in seconds;
+//! * the networked runtime (`p2p_net`): a tracker and peer processes over
+//!   real TCP sockets — the paper's "one process per peer" emulator style.
 //!
 //! The split between [`BidderNode::absorb`] (state update only) and
 //! [`BidderNode::poll`] (emit a bid if one is due) is what lets one state
@@ -39,13 +36,14 @@ use crate::messages::AuctionMsg;
 pub enum LearnPolicy {
     /// Keep the maximum ever observed. Correct whenever prices are
     /// monotone within a run (no departures), and robust to reordered or
-    /// duplicated observations — the policy of the threaded runtime and
-    /// the swarm backend.
+    /// duplicated observations — the swarm's policy for runs without
+    /// departures.
     Monotone,
     /// Believe the latest observation. Required when departures can
     /// *reset* prices (Sec. IV-C): a release genuinely lowers λ and the
     /// bidder must believe the decrease. Needs per-link FIFO delivery to
-    /// keep observations ordered — the policy of [`crate::dist`].
+    /// keep observations ordered — the swarm's policy for runs with
+    /// departures.
     Latest,
 }
 

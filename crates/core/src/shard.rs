@@ -86,12 +86,12 @@
 
 use crate::auctioneer::{Auctioneer, BidOutcome};
 use crate::bidder::{decide_bid, BidDecision, EdgeView};
+use crate::engine::SyncAuction;
 use crate::engine::{edge_views, final_prices, run_warm_with, AuctionConfig, AuctionOutcome};
-use crate::engine::{PriceChange, SyncAuction};
 use crate::instance::WelfareInstance;
 use crate::solution::{Assignment, DualSolution};
 use p2p_metrics::{AuctionProbe, NoProbe};
-use p2p_types::P2pError;
+use p2p_types::{P2pError, SimTime};
 use serde::{Deserialize, Serialize};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -445,8 +445,9 @@ impl ShardedAuction {
                     active += 1;
                 }
                 // Reassemble in chunk order so the merge input — and with it
-                // every outcome field, including the price trace of merges
-                // whose sort is skipped — is independent of thread timing.
+                // every outcome field, including the price trajectory of
+                // merges whose sort is skipped — is independent of thread
+                // timing.
                 let mut parts: Vec<Option<SliceResult>> = (0..active).map(|_| None).collect();
                 for _ in 0..active {
                     let (idx, part) = res_rx.recv().expect("workers outlive the slice");
@@ -506,7 +507,6 @@ impl ShardedAuction {
         let mut collision_mark: Vec<u64> = vec![0; instance.provider_count()];
         let mut rounds_mark: u64 = 1;
         let mut result = SliceResult::default();
-        let mut trace = Vec::new();
         let mut rounds = 0u64;
         let mut bids_submitted = 0u64;
 
@@ -604,15 +604,13 @@ impl ShardedAuction {
                                 round_conflicts += 1;
                             }
                             if let Some(p) = new_price {
-                                probe.price_change(bid.provider, p - eff_price[bid.provider]);
+                                probe.price_change(
+                                    bid.provider,
+                                    eff_price[bid.provider],
+                                    p,
+                                    SimTime::ZERO,
+                                );
                                 eff_price[bid.provider] = p;
-                                if self.config.record_price_trace {
-                                    trace.push(PriceChange {
-                                        round: rounds,
-                                        provider: bid.provider,
-                                        price: p,
-                                    });
-                                }
                             }
                         }
                     }
@@ -654,7 +652,6 @@ impl ShardedAuction {
             rounds,
             bids_submitted,
             converged: true,
-            price_trace: trace,
         };
         if probe.enabled() {
             // Theorem 1's certificate (dual − primal); only computed when
@@ -704,6 +701,7 @@ fn compute_slice(
 mod tests {
     use super::*;
     use crate::verify::verify_optimality;
+    use p2p_metrics::PriceRecorder;
     use p2p_types::{ChunkId, Cost, PeerId, RequestId, Valuation, VideoId};
 
     fn rid(d: u32, c: u32) -> RequestId {
@@ -801,19 +799,18 @@ mod tests {
     #[test]
     fn forced_worker_threads_match_the_sequential_path() {
         let inst = contended_instance();
-        let base = ShardedAuction::new(
-            AuctionConfig::with_epsilon(0.01).recording_trace(),
-            ShardCount::Fixed(4),
-        );
-        let sequential = base.clone().with_workers(1).run(&inst).unwrap();
-        let threaded = base.with_workers(3).run(&inst).unwrap();
+        let base = ShardedAuction::new(AuctionConfig::with_epsilon(0.01), ShardCount::Fixed(4));
+        let (mut seq_trace, mut thr_trace) = (PriceRecorder::new(), PriceRecorder::new());
+        let sequential = base.clone().with_workers(1).run_probed(&inst, &mut seq_trace).unwrap();
+        let threaded = base.with_workers(3).run_probed(&inst, &mut thr_trace).unwrap();
         assert_eq!(sequential.assignment, threaded.assignment);
         assert_eq!(sequential.duals, threaded.duals);
         assert_eq!(sequential.rounds, threaded.rounds);
         assert_eq!(sequential.bids_submitted, threaded.bids_submitted);
-        // Including the price trace: merge input order must not depend on
-        // thread timing even for batches whose sort is skipped.
-        assert_eq!(sequential.price_trace, threaded.price_trace);
+        // Including the price trajectory: merge input order must not depend
+        // on thread timing even for batches whose sort is skipped.
+        assert!(!seq_trace.points.is_empty());
+        assert_eq!(seq_trace, thr_trace);
     }
 
     #[test]
@@ -900,15 +897,13 @@ mod tests {
     #[test]
     fn price_trace_is_monotone_per_provider() {
         let inst = contended_instance();
-        let out = ShardedAuction::new(
-            AuctionConfig::with_epsilon(0.01).recording_trace(),
-            ShardCount::Fixed(4),
-        )
-        .run(&inst)
-        .unwrap();
-        assert!(!out.price_trace.is_empty());
+        let mut trace = PriceRecorder::new();
+        ShardedAuction::new(AuctionConfig::with_epsilon(0.01), ShardCount::Fixed(4))
+            .run_probed(&inst, &mut trace)
+            .unwrap();
+        assert!(!trace.points.is_empty());
         let mut last = vec![0.0; inst.provider_count()];
-        for pc in &out.price_trace {
+        for pc in &trace.points {
             assert!(pc.price >= last[pc.provider]);
             last[pc.provider] = pc.price;
         }

@@ -21,6 +21,14 @@
 //!   lands (eventual delivery), so Theorem 1's `n·ε` certificate still
 //!   holds at quiescence for ε > 0.
 //!
+//! The reactive mode is also the paper's in-slot emulation. With
+//! [`NetworkModel::cost_derived`] each link's delay follows its edge cost
+//! ("network latency as the network cost") and every price change reaches
+//! the probe with its exact new value and virtual instant — Fig. 2's
+//! price trace (see `p2p_streaming::fig2`).
+//! [`SwarmAuction::run_with_departures`] adds Sec. IV-C's mid-auction
+//! departures as simulator events.
+//!
 //! Per-link sequence numbers restore FIFO order at the receiver (a
 //! reordered `Accepted`/`Evicted` pair would otherwise strand a bidder in
 //! the wrong phase), and duplicates are discarded by the same mechanism.
@@ -76,6 +84,16 @@ pub struct PartitionWindow {
     pub heal: SimTime,
 }
 
+/// A scheduled mid-auction departure (Sec. IV-C): at `at`, every role of
+/// `peer` — auctioneer and/or bidder — leaves the system.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DepartureEvent {
+    /// When the peer departs.
+    pub at: SimTime,
+    /// The departing peer.
+    pub peer: PeerId,
+}
+
 /// Seeded network behavior for the swarm backend. All randomness is
 /// derived from the run seed via [`derive_seed`], so fault schedules are
 /// replayable events, not wall-clock accidents.
@@ -107,6 +125,29 @@ pub struct NetworkModel {
     pub broadcast_window: SimDuration,
     /// Optional ISP-level partition.
     pub partition: Option<PartitionWindow>,
+    /// Optional per-link delay derived from each edge's cost, added to the
+    /// seeded latency draws.
+    pub cost_latency: Option<CostLatency>,
+}
+
+/// A per-link delay affine in the link's edge cost: `base_ms +
+/// ms_per_cost · w` milliseconds one way, both directions of the edge
+/// alike. This is `p2p_topology::LatencyModel`'s rule (the paper uses
+/// "network latency as the network cost"), rounded once to the
+/// microsecond exactly as `LatencyModel::one_way` rounds it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CostLatency {
+    /// Fixed part of every link's delay, in milliseconds.
+    pub base_ms: f64,
+    /// Delay per unit of edge cost, in milliseconds.
+    pub ms_per_cost: f64,
+}
+
+impl CostLatency {
+    /// One-way delay of a link whose edge costs `cost`.
+    pub fn one_way(&self, cost: f64) -> SimDuration {
+        SimDuration::from_secs_f64(((self.base_ms + self.ms_per_cost * cost) / 1e3).max(0.0))
+    }
 }
 
 impl NetworkModel {
@@ -125,6 +166,17 @@ impl NetworkModel {
             max_retries: 3,
             broadcast_window: SimDuration::ZERO,
             partition: None,
+            cost_latency: None,
+        }
+    }
+
+    /// Fig. 2's network: every link's delay derived from its edge cost, no
+    /// faults, and price announcements coalesced over a 100 ms window.
+    pub fn cost_derived(latency: CostLatency) -> Self {
+        NetworkModel {
+            cost_latency: Some(latency),
+            broadcast_window: SimDuration::from_millis(100),
+            ..NetworkModel::ideal()
         }
     }
 
@@ -154,6 +206,7 @@ impl NetworkModel {
             max_retries: 3,
             broadcast_window: SimDuration::from_millis(1),
             partition: None,
+            cost_latency: None,
         }
     }
 
@@ -190,6 +243,7 @@ impl NetworkModel {
             && self.duplicate_prob == 0.0
             && self.reorder_prob == 0.0
             && self.partition.is_none()
+            && self.cost_latency.is_none()
     }
 }
 
@@ -215,8 +269,11 @@ pub struct FaultStats {
 #[derive(Debug, Clone, Copy)]
 pub struct SwarmConfig {
     /// Bid increment ε (see [`crate::AuctionConfig::epsilon`]). Use ε > 0
-    /// under faulty models: racy delivery can freeze ε = 0 on dynamically
-    /// created ties, exactly as in the threaded runtime.
+    /// under faulty models: racy delivery can freeze ε = 0 on a
+    /// dynamically created tie — a bid lifts a price to exactly another
+    /// request's indifference point, and that request then waits forever —
+    /// so the run quiesces feasible but short of the optimum. A seeded
+    /// test pins one such run.
     pub epsilon: f64,
     /// Safety cap on sweep rounds (ideal mode).
     pub max_rounds: u64,
@@ -300,7 +357,6 @@ impl SwarmOutcome {
             rounds: self.rounds,
             bids_submitted: self.bids_submitted,
             converged: self.converged,
-            price_trace: Vec::new(),
         }
     }
 }
@@ -467,8 +523,31 @@ impl SwarmAuction {
         seed: u64,
         probe: &mut P,
     ) -> Result<SwarmOutcome, P2pError> {
+        self.run_with_departures(instance, &[], seed, probe)
+    }
+
+    /// Runs the auction cold while peers leave mid-auction (Sec. IV-C):
+    /// "the algorithm can handle it smoothly and converge to the maximum
+    /// social welfare where the departed peer is excluded". A departed
+    /// auctioneer evicts its winners and announces an infinite price; a
+    /// departed bidder's requests are cancelled and the units they held
+    /// released, which lowers the provider's price to 0 — so bidders of a
+    /// run with departures believe the latest price they hear
+    /// ([`LearnPolicy::Latest`]) instead of the highest. Departures always
+    /// run the reactive mode, with zero latency under the ideal model.
+    ///
+    /// # Errors
+    ///
+    /// As for [`run`](SwarmAuction::run).
+    pub fn run_with_departures<P: AuctionProbe>(
+        &self,
+        instance: &WelfareInstance,
+        departures: &[DepartureEvent],
+        seed: u64,
+        probe: &mut P,
+    ) -> Result<SwarmOutcome, P2pError> {
         let mut side = SideStats::new();
-        let outcome = self.once(instance, None, seed, probe, &mut side)?;
+        let outcome = self.once(instance, None, departures, seed, probe, &mut side)?;
         Ok(assemble(outcome, &side))
     }
 
@@ -502,7 +581,7 @@ impl SwarmAuction {
     ) -> Result<SwarmOutcome, P2pError> {
         let mut side = SideStats::new();
         let outcome = run_warm_with(instance, prior_prices, self.config.epsilon, |prices| {
-            self.once(instance, prices, seed, probe, &mut side)
+            self.once(instance, prices, &[], seed, probe, &mut side)
         })?;
         Ok(assemble(outcome, &side))
     }
@@ -512,16 +591,17 @@ impl SwarmAuction {
         &self,
         instance: &WelfareInstance,
         warm: Option<&[f64]>,
+        departures: &[DepartureEvent],
         seed: u64,
         probe: &mut P,
         side: &mut SideStats,
     ) -> Result<AuctionOutcome, P2pError> {
         let pass_seed = derive_seed(seed, side.passes);
         side.passes += 1;
-        if self.net.is_ideal() {
+        if self.net.is_ideal() && departures.is_empty() {
             self.ideal_once(instance, warm, probe, side)
         } else {
-            self.reactive_once(instance, warm, pass_seed, probe, side)
+            self.reactive_once(instance, warm, departures, pass_seed, probe, side)
         }
     }
 
@@ -538,7 +618,8 @@ impl SwarmAuction {
             return Err(P2pError::AuctionDiverged { iterations: 0 });
         }
         let n = instance.request_count();
-        let (bidders, auctioneers) = build_nodes(instance, warm, self.config.epsilon);
+        let (bidders, auctioneers) =
+            build_nodes(instance, warm, self.config.epsilon, LearnPolicy::Monotone);
         let retire = self.config.retire_priced_out;
         let world = IdealWorld {
             probe,
@@ -586,7 +667,6 @@ impl SwarmAuction {
             rounds: world.round,
             bids_submitted: world.bids_total,
             converged: true,
-            price_trace: Vec::new(),
         };
         report_complete(instance, &outcome, world.probe);
         Ok(outcome)
@@ -597,13 +677,18 @@ impl SwarmAuction {
         &self,
         instance: &WelfareInstance,
         warm: Option<&[f64]>,
+        departures: &[DepartureEvent],
         seed: u64,
         probe: &mut P,
         side: &mut SideStats,
     ) -> Result<AuctionOutcome, P2pError> {
         let n = instance.request_count();
         let provider_count = instance.provider_count();
-        let (bidders, auctioneers) = build_nodes(instance, warm, self.config.epsilon);
+        // A release lowers λ, so only runs with departures may believe a
+        // decrease; per-link FIFO keeps each link's observations ordered.
+        let policy =
+            if departures.is_empty() { LearnPolicy::Monotone } else { LearnPolicy::Latest };
+        let (bidders, auctioneers) = build_nodes(instance, warm, self.config.epsilon, policy);
 
         let bidder_peer: Vec<PeerId> =
             instance.requests().iter().map(|r| r.id.downstream()).collect();
@@ -620,6 +705,14 @@ impl SwarmAuction {
         let links = (0..2 * edge_total as usize)
             .map(|_| LinkState { sent: 0, delivered: 0, buffer: Vec::new() })
             .collect();
+        let edge_delay = match self.net.cost_latency {
+            Some(c) => instance
+                .requests()
+                .iter()
+                .flat_map(|r| r.edges.iter().map(move |e| c.one_way(e.cost.get())))
+                .collect(),
+            None => Vec::new(),
+        };
 
         let mut listeners: Vec<Vec<(RequestIdx, u32)>> = vec![Vec::new(); provider_count];
         for (r, req) in instance.requests().iter().enumerate() {
@@ -640,6 +733,8 @@ impl SwarmAuction {
             row_start,
             listeners,
             links,
+            edge_delay,
+            departures: !departures.is_empty(),
             broadcast_pending: vec![false; provider_count],
             msg_counter: 0,
             messages: 0,
@@ -656,6 +751,9 @@ impl SwarmAuction {
             Simulation::new(world).with_max_events(self.config.max_events).with_event_capacity(n);
         for r in 0..n {
             sim.schedule_at(SimTime::ZERO, NetEv::Start(r));
+        }
+        for d in departures {
+            sim.schedule_at(d.at, NetEv::Depart(d.peer));
         }
         let stats = sim.run_to_completion();
         let converged = stats.events_processed < self.config.max_events;
@@ -687,7 +785,6 @@ impl SwarmAuction {
             rounds: 0,
             bids_submitted: world.bids_delivered,
             converged: true,
-            price_trace: Vec::new(),
         };
         report_complete(instance, &outcome, world.probe);
         Ok(outcome)
@@ -700,13 +797,14 @@ fn build_nodes(
     instance: &WelfareInstance,
     warm: Option<&[f64]>,
     epsilon: f64,
+    policy: LearnPolicy,
 ) -> (Vec<BidderNode>, Vec<AuctioneerNode>) {
     let views = edge_views(instance);
     let bidders = views
         .into_iter()
         .enumerate()
         .map(|(r, vs)| {
-            BidderNode::new(r, vs, epsilon, LearnPolicy::Monotone, |u| {
+            BidderNode::new(r, vs, epsilon, policy, |u| {
                 let warm_price = warm
                     .and_then(|ps| ps.get(u).copied())
                     .filter(|w| w.is_finite() && *w >= 0.0)
@@ -813,6 +911,8 @@ impl<P: AuctionProbe> IdealWorld<'_, P> {
 impl<P: AuctionProbe> World for IdealWorld<'_, P> {
     type Event = IdealEv;
 
+    // One call site, once per event, in the simulator's run loop.
+    #[inline]
     fn handle(&mut self, ctx: &mut Context<'_, IdealEv>, ev: IdealEv) {
         match ev {
             IdealEv::Poll(r) => {
@@ -876,7 +976,7 @@ impl<P: AuctionProbe> World for IdealWorld<'_, P> {
                             }
                         }
                         if let Some(p) = reply.price_changed {
-                            self.probe.price_change(provider, p - before);
+                            self.probe.price_change(provider, before, p, now);
                         }
                         self.converged_at = now;
                     }
@@ -932,6 +1032,8 @@ enum NetEv {
     Mail(MailKey),
     /// A provider's coalesced price announcement fires.
     Broadcast(ProviderIdx),
+    /// A peer leaves mid-auction (Sec. IV-C).
+    Depart(PeerId),
 }
 
 /// One in-flight message: `(link, send-order sequence, payload)`.
@@ -965,6 +1067,11 @@ struct NetWorld<'a, P: AuctionProbe> {
     row_start: Vec<u32>,
     listeners: Vec<Vec<(RequestIdx, u32)>>,
     links: Vec<LinkState>,
+    /// Cost-derived delay per edge slot (empty without a cost latency).
+    edge_delay: Vec<SimDuration>,
+    /// Whether the run has scheduled departures; without any, no bidder
+    /// can be cancelled and a delivered bid skips the bidder lookup.
+    departures: bool,
     broadcast_pending: Vec<bool>,
     msg_counter: u64,
     messages: u64,
@@ -1040,7 +1147,8 @@ impl<P: AuctionProbe> NetWorld<'_, P> {
         }
 
         let link_extra =
-            scaled(self.net.link_spread, derive_seed(self.seed, LINK_SALT | u64::from(link)));
+            scaled(self.net.link_spread, derive_seed(self.seed, LINK_SALT | u64::from(link)))
+                + self.edge_delay.get(link as usize / 2).copied().unwrap_or(SimDuration::ZERO);
         let mut attempt: u64 = 0;
         let arrival = loop {
             let roll = derive_seed(fate, 2 * attempt);
@@ -1092,6 +1200,7 @@ impl<P: AuctionProbe> NetWorld<'_, P> {
     /// Receiver-side resequencing: per-link FIFO restored from sequence
     /// numbers; duplicates (seq already consumed or already buffered)
     /// discarded.
+    #[inline]
     fn on_deliver(&mut self, ctx: &mut Context<'_, NetEv>, link: u32, seq: u32, msg: AuctionMsg) {
         {
             let ls = &mut self.links[link as usize];
@@ -1138,6 +1247,9 @@ impl<P: AuctionProbe> NetWorld<'_, P> {
         self.hash.msg(ctx.now(), &msg);
         match msg {
             AuctionMsg::Bid { request, edge, provider, amount } => {
+                if self.departures && self.bidders[request].is_cancelled() {
+                    return; // sent before its peer departed
+                }
                 self.bids_delivered += 1;
                 let before = self.auctioneers[provider].price();
                 let reply = self.auctioneers[provider].on_bid(request, amount);
@@ -1158,7 +1270,7 @@ impl<P: AuctionProbe> NetWorld<'_, P> {
                     }
                 }
                 if let Some(p) = reply.price_changed {
-                    self.probe.price_change(provider, p - before);
+                    self.probe.price_change(provider, before, p, ctx.now());
                     self.schedule_broadcast(ctx, provider);
                 }
             }
@@ -1176,11 +1288,58 @@ impl<P: AuctionProbe> NetWorld<'_, P> {
             }
         }
     }
+
+    /// Sec. IV-C departure: a departing auctioneer evicts its winners and
+    /// announces `+∞` at once, uncoalesced, so nobody targets a dead
+    /// provider; a departing bidder's requests are cancelled and any unit
+    /// they held is released, re-opening a full provider at price 0
+    /// through the usual coalesced broadcast.
+    #[cold]
+    fn on_departure(&mut self, ctx: &mut Context<'_, NetEv>, peer: PeerId) {
+        for u in 0..self.provider_peer.len() {
+            if self.provider_peer[u] != peer || self.auctioneers[u].is_offline() {
+                continue;
+            }
+            for notice in self.auctioneers[u].go_offline() {
+                if let AuctionMsg::Evicted { request, .. } = notice {
+                    let edge =
+                        self.assigned_edge[request].take().expect("evicted winner held a unit");
+                    let down = 2 * (self.row_start[request] + edge as u32) + 1;
+                    let bp = self.bidder_peer[request];
+                    self.send(ctx, peer, bp, down, notice);
+                }
+            }
+            for i in 0..self.listeners[u].len() {
+                let (r, k) = self.listeners[u][i];
+                let down = 2 * (self.row_start[r] + k) + 1;
+                let bp = self.bidder_peer[r];
+                let farewell =
+                    AuctionMsg::PriceUpdate { listener: r, provider: u, price: f64::INFINITY };
+                self.send(ctx, peer, bp, down, farewell);
+            }
+        }
+        for r in 0..self.bidder_peer.len() {
+            if self.bidder_peer[r] != peer || self.bidders[r].is_cancelled() {
+                continue;
+            }
+            self.bidders[r].cancel();
+            if let Some(edge) = self.assigned_edge[r].take() {
+                let u = self.bidders[r].views()[edge].provider;
+                let before = self.auctioneers[u].price();
+                if let Some(price) = self.auctioneers[u].release(r) {
+                    self.probe.price_change(u, before, price, ctx.now());
+                    self.schedule_broadcast(ctx, u);
+                }
+            }
+        }
+    }
 }
 
 impl<P: AuctionProbe> World for NetWorld<'_, P> {
     type Event = NetEv;
 
+    // One call site, once per event, in the simulator's run loop.
+    #[inline]
     fn handle(&mut self, ctx: &mut Context<'_, NetEv>, ev: NetEv) {
         match ev {
             NetEv::Start(r) => {
@@ -1203,6 +1362,9 @@ impl<P: AuctionProbe> World for NetWorld<'_, P> {
             }
             NetEv::Broadcast(u) => {
                 self.broadcast_pending[u] = false;
+                if self.auctioneers[u].is_offline() {
+                    return; // the departure already announced +∞
+                }
                 let price = self.auctioneers[u].price();
                 let pp = self.provider_peer[u];
                 for i in 0..self.listeners[u].len() {
@@ -1218,6 +1380,7 @@ impl<P: AuctionProbe> World for NetWorld<'_, P> {
                     );
                 }
             }
+            NetEv::Depart(peer) => self.on_departure(ctx, peer),
         }
     }
 }
@@ -1227,6 +1390,7 @@ mod tests {
     use super::*;
     use crate::engine::{AuctionConfig, SyncAuction};
     use crate::verify::verify_optimality;
+    use p2p_metrics::PriceRecorder;
     use p2p_types::{ChunkId, Cost, RequestId, Valuation, VideoId};
 
     fn rid(d: u32, c: u32) -> RequestId {
@@ -1454,5 +1618,238 @@ mod tests {
         let cfg = SwarmConfig { max_events: 2, ..SwarmConfig::with_epsilon(0.05) };
         let err = SwarmAuction::new(cfg, NetworkModel::lan()).run(&inst, 0).unwrap_err();
         assert!(matches!(err, P2pError::AuctionDiverged { .. }));
+    }
+
+    /// Every link takes `ms` milliseconds one way, whatever its cost.
+    fn uniform_latency(ms: f64) -> NetworkModel {
+        NetworkModel::cost_derived(CostLatency { base_ms: ms, ms_per_cost: 0.0 })
+    }
+
+    /// The paper's ε = 0 rule over cost-derived links, seed 0.
+    fn paper_run(inst: &WelfareInstance, net: NetworkModel) -> SwarmOutcome {
+        SwarmAuction::new(SwarmConfig::paper(), net).run(inst, 0).unwrap()
+    }
+
+    /// [`paper_run`] with `peer` leaving at `at_us` microseconds.
+    fn departing(inst: &WelfareInstance, net: NetworkModel, at_us: u64, peer: u32) -> SwarmOutcome {
+        let departures =
+            [DepartureEvent { at: SimTime::from_micros(at_us), peer: PeerId::new(peer) }];
+        SwarmAuction::new(SwarmConfig::paper(), net)
+            .run_with_departures(inst, &departures, 0, &mut NoProbe)
+            .unwrap()
+    }
+
+    /// A 3-request / 2-provider instance with distinct utilities.
+    fn contested() -> WelfareInstance {
+        let mut b = WelfareInstance::builder();
+        let u0 = b.add_provider(PeerId::new(100), 1);
+        let u1 = b.add_provider(PeerId::new(101), 1);
+        let r0 = b.add_request(rid(0, 0));
+        let r1 = b.add_request(rid(1, 0));
+        let r2 = b.add_request(rid(2, 0));
+        b.add_edge(r0, u0, Valuation::new(6.0), Cost::new(0.5)).unwrap();
+        b.add_edge(r0, u1, Valuation::new(6.0), Cost::new(2.0)).unwrap();
+        b.add_edge(r1, u0, Valuation::new(5.0), Cost::new(0.7)).unwrap();
+        b.add_edge(r1, u1, Valuation::new(5.0), Cost::new(2.5)).unwrap();
+        b.add_edge(r2, u0, Valuation::new(3.0), Cost::new(0.9)).unwrap();
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn cost_latency_rounds_like_the_topology_model() {
+        // `LatencyModel::one_way` rounds (base + k·w) / 1e3 seconds once;
+        // summing two separately rounded parts would drift by a microsecond.
+        let lat = CostLatency { base_ms: 5.0, ms_per_cost: 100.0 };
+        assert_eq!(lat.one_way(5.0).as_micros(), 505_000);
+        assert_eq!(lat.one_way(0.123_456_7).as_micros(), 17_346);
+        assert_eq!(lat.one_way(-1.0), SimDuration::ZERO, "negative delays clamp to zero");
+        assert!(!NetworkModel::cost_derived(lat).is_ideal(), "link delays select reactive mode");
+    }
+
+    #[test]
+    fn matches_synchronous_welfare() {
+        let inst = contested();
+        let sync = SyncAuction::default().run(&inst).unwrap();
+        let swarm = paper_run(&inst, uniform_latency(20.0));
+        assert_eq!(swarm.assignment.welfare(&inst).get(), sync.assignment.welfare(&inst).get());
+        assert_eq!(swarm.assignment.welfare(&inst), inst.optimal_welfare());
+        assert!(swarm.assignment.validate(&inst).is_ok());
+        assert!(swarm.duals.validate(&inst, 1e-9).is_ok());
+    }
+
+    #[test]
+    fn message_cap_raises_divergence() {
+        let inst = contested();
+        let cfg = SwarmConfig { max_events: 2, ..SwarmConfig::paper() };
+        let err = SwarmAuction::new(cfg, uniform_latency(10.0)).run(&inst, 0).unwrap_err();
+        assert!(matches!(err, P2pError::AuctionDiverged { .. }));
+    }
+
+    #[test]
+    fn latency_shifts_convergence_time() {
+        let inst = contested();
+        let fast = paper_run(&inst, uniform_latency(10.0));
+        let slow = paper_run(&inst, uniform_latency(200.0));
+        assert!(slow.converged_at > fast.converged_at);
+    }
+
+    #[test]
+    fn price_trace_is_monotone_per_provider() {
+        let inst = contested();
+        let mut trace = PriceRecorder::new();
+        SwarmAuction::new(SwarmConfig::paper(), uniform_latency(30.0))
+            .run_probed(&inst, 0, &mut trace)
+            .unwrap();
+        assert!(!trace.points.is_empty());
+        let mut last = vec![0.0; inst.provider_count()];
+        for p in &trace.points {
+            assert!(p.price >= last[p.provider]);
+            last[p.provider] = p.price;
+        }
+        // Stamped with virtual time, in time order.
+        assert!(trace.points[0].at > SimTime::ZERO, "a bid needs one link delay to land");
+        for w in trace.points.windows(2) {
+            assert!(w[0].at <= w[1].at);
+        }
+    }
+
+    #[test]
+    fn heterogeneous_latencies_still_converge_to_optimum() {
+        // Cost-derived delays differ per link, and a seeded per-link spread
+        // on top makes stale prices and message races certain.
+        let inst = contested();
+        let net = NetworkModel {
+            link_spread: SimDuration::from_millis(120),
+            ..NetworkModel::cost_derived(CostLatency { base_ms: 7.0, ms_per_cost: 40.0 })
+        };
+        for seed in 0..8 {
+            let out =
+                SwarmAuction::new(SwarmConfig::paper(), net.clone()).run(&inst, seed).unwrap();
+            assert_eq!(out.assignment.welfare(&inst), inst.optimal_welfare(), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn auctioneer_departure_converges_to_reduced_optimum() {
+        // u0 is everyone's best source; it departs mid-auction, so the
+        // final schedule must be the optimum of the instance without u0
+        // (Sec. IV-C's claim).
+        let inst = contested();
+        let out = departing(&inst, uniform_latency(20.0), 35_000, 100);
+        // Nobody may end up assigned to the departed provider.
+        for r in 0..inst.request_count() {
+            assert_ne!(out.assignment.provider_of(&inst, r), Some(0), "request {r}");
+        }
+        // Reduced instance: same requests, only u1 available.
+        let mut b = WelfareInstance::builder();
+        let u1 = b.add_provider(PeerId::new(101), 1);
+        let r0 = b.add_request(rid(0, 0));
+        let r1 = b.add_request(rid(1, 0));
+        b.add_edge(r0, u1, Valuation::new(6.0), Cost::new(2.0)).unwrap();
+        b.add_edge(r1, u1, Valuation::new(5.0), Cost::new(2.5)).unwrap();
+        let reduced = b.build().unwrap();
+        assert!(
+            (out.assignment.welfare(&inst).get() - reduced.optimal_welfare().get()).abs() < 1e-9,
+            "welfare {} vs reduced optimum {}",
+            out.assignment.welfare(&inst).get(),
+            reduced.optimal_welfare()
+        );
+    }
+
+    #[test]
+    fn bidder_departure_releases_units_to_rivals() {
+        // A (value 8) wins the single unit, pricing B (value 5) out; when
+        // A departs, the release resets the price to 0 and the broadcast
+        // must wake B (which had abstained as unprofitable) to claim it.
+        let mut b = WelfareInstance::builder();
+        let u = b.add_provider(PeerId::new(100), 1);
+        let a = b.add_request(rid(0, 0));
+        let rival = b.add_request(rid(1, 0));
+        b.add_edge(a, u, Valuation::new(8.0), Cost::new(0.5)).unwrap();
+        b.add_edge(rival, u, Valuation::new(5.0), Cost::new(0.5)).unwrap();
+        let inst = b.build().unwrap();
+
+        // Sanity: without the departure, A wins and B stays out.
+        let before = paper_run(&inst, uniform_latency(20.0));
+        assert_eq!(before.assignment.provider_of(&inst, a), Some(u));
+        assert_eq!(before.assignment.choice(rival), None);
+
+        let out = departing(&inst, uniform_latency(20.0), 400_000, 0);
+        assert_eq!(out.assignment.choice(a), None, "departed peer's request is cancelled");
+        assert_eq!(
+            out.assignment.provider_of(&inst, rival),
+            Some(u),
+            "the released unit must be re-sold to the rival"
+        );
+    }
+
+    #[test]
+    fn bidder_departure_keeps_remaining_schedule_feasible() {
+        // On the general contested instance, a mid-auction bidder departure
+        // must leave a feasible schedule with the departed requests
+        // cancelled (assigned survivors keep their units per the protocol —
+        // they only move when evicted).
+        let inst = contested();
+        let out = departing(&inst, uniform_latency(20.0), 400_000, 0);
+        assert_eq!(out.assignment.choice(0), None);
+        assert!(out.assignment.validate(&inst).is_ok());
+        assert!(out.assignment.choice(1).is_some(), "survivors keep profitable units");
+    }
+
+    #[test]
+    fn departure_of_unknown_peer_is_harmless() {
+        let inst = contested();
+        let out = departing(&inst, uniform_latency(20.0), 10_000, 9999);
+        assert_eq!(out.assignment.welfare(&inst), inst.optimal_welfare());
+    }
+
+    /// Four requests over a unit-capacity and a two-unit provider, with
+    /// values and costs on a 0.1 grid — ties created mid-run are reachable.
+    fn tie_prone() -> WelfareInstance {
+        let mut b = WelfareInstance::builder();
+        let u0 = b.add_provider(PeerId::new(100), 1);
+        let u1 = b.add_provider(PeerId::new(101), 2);
+        for d in 0..4u32 {
+            let r = b.add_request(rid(d, 0));
+            let (v, k) = (6.0 - f64::from(d), f64::from(d));
+            b.add_edge(r, u0, Valuation::new(v), Cost::new(0.5 + 0.1 * k)).unwrap();
+            b.add_edge(r, u1, Valuation::new(v), Cost::new(2.0 + 0.2 * k)).unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn epsilon_zero_lossy_race_quiesces_short_of_the_optimum() {
+        // The ε = 0 caveat: under racy delivery a bid can lift a price to
+        // exactly another request's indifference point, and the paper's
+        // wait rule then parks that request for good. Seed 6 is one of 26
+        // such runs among seeds 0–199 under the lossy model; ε = 0.01 keeps
+        // every one of those seeds within n·ε.
+        let inst = tie_prone();
+        let exact = inst.optimal_welfare().get();
+        let frozen =
+            SwarmAuction::new(SwarmConfig::paper(), NetworkModel::lossy()).run(&inst, 6).unwrap();
+        assert!(frozen.converged, "the run quiesces instead of hanging");
+        assert!(frozen.assignment.validate(&inst).is_ok(), "the schedule stays feasible");
+        assert!(frozen.duals.lambda.iter().all(|l| *l >= 0.0));
+        let got = frozen.assignment.welfare(&inst).get();
+        assert!(got < exact - 1.0, "seed 6 must freeze short of the optimum: {got} vs {exact}");
+
+        let eps = 0.01;
+        let robust = SwarmAuction::new(SwarmConfig::with_epsilon(eps), NetworkModel::lossy())
+            .run(&inst, 6)
+            .unwrap();
+        let bound = inst.request_count() as f64 * eps + 1e-9;
+        assert!(robust.assignment.welfare(&inst).get() >= exact - bound);
+        let report = verify_optimality(&inst, &robust.assignment, &robust.duals, eps + 1e-9);
+        assert!(report.is_optimal(), "{:?}", report.violations);
+    }
+
+    #[test]
+    fn empty_instance_converges_with_no_messages() {
+        let inst = WelfareInstance::builder().build().unwrap();
+        let out = paper_run(&inst, uniform_latency(10.0));
+        assert!(out.converged);
+        assert_eq!(out.messages, 0);
     }
 }

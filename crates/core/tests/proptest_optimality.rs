@@ -4,9 +4,11 @@
 //! and its primal/dual pair passes the complementary-slackness certificate.
 
 use p2p_core::bertsekas::solve_via_expansion;
-use p2p_core::dist::{DistConfig, DistributedAuction};
-use p2p_core::{verify_optimality, AuctionConfig, SyncAuction, WelfareInstance};
-use p2p_types::{ChunkId, Cost, PeerId, RequestId, SimDuration, Valuation, VideoId};
+use p2p_core::{
+    verify_optimality, AuctionConfig, CostLatency, NetworkModel, SwarmAuction, SwarmConfig,
+    SyncAuction, WelfareInstance,
+};
+use p2p_types::{ChunkId, Cost, PeerId, RequestId, Valuation, VideoId};
 use proptest::prelude::*;
 
 /// A randomly generated welfare instance with continuous utilities (ties
@@ -72,22 +74,18 @@ proptest! {
             <= out.duals.objective(&inst) + 1e-6);
     }
 
-    /// The asynchronous message-level execution (random latencies, stale
-    /// prices, racing evictions) reaches the same optimum.
+    /// The asynchronous message-level execution (cost-derived link
+    /// latencies, stale prices, racing evictions) reaches the same optimum
+    /// under the paper's ε = 0 rule.
     #[test]
     fn distributed_execution_matches_exact_optimum(
         inst in arb_instance(),
-        latency_seed in 0u64..1000,
+        base_ms in 0.0f64..20.0,
+        ms_per_cost in 1.0f64..150.0,
+        seed in 0u64..1000,
     ) {
-        let latency: p2p_core::dist::LatencyFn = Box::new(move |from, to| {
-            let mix = latency_seed
-                .wrapping_mul(31)
-                .wrapping_add(u64::from(from.get()) * 17 + u64::from(to.get()) * 7);
-            SimDuration::from_millis(5 + mix % 150)
-        });
-        let out = DistributedAuction::new(DistConfig::paper(), latency)
-            .run(&inst)
-            .unwrap();
+        let net = NetworkModel::cost_derived(CostLatency { base_ms, ms_per_cost });
+        let out = SwarmAuction::new(SwarmConfig::paper(), net).run(&inst, seed).unwrap();
         let exact = inst.optimal_welfare().get();
         prop_assert!((out.assignment.welfare(&inst).get() - exact).abs() < 1e-6);
         prop_assert!(out.assignment.validate(&inst).is_ok());

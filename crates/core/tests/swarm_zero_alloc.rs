@@ -17,7 +17,7 @@
 use p2p_core::{
     verify_optimality, AuctionProbe, NetworkModel, SwarmAuction, SwarmConfig, WelfareInstance,
 };
-use p2p_types::{ChunkId, Cost, PeerId, RequestId, SimDuration, Valuation, VideoId};
+use p2p_types::{ChunkId, Cost, PeerId, RequestId, SimDuration, SimTime, Valuation, VideoId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -112,7 +112,7 @@ impl AuctionProbe for AllocTrace {
         self.mark();
     }
 
-    fn price_change(&mut self, _provider: usize, _delta: f64) {
+    fn price_change(&mut self, _provider: usize, _old: f64, _new: f64, _at: SimTime) {
         self.mark();
     }
 }

@@ -35,7 +35,7 @@ pub use ascii::ascii_plot;
 pub use csv::write_csv;
 pub use histogram::Histogram;
 pub use hll::{mix64, Hll};
-pub use probe::{AuctionProbe, CountingProbe, EngineReport, NoProbe};
+pub use probe::{AuctionProbe, CountingProbe, EngineReport, NoProbe, PricePoint, PriceRecorder};
 pub use report::{
     CacheCounters, PhaseTimings, PoolCounters, RunReport, SlotReport, UniqueCounts, WindowReport,
 };

@@ -26,6 +26,7 @@
 //! ```
 
 use crate::histogram::Histogram;
+use p2p_types::SimTime;
 use serde::{Deserialize, Serialize};
 
 /// Per-round observation hooks for the auction engines. Every method has a
@@ -44,8 +45,13 @@ pub trait AuctionProbe {
     /// `retired` requests priced out permanently this round.
     fn round(&mut self, _round: u64, _bids: u64, _conflicts: u64, _retries: u64, _retired: u64) {}
 
-    /// A provider's announced price rose by `delta`.
-    fn price_change(&mut self, _provider: usize, _delta: f64) {}
+    /// A provider's announced price moved from `old` to `new`: a rise in
+    /// every engine, or a fall when a Sec. IV-C departure releases a unit
+    /// in the swarm. `at` is the swarm's virtual instant of the change;
+    /// engines without a virtual clock (the round-based engines and the
+    /// networked tracker) pass [`SimTime::ZERO`] and are ordered by call
+    /// sequence alone.
+    fn price_change(&mut self, _provider: usize, _old: f64, _new: f64, _at: SimTime) {}
 
     /// One engine pass converged: totals plus the Theorem 1 ε-certificate
     /// slack (dual objective − primal welfare; only computed when
@@ -83,7 +89,7 @@ pub struct EngineReport {
     pub slack: f64,
     /// Distribution of bids per round.
     pub bids_per_round: Histogram,
-    /// Distribution of announced price increases.
+    /// Distribution of announced price changes (`new − old`).
     pub price_deltas: Histogram,
 }
 
@@ -163,8 +169,8 @@ impl AuctionProbe for CountingProbe {
         self.report.bids_per_round.record(bids as f64);
     }
 
-    fn price_change(&mut self, _provider: usize, delta: f64) {
-        self.report.price_deltas.record(delta);
+    fn price_change(&mut self, _provider: usize, old: f64, new: f64, _at: SimTime) {
+        self.report.price_deltas.record(new - old);
     }
 
     fn run_complete(&mut self, _rounds: u64, _bids: u64, assigned: u64, slack: f64) {
@@ -173,6 +179,49 @@ impl AuctionProbe for CountingProbe {
         if slack.is_finite() {
             self.report.slack += slack;
         }
+    }
+}
+
+/// One recorded price change: the provider's new price, the 1-based round
+/// it happened in and the virtual instant it was set (see
+/// [`AuctionProbe::price_change`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PricePoint {
+    /// Round of the change (1 + the `round` reports seen before it).
+    pub round: u64,
+    /// Virtual instant of the change ([`SimTime::ZERO`] for clockless
+    /// engines).
+    pub at: SimTime,
+    /// The provider whose price changed.
+    pub provider: usize,
+    /// The new price `λ_u`, exactly as the auctioneer set it.
+    pub price: f64,
+}
+
+/// The recording probe: every price change in call order. This is Fig. 2's
+/// raw trace, and the price trajectory the engine-equivalence tests
+/// compare across worker counts and engines.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct PriceRecorder {
+    /// Recorded changes, in the order the engine reported them.
+    pub points: Vec<PricePoint>,
+    rounds: u64,
+}
+
+impl PriceRecorder {
+    /// An empty recorder.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+impl AuctionProbe for PriceRecorder {
+    fn round(&mut self, _round: u64, _bids: u64, _conflicts: u64, _retries: u64, _retired: u64) {
+        self.rounds += 1;
+    }
+
+    fn price_change(&mut self, provider: usize, _old: f64, new: f64, at: SimTime) {
+        self.points.push(PricePoint { round: self.rounds + 1, at, provider, price: new });
     }
 }
 
@@ -185,7 +234,7 @@ mod tests {
         let mut p = NoProbe;
         assert!(!p.enabled());
         p.round(1, 5, 1, 0, 0);
-        p.price_change(0, 1.0);
+        p.price_change(0, 0.0, 1.0, SimTime::ZERO);
         p.run_complete(1, 5, 3, 0.1);
     }
 
@@ -195,7 +244,7 @@ mod tests {
         assert!(p.enabled());
         p.round(1, 10, 2, 1, 3);
         p.round(2, 4, 0, 0, 0);
-        p.price_change(0, 0.5);
+        p.price_change(0, 1.0, 1.5, SimTime::ZERO);
         p.run_complete(2, 14, 7, 0.25);
         let r = p.report().clone();
         assert_eq!(r.rounds, 2);
@@ -211,6 +260,19 @@ mod tests {
         let taken = p.take_report();
         assert_eq!(taken, r);
         assert!(p.report().is_empty());
+    }
+
+    #[test]
+    fn price_recorder_keeps_exact_prices_in_order() {
+        let mut p = PriceRecorder::new();
+        p.price_change(2, 0.0, 0.1, SimTime::from_micros(5));
+        p.round(1, 1, 0, 0, 0);
+        p.price_change(0, 0.3, 0.7, SimTime::ZERO);
+        let rounds: Vec<u64> = p.points.iter().map(|q| q.round).collect();
+        assert_eq!(rounds, [1, 2]);
+        assert_eq!(p.points[0].price, 0.1, "the new price, not a delta");
+        assert_eq!(p.points[0].at, SimTime::from_micros(5));
+        assert_eq!(p.points[1].provider, 0);
     }
 
     #[test]

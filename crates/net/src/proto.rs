@@ -421,7 +421,6 @@ pub fn decode_outcome(bytes: &[u8], instance: &WelfareInstance) -> Result<Auctio
         rounds,
         bids_submitted,
         converged,
-        price_trace: Vec::new(),
     })
 }
 

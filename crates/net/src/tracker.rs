@@ -38,7 +38,7 @@ use p2p_core::protocol::AuctioneerNode;
 use p2p_core::{
     Assignment, AuctionOutcome, AuctionProbe, BidDecision, DualSolution, EdgeView, WelfareInstance,
 };
-use p2p_types::{P2pError, Result};
+use p2p_types::{P2pError, Result, SimTime};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -397,7 +397,6 @@ impl Tracker {
             rounds,
             bids_submitted,
             converged: true,
-            price_trace: Vec::new(),
         };
         if probe.enabled() {
             let slack =
@@ -703,7 +702,7 @@ impl Sweep<'_> {
                     }
                 }
                 if let Some(p) = reply.price_changed {
-                    probe.price_change(provider, p - before);
+                    probe.price_change(provider, before, p, SimTime::ZERO);
                     self.eff_price[provider] = p;
                 }
             }

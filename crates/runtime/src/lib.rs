@@ -1,742 +1,36 @@
-//! Multi-threaded actor runtime: a faithful miniature of the paper's
-//! emulator.
+//! The persistent worker pool behind the flat engine's sliced rounds.
 //!
-//! The paper evaluates on "an efficient multi-threaded P2P VoD system …
-//! each peer in the system is emulated by one process; real network traffic
-//! is sent between peers". This crate reproduces that execution style on
-//! one machine: every auctioneer (provider) and every bidder (downstream
-//! peer) runs as an actor with a crossbeam mailbox, and a central
-//! [`router`] task delivers messages after a wall-clock latency derived
-//! from the link cost — so bids, rejections, evictions and price updates
-//! genuinely race, exactly as in a deployment.
+//! [`WorkerPool`] keeps finished worker threads parked on their job channel
+//! instead of exiting, so one pool can serve every engine of a process —
+//! scenario sweeps, `System` slot loops, benches — and repeated runs spawn
+//! zero new threads. It implements [`p2p_core::csr::WorkerSpawner`], the
+//! seam through which [`p2p_core::csr::FlatAuction`] leases its slice
+//! workers; the scenarios CLI shares one pool across every scheduler it
+//! sweeps. A panicking job is caught and reported through its
+//! [`pool::JobHandle`] as [`p2p_types::P2pError::WorkerPanicked`] instead
+//! of being lost at join time.
 //!
-//! Actors execute on a persistent [`WorkerPool`]: threads are spawned the
-//! first time a swarm of a given size runs and are *parked and reused* by
-//! every later run (per-run spawn/join of the whole swarm is gone), and
-//! quiescence is detected by condvar signaling ([`pool::Quiescence`])
-//! instead of a sleep-polling loop. A panicking peer no longer hangs the
-//! run until the wall timeout: the panic is caught, poisons the run, and is
-//! propagated as [`P2pError::WorkerPanicked`] with the panic message.
-//!
-//! The bidder and auctioneer logic lives in the transport-agnostic state
-//! machines of [`p2p_core::protocol`] (`BidderNode` / `AuctioneerNode`) —
-//! the very same step functions the synchronous, discrete-event and swarm
-//! engines drive — and this crate is a thin thread/mailbox shell over
-//! them, which is the point: Theorem 1's optimality is preserved under
-//! real concurrency, and the integration tests assert it.
-//!
-//! One caveat inherited from the paper's ε = 0 wait rule: a bid can raise a
-//! price to *exactly* another request's indifference point (a dynamically
-//! created tie), and under racy message orders that request then waits
-//! forever — the threaded tests therefore assert the Bertsekas `n·ε` bound
-//! for ε > 0, the configuration a real deployment would use.
-//!
-//! After price convergence the winning chunks are "transmitted" as
-//! [`bytes::Bytes`] payloads through the same router, so a run also reports
-//! delivered traffic.
+//! The auction's message-level executions live elsewhere: the virtual-time
+//! simulator is `p2p_core::SwarmAuction`, and the real transport (tracker
+//! and peer processes over TCP) is the `p2p-net` crate.
 //!
 //! # Examples
 //!
 //! ```
-//! use p2p_runtime::{ThreadedAuction, ThreadedConfig};
-//! use p2p_core::WelfareInstance;
-//! use p2p_types::*;
-//! use std::time::Duration;
+//! use p2p_runtime::WorkerPool;
 //!
-//! let mut b = WelfareInstance::builder();
-//! let u = b.add_provider(PeerId::new(9), 1);
-//! let r = b.add_request(RequestId::new(PeerId::new(0), ChunkId::new(VideoId::new(0), 0)));
-//! b.add_edge(r, u, Valuation::new(4.0), Cost::new(1.0)).unwrap();
-//! let inst = b.build().unwrap();
-//!
-//! let auction = ThreadedAuction::new(ThreadedConfig::fast_test());
-//! let out = auction.run(&inst, |_, _| Duration::from_micros(200)).unwrap();
-//! assert_eq!(out.assignment.assigned_count(), 1);
-//! assert!(out.bytes_delivered > 0);
+//! let pool = WorkerPool::new();
+//! let (tx, rx) = std::sync::mpsc::channel();
+//! pool.execute(move || tx.send(6 * 7).unwrap()).join().unwrap();
+//! assert_eq!(rx.recv().unwrap(), 42);
+//! // The worker parked instead of exiting: the next job reuses it.
+//! pool.execute(|| {}).join().unwrap();
+//! assert_eq!(pool.spawned(), 1);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod pool;
-pub mod router;
 
-use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use p2p_core::bidder::EdgeView;
-use p2p_core::messages::AuctionMsg;
-use p2p_core::protocol::{AuctioneerNode, BidderNode, LearnPolicy};
-use p2p_core::solution::{Assignment, DualSolution};
-use p2p_core::WelfareInstance;
-use p2p_types::{P2pError, PeerId, Result};
 pub use pool::WorkerPool;
-use pool::{panic_message, JobHandle, Quiescence, Quiet};
-use router::{NodeId, Router};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// Configuration of the threaded execution.
-#[derive(Debug, Clone, Copy)]
-pub struct ThreadedConfig {
-    /// Bid increment ε (0 = paper rule).
-    pub epsilon: f64,
-    /// Simulated chunk payload size in bytes.
-    pub chunk_bytes: usize,
-    /// Abort if quiescence is not reached within this wall-clock budget.
-    pub wall_timeout: Duration,
-    /// Fault injection for chaos/regression tests: the given provider's
-    /// actor panics on the first bid it receives. The run must then fail
-    /// fast with [`P2pError::WorkerPanicked`] rather than hang until
-    /// `wall_timeout`.
-    pub inject_bid_panic: Option<usize>,
-}
-
-impl ThreadedConfig {
-    /// Settings for unit tests: tiny payloads, 30 s timeout.
-    pub fn fast_test() -> Self {
-        ThreadedConfig {
-            epsilon: 0.0,
-            chunk_bytes: 64,
-            wall_timeout: Duration::from_secs(30),
-            inject_bid_panic: None,
-        }
-    }
-
-    /// Paper-like settings: 8 KB chunks.
-    pub fn paper() -> Self {
-        ThreadedConfig {
-            epsilon: 0.0,
-            chunk_bytes: 8_000,
-            wall_timeout: Duration::from_secs(120),
-            inject_bid_panic: None,
-        }
-    }
-}
-
-/// Result of a threaded auction run.
-#[derive(Debug, Clone)]
-pub struct ThreadedOutcome {
-    /// The converged primal solution.
-    pub assignment: Assignment,
-    /// The converged dual prices.
-    pub duals: DualSolution,
-    /// Protocol messages routed (bids, outcomes, price updates).
-    pub messages: u64,
-    /// Bytes of chunk payload delivered after convergence.
-    pub bytes_delivered: u64,
-    /// Wall-clock time to convergence (excludes payload phase).
-    pub convergence: Duration,
-}
-
-/// Runtime-internal message: protocol traffic plus control and payload.
-#[derive(Debug, Clone)]
-enum RtMsg {
-    /// Wake a bidder to start bidding for a request (local index).
-    Start(usize),
-    /// Auction protocol message.
-    Proto(AuctionMsg),
-    /// Instruct a provider to ship payloads to its winners.
-    TransmitAll,
-    /// A chunk payload arriving at a bidder.
-    Payload {
-        #[allow(dead_code)]
-        request: usize,
-        body: Bytes,
-    },
-    /// Terminate the actor and report state.
-    Stop,
-}
-
-/// The threaded auction engine. Owns a persistent [`WorkerPool`], so
-/// repeated [`run`](ThreadedAuction::run)s of similar swarms reuse the
-/// same OS threads.
-pub struct ThreadedAuction {
-    config: ThreadedConfig,
-    pool: WorkerPool,
-}
-
-impl ThreadedAuction {
-    /// Creates the engine with a fresh worker pool.
-    pub fn new(config: ThreadedConfig) -> Self {
-        ThreadedAuction { config, pool: WorkerPool::new() }
-    }
-
-    /// Creates the engine sharing an existing pool (e.g. one pool across
-    /// every per-slot auction of a long simulation).
-    pub fn with_pool(config: ThreadedConfig, pool: WorkerPool) -> Self {
-        ThreadedAuction { config, pool }
-    }
-
-    /// The engine's worker pool (its `spawned()` count stays flat across
-    /// repeated runs — the reuse guarantee the tests assert).
-    pub fn pool(&self) -> &WorkerPool {
-        &self.pool
-    }
-
-    /// Runs the auction with one pooled actor per provider and per
-    /// downstream peer, delivering messages with `latency(from, to)`
-    /// wall-clock delay.
-    ///
-    /// # Errors
-    ///
-    /// * [`P2pError::Timeout`] — the wall-clock budget expired before
-    ///   quiescence (reports elapsed time and messages delivered);
-    /// * [`P2pError::WorkerPanicked`] — a peer actor panicked; the panic
-    ///   message is propagated instead of hanging the run.
-    pub fn run(
-        &self,
-        instance: &WelfareInstance,
-        latency: impl Fn(PeerId, PeerId) -> Duration + Send + Sync + 'static,
-    ) -> Result<ThreadedOutcome> {
-        let provider_count = instance.provider_count();
-        let request_count = instance.request_count();
-
-        // Bidder nodes: one per distinct downstream peer.
-        let mut bidder_peers: Vec<PeerId> = Vec::new();
-        let mut bidder_of_request: Vec<usize> = Vec::with_capacity(request_count);
-        for r in instance.requests() {
-            let d = r.id.downstream();
-            let idx = match bidder_peers.iter().position(|&p| p == d) {
-                Some(i) => i,
-                None => {
-                    bidder_peers.push(d);
-                    bidder_peers.len() - 1
-                }
-            };
-            bidder_of_request.push(idx);
-        }
-        let bidder_count = bidder_peers.len();
-        let provider_peers: Vec<PeerId> = instance.providers().iter().map(|p| p.peer).collect();
-
-        // Mailboxes.
-        let mut senders: Vec<Sender<RtMsg>> = Vec::new();
-        let mut receivers: Vec<Receiver<RtMsg>> = Vec::new();
-        for _ in 0..provider_count + bidder_count {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let provider_node = |u: usize| NodeId(u);
-        let bidder_node = move |b: usize| NodeId(provider_count + b);
-
-        // Pending-work counter for quiescence detection: incremented per
-        // enqueued message, decremented after a message is fully handled
-        // (any sends it triggered have already been counted). Condvar-backed,
-        // so the coordinator below sleeps instead of polling.
-        let pending = Arc::new(Quiescence::new());
-        let peer_of_node = {
-            let provider_peers = provider_peers.clone();
-            let bidder_peers = bidder_peers.clone();
-            move |n: NodeId| {
-                if n.0 < provider_count {
-                    provider_peers[n.0]
-                } else {
-                    bidder_peers[n.0 - provider_count]
-                }
-            }
-        };
-        let mut handles: Vec<JobHandle> = Vec::new();
-        let router = Router::start(
-            senders.clone(),
-            pending.clone(),
-            move |from, to| latency(peer_of_node(from), peer_of_node(to)),
-            |job| {
-                // The router gets the same poison-on-panic treatment as the
-                // actors: a dead router would otherwise strand every
-                // in-flight message and hang the run until the wall timeout.
-                let pending = pending.clone();
-                handles.push(self.pool.execute(move || {
-                    if let Err(payload) = catch_unwind(AssertUnwindSafe(job)) {
-                        pending.poison(panic_message(payload));
-                    }
-                }));
-            },
-        );
-
-        // Per-provider listener lists (bidder requests with an edge to it).
-        let mut listeners: Vec<Vec<usize>> = vec![Vec::new(); provider_count];
-        for (r, req) in instance.requests().iter().enumerate() {
-            for e in &req.edges {
-                listeners[e.provider].push(r);
-            }
-        }
-
-        // Spawns an actor body on the pool, poisoning the run if it panics
-        // so the coordinator wakes immediately instead of timing out.
-        let spawn_actor = {
-            let pending = pending.clone();
-            move |handles: &mut Vec<JobHandle>, body: Box<dyn FnOnce() + Send + 'static>| {
-                let pending = pending.clone();
-                handles.push(self.pool.execute(move || {
-                    if let Err(payload) = catch_unwind(AssertUnwindSafe(body)) {
-                        pending.poison(panic_message(payload));
-                    }
-                }));
-            }
-        };
-
-        // --- Auctioneer actors ---
-        let (prov_result_tx, prov_result_rx) = unbounded();
-        for u in 0..provider_count {
-            let rx = receivers[u].clone();
-            let out = router.handle(provider_node(u));
-            let result_tx = prov_result_tx.clone();
-            let my_listeners = listeners[u].clone();
-            let owner = bidder_of_request.clone();
-            let capacity = instance.provider(u).capacity.chunks_per_slot();
-            let pending = pending.clone();
-            let chunk_bytes = self.config.chunk_bytes;
-            let inject_panic = self.config.inject_bid_panic == Some(u);
-            spawn_actor(
-                &mut handles,
-                Box::new(move || {
-                    let mut state = AuctioneerNode::new(u, capacity);
-                    let payload = Bytes::from(vec![0u8; chunk_bytes]);
-                    while let Ok(msg) = rx.recv() {
-                        match msg {
-                            RtMsg::Proto(AuctionMsg::Bid { request, amount, .. }) => {
-                                if inject_panic {
-                                    panic!("injected fault: provider {u} died handling a bid");
-                                }
-                                let reply = state.on_bid(request, amount);
-                                out.send(bidder_node(owner[request]), RtMsg::Proto(reply.reply));
-                                if let Some(notice) = reply.evicted {
-                                    if let AuctionMsg::Evicted { request: loser, .. } = notice {
-                                        out.send(bidder_node(owner[loser]), RtMsg::Proto(notice));
-                                    }
-                                }
-                                if let Some(price) = reply.price_changed {
-                                    for &listener in &my_listeners {
-                                        out.send(
-                                            bidder_node(owner[listener]),
-                                            RtMsg::Proto(AuctionMsg::PriceUpdate {
-                                                listener,
-                                                provider: u,
-                                                price,
-                                            }),
-                                        );
-                                    }
-                                }
-                                pending.done();
-                            }
-                            RtMsg::TransmitAll => {
-                                let winners: Vec<(usize, f64)> = state.assigned().collect();
-                                for (request, _) in winners {
-                                    out.send(
-                                        bidder_node(owner[request]),
-                                        RtMsg::Payload { request, body: payload.clone() },
-                                    );
-                                }
-                                pending.done();
-                            }
-                            RtMsg::Stop => break,
-                            _ => {
-                                pending.done();
-                            }
-                        }
-                    }
-                    let winners: Vec<usize> = state.assigned().map(|(r, _)| r).collect();
-                    let _ = result_tx.send((u, state.price(), winners));
-                }),
-            );
-        }
-
-        // --- Bidder actors ---
-        let (bid_result_tx, bid_result_rx) = unbounded();
-        for bn in 0..bidder_count {
-            let rx = receivers[provider_count + bn].clone();
-            let out = router.handle(bidder_node(bn));
-            let result_tx = bid_result_tx.clone();
-            let pending = pending.clone();
-            let epsilon = self.config.epsilon;
-            // This bidder's protocol state machines, one per owned request.
-            // Monotone learning matches the old actor's behavior: under racy
-            // delivery a stale lower price must never overwrite a fresher
-            // higher one.
-            let mut nodes: Vec<BidderNode> = Vec::new();
-            let mut local_of_request = std::collections::HashMap::new();
-            for (r, req) in instance.requests().iter().enumerate() {
-                if bidder_of_request[r] == bn {
-                    let views: Vec<EdgeView> = req
-                        .edges
-                        .iter()
-                        .map(|e| EdgeView { provider: e.provider, utility: e.utility().get() })
-                        .collect();
-                    local_of_request.insert(r, nodes.len());
-                    nodes.push(BidderNode::new(r, views, epsilon, LearnPolicy::Monotone, |p| {
-                        if instance.provider(p).capacity.is_zero() {
-                            f64::INFINITY
-                        } else {
-                            0.0
-                        }
-                    }));
-                }
-            }
-            spawn_actor(
-                &mut handles,
-                Box::new(move || {
-                    let mut nodes = nodes;
-                    let mut bytes_received = 0u64;
-
-                    let send_bid = |out: &router::Handle<RtMsg>, bid: AuctionMsg| {
-                        if let AuctionMsg::Bid { provider, .. } = bid {
-                            out.send(NodeId(provider), RtMsg::Proto(bid));
-                        }
-                    };
-
-                    while let Ok(msg) = rx.recv() {
-                        match msg {
-                            RtMsg::Start(local) => {
-                                if let Some(bid) = nodes[local].poll() {
-                                    send_bid(&out, bid);
-                                }
-                                pending.done();
-                            }
-                            RtMsg::Proto(proto) => {
-                                let local = match proto {
-                                    AuctionMsg::Accepted { request, .. }
-                                    | AuctionMsg::Rejected { request, .. }
-                                    | AuctionMsg::Evicted { request, .. } => {
-                                        Some(local_of_request[&request])
-                                    }
-                                    AuctionMsg::PriceUpdate { listener, .. } => {
-                                        Some(local_of_request[&listener])
-                                    }
-                                    AuctionMsg::Bid { .. } => {
-                                        debug_assert!(false, "bidders never receive bids");
-                                        None
-                                    }
-                                };
-                                if let Some(local) = local {
-                                    if let Some(bid) = nodes[local].on_message(&proto) {
-                                        send_bid(&out, bid);
-                                    }
-                                }
-                                pending.done();
-                            }
-                            RtMsg::Payload { body, .. } => {
-                                bytes_received += body.len() as u64;
-                                pending.done();
-                            }
-                            RtMsg::TransmitAll => {
-                                pending.done();
-                            }
-                            RtMsg::Stop => break,
-                        }
-                    }
-                    let _ = result_tx.send(bytes_received);
-                }),
-            );
-        }
-        drop(prov_result_tx);
-        drop(bid_result_tx);
-
-        // --- Kick off: one Start per request, routed like any message ---
-        let start = Instant::now();
-        for (r, &bn) in bidder_of_request.iter().enumerate() {
-            let local = {
-                // local index: position among this bidder's requests
-                let mut idx = 0;
-                for (rr, &b2) in bidder_of_request.iter().enumerate() {
-                    if rr == r {
-                        break;
-                    }
-                    if b2 == bn {
-                        idx += 1;
-                    }
-                }
-                idx
-            };
-            router.inject(bidder_node(bn), RtMsg::Start(local));
-        }
-
-        // Tears a failed run down and surfaces `err`.
-        let abort = |err: P2pError,
-                     router: Router<RtMsg>,
-                     handles: Vec<JobHandle>|
-         -> Result<ThreadedOutcome> {
-            router.shutdown(&senders);
-            drop(router);
-            for h in handles {
-                let _ = h.join();
-            }
-            Err(err)
-        };
-
-        // --- Wait for auction quiescence (condvar, not sleep-polling) ---
-        let deadline = start + self.config.wall_timeout;
-        match pending.wait_idle(deadline) {
-            Quiet::Idle => {}
-            Quiet::Failed(message) => {
-                return abort(P2pError::WorkerPanicked { message }, router, handles);
-            }
-            Quiet::DeadlineExpired => {
-                let err =
-                    P2pError::Timeout { elapsed: start.elapsed(), messages: router.delivered() };
-                return abort(err, router, handles);
-            }
-        }
-        let convergence = start.elapsed();
-
-        // --- Payload phase ---
-        for u in 0..provider_count {
-            router.inject(provider_node(u), RtMsg::TransmitAll);
-        }
-        match pending.wait_idle(deadline) {
-            // Best-effort payload delivery: a deadline here reports the
-            // traffic shipped so far rather than failing the whole run.
-            Quiet::Idle | Quiet::DeadlineExpired => {}
-            Quiet::Failed(message) => {
-                return abort(P2pError::WorkerPanicked { message }, router, handles);
-            }
-        }
-
-        // --- Collect results ---
-        let messages = router.delivered();
-        router.shutdown(&senders);
-        // Dropping the router releases its channel; the delivery task ends
-        // once the last actor handle is gone, and every pooled job reports
-        // completion below (propagating any late panic).
-        drop(router);
-        let mut first_panic: Option<P2pError> = None;
-        for h in handles {
-            if let Err(e) = h.join() {
-                first_panic.get_or_insert(e);
-            }
-        }
-        if let Some(e) = first_panic {
-            return Err(e);
-        }
-
-        let mut assigned: Vec<Option<usize>> = vec![None; request_count];
-        let mut lambda = vec![0.0; provider_count];
-        while let Ok((u, price, winners)) = prov_result_rx.recv() {
-            lambda[u] = price;
-            for r in winners {
-                let edge = instance
-                    .request(r)
-                    .edges
-                    .iter()
-                    .position(|e| e.provider == u)
-                    .expect("winner derives from an edge");
-                assigned[r] = Some(edge);
-            }
-        }
-        let mut bytes_delivered = 0;
-        while let Ok(b) = bid_result_rx.recv() {
-            bytes_delivered += b;
-        }
-
-        // Zero-capacity fix-up as in the other engines.
-        for (u, spec) in instance.providers().iter().enumerate() {
-            if spec.capacity.is_zero() {
-                lambda[u] = instance
-                    .requests()
-                    .iter()
-                    .flat_map(|r| r.edges.iter())
-                    .filter(|e| e.provider == u)
-                    .map(|e| e.utility().get())
-                    .fold(0.0_f64, f64::max);
-            }
-        }
-
-        Ok(ThreadedOutcome {
-            assignment: Assignment::new(assigned),
-            duals: DualSolution::from_prices(instance, lambda),
-            messages,
-            bytes_delivered,
-            convergence,
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use p2p_core::{AuctionConfig, SyncAuction};
-    use p2p_types::{ChunkId, Cost, RequestId, Valuation, VideoId};
-
-    fn rid(d: u32, c: u32) -> RequestId {
-        RequestId::new(PeerId::new(d), ChunkId::new(VideoId::new(0), c))
-    }
-
-    fn instance() -> WelfareInstance {
-        let mut b = WelfareInstance::builder();
-        let u0 = b.add_provider(PeerId::new(100), 1);
-        let u1 = b.add_provider(PeerId::new(101), 2);
-        for d in 0..4u32 {
-            let r = b.add_request(rid(d, 0));
-            b.add_edge(
-                r,
-                u0,
-                Valuation::new(6.0 - f64::from(d)),
-                Cost::new(0.5 + 0.1 * f64::from(d)),
-            )
-            .unwrap();
-            b.add_edge(
-                r,
-                u1,
-                Valuation::new(6.0 - f64::from(d)),
-                Cost::new(2.0 + 0.2 * f64::from(d)),
-            )
-            .unwrap();
-        }
-        b.build().unwrap()
-    }
-
-    /// Under true concurrency the ε = 0 wait rule can deadlock on
-    /// *dynamically created* ties (a bid can set a price that exactly
-    /// equals another request's margin), so optimality is asserted for the
-    /// robust ε > 0 configuration with Bertsekas' `n·ε` bound — the same
-    /// guarantee a real deployment would rely on.
-    #[test]
-    fn threaded_matches_exact_optimum_within_epsilon_bound() {
-        let inst = instance();
-        let eps = 0.01;
-        let cfg = ThreadedConfig { epsilon: eps, ..ThreadedConfig::fast_test() };
-        let out = ThreadedAuction::new(cfg).run(&inst, |_, _| Duration::from_micros(300)).unwrap();
-        let exact = inst.optimal_welfare().get();
-        let bound = inst.request_count() as f64 * eps + 1e-9;
-        assert!(
-            out.assignment.welfare(&inst).get() >= exact - bound,
-            "threaded {} vs exact {exact}",
-            out.assignment.welfare(&inst).get()
-        );
-        assert!(out.assignment.validate(&inst).is_ok());
-        assert!(out.messages > 0);
-    }
-
-    /// The paper-faithful ε = 0 execution must always quiesce to a feasible
-    /// schedule with monotone prices, even when racing creates ties.
-    #[test]
-    fn threaded_epsilon_zero_is_feasible_and_quiesces() {
-        let inst = instance();
-        let out = ThreadedAuction::new(ThreadedConfig::fast_test())
-            .run(&inst, |_, _| Duration::from_micros(100))
-            .unwrap();
-        assert!(out.assignment.validate(&inst).is_ok());
-        assert!(out.assignment.welfare(&inst).get() >= 0.0);
-        for l in &out.duals.lambda {
-            assert!(*l >= 0.0);
-        }
-    }
-
-    #[test]
-    fn threaded_agrees_with_sync_engine_within_bound() {
-        let inst = instance();
-        let eps = 0.01;
-        let sync = SyncAuction::new(AuctionConfig::with_epsilon(eps)).run(&inst).unwrap();
-        let cfg = ThreadedConfig { epsilon: eps, ..ThreadedConfig::fast_test() };
-        let threaded =
-            ThreadedAuction::new(cfg).run(&inst, |_, _| Duration::from_micros(100)).unwrap();
-        let bound = inst.request_count() as f64 * eps + 1e-9;
-        let exact = inst.optimal_welfare().get();
-        assert!(threaded.assignment.welfare(&inst).get() >= exact - bound);
-        assert!(sync.assignment.welfare(&inst).get() >= exact - bound);
-    }
-
-    #[test]
-    fn payloads_are_delivered_to_every_winner() {
-        let inst = instance();
-        let cfg = ThreadedConfig { chunk_bytes: 128, ..ThreadedConfig::fast_test() };
-        let out = ThreadedAuction::new(cfg).run(&inst, |_, _| Duration::from_micros(200)).unwrap();
-        assert_eq!(out.bytes_delivered, out.assignment.assigned_count() as u64 * 128);
-    }
-
-    #[test]
-    fn heterogeneous_latencies_still_converge() {
-        let inst = instance();
-        let eps = 0.01;
-        let cfg = ThreadedConfig { epsilon: eps, ..ThreadedConfig::fast_test() };
-        let out = ThreadedAuction::new(cfg)
-            .run(&inst, |from, to| {
-                Duration::from_micros(100 + u64::from((from.get() * 13 + to.get() * 7) % 900))
-            })
-            .unwrap();
-        let exact = inst.optimal_welfare().get();
-        let bound = inst.request_count() as f64 * eps + 1e-9;
-        assert!(out.assignment.welfare(&inst).get() >= exact - bound);
-    }
-
-    #[test]
-    fn empty_instance_finishes_immediately() {
-        let inst = WelfareInstance::builder().build().unwrap();
-        let out = ThreadedAuction::new(ThreadedConfig::fast_test())
-            .run(&inst, |_, _| Duration::from_micros(100))
-            .unwrap();
-        assert_eq!(out.assignment.assigned_count(), 0);
-        assert_eq!(out.bytes_delivered, 0);
-    }
-
-    /// The worker-pool guarantee of this PR: the second run of the same
-    /// swarm spawns zero new threads — every actor thread of the first run
-    /// parked and was reused.
-    #[test]
-    fn pool_is_reused_across_runs_without_respawning() {
-        let inst = instance();
-        let auction = ThreadedAuction::new(ThreadedConfig::fast_test());
-        let first = auction.run(&inst, |_, _| Duration::from_micros(100)).unwrap();
-        let spawned_after_first = auction.pool().spawned();
-        assert!(spawned_after_first > 0);
-        let second = auction.run(&inst, |_, _| Duration::from_micros(100)).unwrap();
-        assert_eq!(
-            auction.pool().spawned(),
-            spawned_after_first,
-            "the second run must reuse every parked worker"
-        );
-        assert!(first.assignment.validate(&inst).is_ok());
-        assert!(second.assignment.validate(&inst).is_ok());
-    }
-
-    /// Regression: a panicking peer used to be silently discarded
-    /// (`let _ = h.join()`), turning the run into a hang until
-    /// `wall_timeout`. It must now fail fast with the panic message.
-    #[test]
-    fn actor_panic_propagates_fast_instead_of_hanging() {
-        let inst = instance();
-        let cfg = ThreadedConfig {
-            inject_bid_panic: Some(0),
-            wall_timeout: Duration::from_secs(60),
-            ..ThreadedConfig::fast_test()
-        };
-        let started = Instant::now();
-        let err =
-            ThreadedAuction::new(cfg).run(&inst, |_, _| Duration::from_micros(100)).unwrap_err();
-        assert!(
-            matches!(&err, P2pError::WorkerPanicked { message } if message.contains("injected fault")),
-            "got {err:?}"
-        );
-        assert!(
-            started.elapsed() < Duration::from_secs(30),
-            "panic must not degrade into a wall-timeout hang"
-        );
-        // The engine (and its pool) stays usable after a poisoned run.
-        let ok = ThreadedAuction::new(ThreadedConfig::fast_test())
-            .run(&inst, |_, _| Duration::from_micros(100))
-            .unwrap();
-        assert!(ok.assignment.validate(&inst).is_ok());
-    }
-
-    /// Regression: the wall-timeout path used to masquerade as
-    /// `AuctionDiverged { iterations: 0 }`; it now reports the actual
-    /// elapsed time and message progress.
-    #[test]
-    fn wall_timeout_reports_elapsed_and_progress() {
-        let inst = instance();
-        let cfg = ThreadedConfig { wall_timeout: Duration::ZERO, ..ThreadedConfig::fast_test() };
-        let err =
-            ThreadedAuction::new(cfg).run(&inst, |_, _| Duration::from_millis(50)).unwrap_err();
-        match err {
-            P2pError::Timeout { elapsed, messages } => {
-                assert!(elapsed > Duration::ZERO, "elapsed must report the actual wall time");
-                // With a zero budget and 50 ms link latencies nothing can
-                // have been delivered yet; the field must report that truth.
-                assert_eq!(messages, 0);
-                let rendered = P2pError::Timeout { elapsed, messages }.to_string();
-                assert!(rendered.contains("messages delivered"), "{rendered}");
-            }
-            other => panic!("expected Timeout, got {other:?}"),
-        }
-    }
-}

@@ -1,31 +1,21 @@
-//! The persistent worker pool and the quiescence signal.
+//! The persistent worker pool.
 //!
-//! The first version of [`crate::ThreadedAuction`] spawned one OS thread per
-//! peer and joined them all at the end of every run, then busy-waited on an
-//! atomic counter in 200 µs sleep slices to detect quiescence. Both patterns
-//! are replaced here:
-//!
-//! * [`WorkerPool`] keeps finished workers parked on their job channel
-//!   instead of exiting, so a second run of the same swarm reuses every
-//!   thread of the first (`spawned()` exposes the lifetime spawn count, and
-//!   the integration tests assert it stays flat across runs). Panics inside
-//!   a job are caught and reported through the [`JobHandle`] instead of
-//!   being discarded at join time.
-//! * [`Quiescence`] is a condvar-backed pending-work counter: the runtime
-//!   sleeps on it and is woken exactly when the count strikes zero, a worker
-//!   [`poison`](Quiescence::poison)s the run, or the deadline passes — no
-//!   polling loop, no latency/CPU trade-off.
+//! [`WorkerPool`] keeps finished workers parked on their job channel
+//! instead of exiting, so a second batch of jobs reuses every thread of the
+//! first (`spawned()` exposes the lifetime spawn count, and the tests
+//! assert it stays flat across runs). Panics inside a job are caught and
+//! reported through the [`JobHandle`] instead of being discarded at join
+//! time.
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
-use std::time::Instant;
+use std::sync::Arc;
 
 /// Renders a panic payload to text (the common `&str`/`String` payloads
 /// verbatim, anything else generically).
-pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     payload
         .downcast_ref::<&str>()
         .map(|s| (*s).to_string())
@@ -267,98 +257,9 @@ impl JobHandle {
     }
 }
 
-/// Outcome of [`Quiescence::wait_idle`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Quiet {
-    /// The pending count struck zero.
-    Idle,
-    /// A worker poisoned the run (e.g. a caught panic); the message is the
-    /// poison reason.
-    Failed(String),
-    /// The deadline passed first.
-    DeadlineExpired,
-}
-
-#[derive(Debug, Default)]
-struct QuiesceState {
-    pending: i64,
-    failure: Option<String>,
-}
-
-/// A condvar-backed pending-work counter: producers
-/// [`add`](Quiescence::add), consumers [`done`](Quiescence::done), and the
-/// coordinator sleeps in [`wait_idle`](Quiescence::wait_idle) until the
-/// count strikes zero, the run is poisoned, or the deadline passes —
-/// replacing the former 200 µs sleep busy-wait.
-#[derive(Debug, Default)]
-pub struct Quiescence {
-    state: StdMutex<QuiesceState>,
-    cv: Condvar,
-}
-
-impl Quiescence {
-    /// A counter at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, QuiesceState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Registers `n` pending units of work.
-    pub fn add(&self, n: i64) {
-        self.lock().pending += n;
-    }
-
-    /// Retires one unit of work, waking waiters when the count strikes
-    /// zero.
-    pub fn done(&self) {
-        let mut st = self.lock();
-        st.pending -= 1;
-        if st.pending <= 0 {
-            self.cv.notify_all();
-        }
-    }
-
-    /// Marks the run as failed (first failure wins) and wakes waiters.
-    pub fn poison(&self, message: impl Into<String>) {
-        let mut st = self.lock();
-        st.failure.get_or_insert_with(|| message.into());
-        self.cv.notify_all();
-    }
-
-    /// The current pending count.
-    pub fn pending(&self) -> i64 {
-        self.lock().pending
-    }
-
-    /// Sleeps until the counter is idle, the run is poisoned, or `deadline`
-    /// passes — whichever comes first.
-    pub fn wait_idle(&self, deadline: Instant) -> Quiet {
-        let mut st = self.lock();
-        loop {
-            if let Some(msg) = st.failure.clone() {
-                return Quiet::Failed(msg);
-            }
-            if st.pending == 0 {
-                return Quiet::Idle;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Quiet::DeadlineExpired;
-            }
-            let (guard, _) =
-                self.cv.wait_timeout(st, deadline - now).unwrap_or_else(PoisonError::into_inner);
-            st = guard;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn workers_are_reused_not_respawned() {
@@ -453,44 +354,5 @@ mod tests {
         assert_eq!(pool.spawned() as usize, workers, "repeated runs spawn zero new threads");
         assert_eq!(first.assignment, second.assignment);
         assert_eq!(first.duals, second.duals);
-    }
-
-    #[test]
-    fn quiescence_signals_zero_without_busy_waiting() {
-        let q = Arc::new(Quiescence::new());
-        q.add(3);
-        let q2 = q.clone();
-        let t = std::thread::spawn(move || {
-            for _ in 0..3 {
-                std::thread::sleep(Duration::from_millis(5));
-                q2.done();
-            }
-        });
-        let outcome = q.wait_idle(Instant::now() + Duration::from_secs(5));
-        assert_eq!(outcome, Quiet::Idle);
-        t.join().unwrap();
-    }
-
-    #[test]
-    fn quiescence_deadline_expires() {
-        let q = Quiescence::new();
-        q.add(1);
-        let outcome = q.wait_idle(Instant::now() + Duration::from_millis(20));
-        assert_eq!(outcome, Quiet::DeadlineExpired);
-        assert_eq!(q.pending(), 1);
-    }
-
-    #[test]
-    fn quiescence_poison_wakes_waiters() {
-        let q = Arc::new(Quiescence::new());
-        q.add(1);
-        let q2 = q.clone();
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(5));
-            q2.poison("injected failure");
-        });
-        let outcome = q.wait_idle(Instant::now() + Duration::from_secs(5));
-        assert_eq!(outcome, Quiet::Failed("injected failure".to_string()));
-        t.join().unwrap();
     }
 }

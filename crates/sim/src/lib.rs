@@ -65,6 +65,7 @@ pub struct Context<'a, E> {
 
 impl<'a, E> Context<'a, E> {
     /// The current simulated time.
+    #[inline]
     pub fn now(&self) -> SimTime {
         self.now
     }
@@ -75,12 +76,14 @@ impl<'a, E> Context<'a, E> {
     ///
     /// Panics if `at` is in the past (determinism guard: the engine never
     /// reorders history).
+    #[inline]
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
         assert!(at >= self.now, "cannot schedule into the past");
         self.queue.push(at, event);
     }
 
     /// Schedules an event `delay` after the current time.
+    #[inline]
     pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
         self.queue.push(self.now + delay, event);
     }

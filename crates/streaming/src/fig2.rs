@@ -4,13 +4,14 @@
 //! bandwidth price `λ_u` *within* time slots: the price climbs as bids race
 //! in over real network latencies and flattens once the auction converges
 //! (≈ 5 s into each 10 s slot in the paper's emulation). This module runs a
-//! slot's scheduling through [`p2p_core::dist::DistributedAuction`] — the
-//! same bidder/auctioneer logic as the synchronous engine, but with
-//! per-message latencies derived from the topology's link costs — and
-//! returns the time-stamped price trace.
+//! slot's scheduling through [`p2p_core::SwarmAuction`]'s reactive mode —
+//! the same bidder/auctioneer logic as the synchronous engine, but with
+//! each link's delay derived from its edge cost by the topology's latency
+//! model — and returns the time-stamped price trace the swarm reports
+//! through a [`PriceRecorder`] probe.
 
 use crate::system::System;
-use p2p_core::dist::{DistConfig, DistributedAuction, LatencyFn};
+use p2p_core::{CostLatency, NetworkModel, PriceRecorder, SwarmAuction, SwarmConfig};
 use p2p_metrics::SlotMetrics;
 use p2p_sched::{Schedule, ScheduleStats};
 use p2p_types::{PeerId, Result, SimTime};
@@ -37,35 +38,34 @@ pub struct DistributedSlotOutcome {
     pub messages: u64,
 }
 
-/// Runs the upcoming slot with the distributed (message-level) auction and
-/// per-link latencies, then applies the resulting schedule to the system.
+/// Runs the upcoming slot with the message-level auction (the paper's ε = 0
+/// rule, price announcements coalesced over 100 ms) and cost-derived link
+/// latencies, then applies the resulting schedule to the system.
 ///
 /// # Errors
 ///
 /// Propagates divergence or accounting errors.
-pub fn run_distributed_slot(
-    sys: &mut System,
-    config: DistConfig,
-) -> Result<DistributedSlotOutcome> {
+pub fn run_distributed_slot(sys: &mut System) -> Result<DistributedSlotOutcome> {
     let slot_start = sys.now();
     let problem = sys.prepare_slot()?;
 
-    // Latency oracle from the topology (clone: the closure outlives `sys`'s
-    // borrow). Unknown peers (never happens for instance members) get the
-    // base latency.
-    let topo = sys.topology().clone();
-    let fallback = topo.config().latency.one_way(p2p_types::Cost::new(1.0));
-    let latency: LatencyFn =
-        Box::new(move |from, to| topo.one_way_latency(from, to).unwrap_or(fallback));
-
-    let outcome =
-        DistributedAuction::new(config.recording_trace(), latency).run(&problem.instance)?;
+    let model = sys.topology().config().latency;
+    let net = NetworkModel::cost_derived(CostLatency {
+        base_ms: model.base_ms(),
+        ms_per_cost: model.ms_per_cost_unit(),
+    });
+    let mut trace = PriceRecorder::new();
+    let outcome = SwarmAuction::new(SwarmConfig::paper(), net).run_probed(
+        &problem.instance,
+        0,
+        &mut trace,
+    )?;
 
     // Group the price trace by provider and rebase times onto the absolute
     // slot clock.
     let base = slot_start.as_secs_f64();
     let mut traces: Vec<PriceTrace> = Vec::new();
-    for p in &outcome.price_trace {
+    for p in &trace.points {
         let peer = problem.instance.provider(p.provider).peer;
         let sample = (base + p.at.as_secs_f64(), p.price);
         match traces.iter_mut().find(|t| t.peer == peer) {
@@ -144,7 +144,7 @@ mod tests {
         let mut sys = system();
         // Warm up two slots so buffers and windows are non-trivial.
         sys.run_slots(2).unwrap();
-        let out = run_distributed_slot(&mut sys, DistConfig::paper()).unwrap();
+        let out = run_distributed_slot(&mut sys).unwrap();
         assert!(out.metrics.transfers > 0, "distributed auction scheduled transfers");
         assert!(out.messages > 0);
         assert!(
@@ -164,7 +164,7 @@ mod tests {
         let mut sys = system();
         sys.run_slots(2).unwrap();
         let start = sys.now();
-        let out = run_distributed_slot(&mut sys, DistConfig::paper()).unwrap();
+        let out = run_distributed_slot(&mut sys).unwrap();
         let outcomes = vec![out];
         let rep = representative_trace(&outcomes).expect("some provider moved");
         let series = price_series_for(rep, &outcomes, &[start]);

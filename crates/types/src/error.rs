@@ -53,13 +53,14 @@ pub enum P2pError {
         utility: f64,
     },
     /// A wall-clock deadline expired before the operation finished (the
-    /// threaded runtime's analogue of [`P2pError::AuctionDiverged`], which
-    /// reports round-budget exhaustion in the synchronous engines).
+    /// networked runtime's analogue of [`P2pError::AuctionDiverged`], which
+    /// reports round-budget exhaustion in the in-process engines).
     Timeout {
         /// How long the operation ran before giving up.
         elapsed: std::time::Duration,
-        /// Progress made before the deadline — protocol messages delivered,
-        /// for the threaded runtime.
+        /// Progress made before the deadline: frames exchanged on the
+        /// timed-out link, or peers accepted when the tracker's handshake
+        /// window closes.
         messages: u64,
     },
     /// A worker thread panicked; the panic payload is propagated instead of

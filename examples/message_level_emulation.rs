@@ -1,15 +1,14 @@
-//! Process-per-peer emulation: run the same slot problem through all three
-//! executions of the auction — synchronous rounds, the discrete-event
-//! simulator with latencies, and real OS threads racing through a
-//! latency-enforcing router — and confirm they all land on the same
-//! socially optimal welfare (Theorem 1 under real concurrency).
+//! Message-level emulation: run the same slot problem through the
+//! synchronous rounds, the virtual-time swarm simulator with link latencies
+//! derived from the edge costs, and a tracker plus peers exchanging real
+//! TCP frames over loopback — and confirm all three land on the same
+//! socially optimal welfare (Theorem 1 under racing messages).
 //!
-//! Run with: `cargo run --release --example threaded_emulation`
+//! Run with: `cargo run --release --example message_level_emulation`
 
-use isp_p2p::core::dist::{DistConfig, DistributedAuction, LatencyFn};
+use isp_p2p::metrics::NoProbe;
+use isp_p2p::net::{run_slot_local, NetConfig};
 use isp_p2p::prelude::*;
-use isp_p2p::runtime::{ThreadedAuction, ThreadedConfig};
-use std::time::Duration;
 
 fn main() -> Result<()> {
     // A contended instance: 40 requests over 6 providers.
@@ -54,35 +53,31 @@ fn main() -> Result<()> {
         sync.rounds
     );
 
-    // 2. Message-level discrete-event execution with heterogeneous latency.
-    let latency: LatencyFn = Box::new(|from, to| {
-        SimDuration::from_millis(10 + u64::from((from.get() * 31 + to.get() * 17) % 200))
-    });
-    let des = DistributedAuction::new(DistConfig::paper(), latency).run(&instance)?;
+    // 2. The swarm simulator: bids, evictions and price announcements race
+    //    over links whose delay follows their cost (the paper's 5 ms + 100 ms
+    //    per cost unit), on virtual time.
+    let net = NetworkModel::cost_derived(CostLatency { base_ms: 5.0, ms_per_cost: 100.0 });
+    let swarm = SwarmAuction::new(SwarmConfig::paper(), net).run(&instance, 0)?;
     println!(
-        "discrete-event:     welfare {} after {} messages, converged at {}",
-        des.assignment.welfare(&instance),
-        des.messages,
-        des.converged_at
+        "swarm simulator:    welfare {} after {} messages, converged at {}",
+        swarm.assignment.welfare(&instance),
+        swarm.messages,
+        swarm.converged_at
     );
 
-    // 3. Real threads: one auctioneer thread per provider, one bidder
-    //    thread per downstream peer, a router enforcing wall-clock latency.
-    let threaded = ThreadedAuction::new(ThreadedConfig::paper()).run(&instance, |from, to| {
-        Duration::from_micros(100 + u64::from((from.get() * 13 + to.get() * 7) % 900))
-    })?;
+    // 3. The real transport: a tracker and four peers exchanging wire
+    //    frames over loopback TCP.
+    let wired = run_slot_local(&instance, 4, &NetConfig::default(), None, &mut NoProbe)?;
     println!(
-        "threaded emulation: welfare {} after {} routed messages, {} payload bytes, converged in {:?}",
-        threaded.assignment.welfare(&instance),
-        threaded.messages,
-        threaded.bytes_delivered,
-        threaded.convergence
+        "loopback TCP:       welfare {} in {} rounds",
+        wired.assignment.welfare(&instance),
+        wired.rounds
     );
 
     for (name, welfare) in [
         ("sync", sync.assignment.welfare(&instance)),
-        ("des", des.assignment.welfare(&instance)),
-        ("threaded", threaded.assignment.welfare(&instance)),
+        ("swarm", swarm.assignment.welfare(&instance)),
+        ("net", wired.assignment.welfare(&instance)),
     ] {
         assert!(
             (welfare.get() - exact.get()).abs() < 1e-6,

@@ -15,12 +15,12 @@
 //! | [`workload`] | `p2p-workload` | Zipf–Mandelbrot, truncated normals, catalog, valuations, churn |
 //! | [`sim`] | `p2p-sim` | deterministic discrete-event engine |
 //! | [`netflow`] | `p2p-netflow` | exact min-cost-flow ground truth |
-//! | [`core`] | `p2p-core` | **the paper's auction**: bidder/auctioneer logic, sync + distributed engines, Bertsekas expansion, Theorem 1 verifier |
+//! | [`core`] | `p2p-core` | **the paper's auction**: bidder/auctioneer logic, sync + flat engines, swarm simulator, Bertsekas expansion, Theorem 1 verifier |
 //! | [`sched`] | `p2p-sched` | auction scheduler + locality/random/greedy/exact baselines |
 //! | [`net`] | `p2p-net` | networked runtime: tracker + peer processes over a TCP wire protocol |
 //! | [`streaming`] | `p2p-streaming` | the P2P VoD system emulator |
 //! | [`scenario`] | `p2p-scenario` | declarative scenarios: mid-run event timelines, spec parser, runner |
-//! | [`runtime`] | `p2p-runtime` | threaded process-per-peer execution |
+//! | [`runtime`] | `p2p-runtime` | the worker pool that leases slice workers to the flat engine |
 //! | [`metrics`] | `p2p-metrics` | series, stats, CSV, ASCII plots |
 //!
 //! # Quickstart
@@ -63,11 +63,11 @@ pub use p2p_workload as workload;
 
 /// The most commonly used items, importable in one line.
 pub mod prelude {
-    pub use p2p_core::dist::{DistConfig, DistributedAuction};
     pub use p2p_core::{
-        verify_optimality, Assignment, AuctionConfig, AuctionOutcome, CsrBuilder, CsrInstance,
-        DualSolution, FlatAuction, FlatOutcome, InstanceDiff, InstancePatch, ShardCount,
-        ShardedAuction, SyncAuction, WelfareInstance, WorkerSpawner,
+        verify_optimality, Assignment, AuctionConfig, AuctionOutcome, CostLatency, CsrBuilder,
+        CsrInstance, DualSolution, FlatAuction, FlatOutcome, InstanceDiff, InstancePatch,
+        NetworkModel, ShardCount, ShardedAuction, SwarmAuction, SwarmConfig, SyncAuction,
+        WelfareInstance, WorkerSpawner,
     };
     pub use p2p_metrics::{ascii_plot, SlotMetrics, SlotRecorder, Summary, TimeSeries};
     pub use p2p_runtime::WorkerPool;

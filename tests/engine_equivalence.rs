@@ -1,14 +1,11 @@
-//! Cross-crate integration: the four independent solvers — synchronous
-//! auction, discrete-event distributed auction, threaded auction and the
+//! Cross-crate integration: the independent solvers — synchronous
+//! auction, the message-level swarm simulator, the Fig. 1 expansion and the
 //! exact min-cost-flow — agree on the same instances.
 
 use isp_p2p::core::bertsekas::solve_via_expansion;
-use isp_p2p::core::dist::{DistConfig, DistributedAuction, LatencyFn};
 use isp_p2p::prelude::*;
-use isp_p2p::runtime::{ThreadedAuction, ThreadedConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Duration;
 
 /// A generic (tie-free w.p. 1) random instance shaped like a slot problem.
 fn random_instance(seed: u64, providers: usize, requests: usize) -> WelfareInstance {
@@ -60,27 +57,14 @@ fn sync_equals_exact_on_many_instances() {
 fn distributed_equals_exact_under_heterogeneous_latency() {
     for seed in 0..10 {
         let inst = random_instance(100 + seed, 5, 25);
-        let latency: LatencyFn = Box::new(move |from, to| {
-            SimDuration::from_millis(
-                3 + (u64::from(from.get()) * 31 + u64::from(to.get()) * 17 + seed) % 120,
-            )
-        });
-        let out = DistributedAuction::new(DistConfig::paper(), latency).run(&inst).unwrap();
+        // Costs span [0, 10), so link delays span 3 ms to ~1.2 s.
+        let lat = CostLatency { base_ms: 3.0, ms_per_cost: 12.0 * (1 + seed) as f64 };
+        let out = SwarmAuction::new(SwarmConfig::paper(), NetworkModel::cost_derived(lat))
+            .run(&inst, seed)
+            .unwrap();
         let exact = inst.optimal_welfare().get();
         assert!((out.assignment.welfare(&inst).get() - exact).abs() < 1e-6, "seed {seed}");
     }
-}
-
-#[test]
-fn threaded_respects_epsilon_bound() {
-    let inst = random_instance(555, 5, 20);
-    let eps = 0.01;
-    let cfg = ThreadedConfig { epsilon: eps, ..ThreadedConfig::fast_test() };
-    let out = ThreadedAuction::new(cfg).run(&inst, |_, _| Duration::from_micros(150)).unwrap();
-    let exact = inst.optimal_welfare().get();
-    let bound = inst.request_count() as f64 * eps + 1e-9;
-    assert!(out.assignment.welfare(&inst).get() >= exact - bound);
-    assert!(out.assignment.validate(&inst).is_ok());
 }
 
 #[test]

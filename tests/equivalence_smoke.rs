@@ -1,15 +1,14 @@
 //! Deterministic engine-equivalence smoke test.
 //!
 //! One fixed, hand-checkable instance; three independent solvers — the
-//! synchronous primal-dual auction, the message-level distributed auction,
-//! and the exact transportation-problem solver — must all report the same
+//! synchronous primal-dual auction, the message-level swarm simulator, and
+//! the exact transportation-problem solver — must all report the same
 //! social welfare, and it must equal the value computed by hand below.
 //!
 //! This is the regression canary that still runs when the slow property
 //! suites are filtered (e.g. `PROPTEST_CASES=1 cargo test equivalence_smoke`):
 //! it is fast, seed-free and exact.
 
-use isp_p2p::core::dist::{DistConfig, DistributedAuction, LatencyFn};
 use isp_p2p::netflow::solve_max_profit;
 use isp_p2p::prelude::*;
 
@@ -60,11 +59,10 @@ fn all_three_solvers_agree_on_the_fixed_instance() {
     let report = verify_optimality(&inst, &sync.assignment, &sync.duals, 1e-9);
     assert!(report.is_optimal(), "certificate violations: {:?}", report.violations);
 
-    // 3. Message-level distributed auction under deterministic latencies.
-    let latency: LatencyFn = Box::new(|from, to| {
-        SimDuration::from_millis(5 + u64::from(from.get() + 3 * to.get()) % 40)
-    });
-    let dist = DistributedAuction::new(DistConfig::paper(), latency).run(&inst).unwrap();
+    // 3. Message-level auction on the swarm simulator, ε = 0, with link
+    //    latencies derived from the edge costs.
+    let net = NetworkModel::cost_derived(CostLatency { base_ms: 5.0, ms_per_cost: 10.0 });
+    let dist = SwarmAuction::new(SwarmConfig::paper(), net).run(&inst, 0).unwrap();
     let dist_welfare = dist.assignment.welfare(&inst).get();
     assert!((dist_welfare - EXPECTED_WELFARE).abs() < 1e-9, "distributed welfare {dist_welfare}");
 

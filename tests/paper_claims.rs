@@ -2,7 +2,6 @@
 //! every figure's ordering must hold on the same workloads the figure
 //! binaries run at full scale.
 
-use isp_p2p::core::dist::DistConfig;
 use isp_p2p::prelude::*;
 use isp_p2p::streaming::fig2::run_distributed_slot;
 
@@ -80,7 +79,7 @@ fn fig2_prices_reset_climb_and_converge_within_slot() {
     sys.run_slots(6).unwrap();
     let slot_start = sys.now().as_secs_f64();
     let slot_len = sys.config().slot_len.as_secs_f64();
-    let out = run_distributed_slot(&mut sys, DistConfig::paper()).unwrap();
+    let out = run_distributed_slot(&mut sys).unwrap();
     // Convergence strictly inside the slot.
     assert!(out.convergence_secs > slot_start);
     assert!(

@@ -1,7 +1,7 @@
 //! Integration test: the sharded parallel auction end to end through the
 //! facade — every built-in scenario scheduled by `auction_sharded`, with
 //! chunk-delivery conservation and the Theorem 1 certificate checked on
-//! every slot, plus determinism and worker-pool reuse guarantees.
+//! every slot, plus determinism guarantees.
 
 use isp_p2p::prelude::*;
 use isp_p2p::scenario::BUILTIN_NAMES;
@@ -104,27 +104,4 @@ fn sharded_sweeps_are_byte_identical_across_repeats() {
         report.summary_table()
     };
     assert_eq!(table(), table());
-}
-
-/// The persistent worker pool eliminates per-run thread spawn/join: a
-/// second threaded-auction run of the same swarm reuses every parked
-/// worker (pool-level reuse is also asserted by the runtime's own tests).
-#[test]
-fn threaded_runtime_reuses_its_worker_pool_across_runs() {
-    use isp_p2p::runtime::{ThreadedAuction, ThreadedConfig};
-    use std::time::Duration;
-
-    let mut b = WelfareInstance::builder();
-    let u = b.add_provider(PeerId::new(50), 2);
-    for d in 0..3u32 {
-        let r = b.add_request(RequestId::new(PeerId::new(d), ChunkId::new(VideoId::new(0), 0)));
-        b.add_edge(r, u, Valuation::new(5.0 - f64::from(d)), Cost::new(1.0)).unwrap();
-    }
-    let inst = b.build().unwrap();
-    let auction = ThreadedAuction::new(ThreadedConfig::fast_test());
-    auction.run(&inst, |_, _| Duration::from_micros(100)).unwrap();
-    let spawned = auction.pool().spawned();
-    assert!(spawned > 0);
-    auction.run(&inst, |_, _| Duration::from_micros(100)).unwrap();
-    assert_eq!(auction.pool().spawned(), spawned, "second run must spawn no new threads");
 }
