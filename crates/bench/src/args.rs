@@ -1,6 +1,9 @@
 //! Minimal `--flag value` argument parsing for the harness binaries.
 
+use p2p_types::{P2pError, Result};
 use std::collections::HashMap;
+use std::fmt::Display;
+use std::str::FromStr;
 
 /// Parsed command-line flags.
 ///
@@ -9,9 +12,11 @@ use std::collections::HashMap;
 /// ```
 /// use p2p_bench::Args;
 /// let a = Args::from_iter(["--peers", "200", "--quick"]);
-/// assert_eq!(a.get_usize("peers", 500), 200);
+/// assert_eq!(a.get_usize("peers", 500)?, 200);
 /// assert!(a.has("quick"));
-/// assert_eq!(a.get_f64("epsilon", 0.5), 0.5);
+/// assert_eq!(a.get_f64("epsilon", 0.5)?, 0.5);
+/// assert!(Args::from_iter(["--peers", "abc"]).get_usize("peers", 500).is_err());
+/// # Ok::<(), p2p_types::P2pError>(())
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Args {
@@ -52,19 +57,33 @@ impl Args {
         self.flags.contains_key(name)
     }
 
-    /// A `usize` flag with default.
-    pub fn get_usize(&self, name: &str, default: usize) -> usize {
-        self.value(name).and_then(|v| v.parse().ok()).unwrap_or(default)
+    /// A `usize` flag, or `default` when the flag is absent.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`P2pError::InvalidConfig`] naming the flag and its value
+    /// when the flag is present without a value or with one that does not
+    /// parse.
+    pub fn get_usize(&self, name: &str, default: usize) -> Result<usize> {
+        self.parse(name, default)
     }
 
-    /// A `u64` flag with default.
-    pub fn get_u64(&self, name: &str, default: u64) -> u64 {
-        self.value(name).and_then(|v| v.parse().ok()).unwrap_or(default)
+    /// A `u64` flag, or `default` when the flag is absent.
+    ///
+    /// # Errors
+    ///
+    /// As [`Args::get_usize`].
+    pub fn get_u64(&self, name: &str, default: u64) -> Result<u64> {
+        self.parse(name, default)
     }
 
-    /// An `f64` flag with default.
-    pub fn get_f64(&self, name: &str, default: f64) -> f64 {
-        self.value(name).and_then(|v| v.parse().ok()).unwrap_or(default)
+    /// An `f64` flag, or `default` when the flag is absent.
+    ///
+    /// # Errors
+    ///
+    /// As [`Args::get_usize`].
+    pub fn get_f64(&self, name: &str, default: f64) -> Result<f64> {
+        self.parse(name, default)
     }
 
     /// A string flag with default.
@@ -80,6 +99,25 @@ impl Args {
     fn value(&self, name: &str) -> Option<&str> {
         self.flags.get(name).and_then(|v| v.as_deref())
     }
+
+    fn parse<T: FromStr>(&self, name: &str, default: T) -> Result<T>
+    where
+        T::Err: Display,
+    {
+        let ty = std::any::type_name::<T>();
+        match self.flags.get(name) {
+            None => Ok(default),
+            Some(None) => {
+                Err(P2pError::invalid_config("flag", format!("`--{name}` needs a {ty} value")))
+            }
+            Some(Some(raw)) => raw.parse().map_err(|e| {
+                P2pError::invalid_config(
+                    "flag",
+                    format!("`--{name} {raw}` is not a valid {ty} ({e})"),
+                )
+            }),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -89,17 +127,32 @@ mod tests {
     #[test]
     fn parses_values_and_bare_flags() {
         let a = Args::from_iter(["--peers", "100", "--quick", "--eps", "0.25"]);
-        assert_eq!(a.get_usize("peers", 1), 100);
-        assert_eq!(a.get_f64("eps", 0.0), 0.25);
+        assert_eq!(a.get_usize("peers", 1).unwrap(), 100);
+        assert_eq!(a.get_f64("eps", 0.0).unwrap(), 0.25);
         assert!(a.has("quick"));
         assert!(!a.has("missing"));
     }
 
     #[test]
-    fn defaults_apply_for_missing_or_malformed() {
+    fn defaults_apply_for_missing_flags() {
         let a = Args::from_iter(["--peers", "abc"]);
-        assert_eq!(a.get_usize("peers", 7), 7);
-        assert_eq!(a.get_u64("slots", 25), 25);
+        assert_eq!(a.get_u64("slots", 25).unwrap(), 25);
+        assert_eq!(a.get_f64("eps", 0.5).unwrap(), 0.5);
+    }
+
+    #[test]
+    fn malformed_numeric_values_are_rejected_with_flag_and_value() {
+        let a = Args::from_iter(["--peers", "abc", "--slots", "1x", "--eps", "half", "--seed"]);
+        for (err, shown) in [
+            (a.get_usize("peers", 500).unwrap_err(), "--peers abc"),
+            (a.get_u64("slots", 25).unwrap_err(), "--slots 1x"),
+            (a.get_f64("eps", 0.0).unwrap_err(), "--eps half"),
+            // Present without a value.
+            (a.get_u64("seed", 42).unwrap_err(), "--seed"),
+        ] {
+            assert!(matches!(err, P2pError::InvalidConfig { field: "flag", .. }), "{err}");
+            assert!(err.to_string().contains(shown), "{err}");
+        }
     }
 
     #[test]

@@ -11,10 +11,10 @@
 use p2p_bench::{random_instance, save_xy, Args};
 use p2p_core::{AuctionConfig, SyncAuction};
 
-fn main() {
+fn main() -> p2p_types::Result<()> {
     let args = Args::from_env();
-    let trials = args.get_usize("trials", 10);
-    let requests = args.get_usize("requests", 400);
+    let trials = args.get_usize("trials", 10)?;
+    let requests = args.get_usize("requests", 400)?;
     let providers = requests / 10;
 
     println!("epsilon ablation ({trials} trials, {providers} providers x {requests} requests)");
@@ -52,4 +52,5 @@ fn main() {
     let path = save_xy("ablation_epsilon_rounds", "epsilon,mean_rounds", &points);
     println!("\nwrote {}", path.display());
     println!("expected: rounds fall as eps grows; welfare gap stays <= n*eps");
+    Ok(())
 }

@@ -10,10 +10,10 @@ use p2p_sched::{AuctionScheduler, SimpleLocalityScheduler};
 use p2p_streaming::SystemConfig;
 use p2p_topology::CostDistributions;
 
-fn main() {
+fn main() -> p2p_types::Result<()> {
     let args = Args::from_env();
-    let peers = args.get_usize("peers", 200);
-    let slots = args.get_u64("slots", 20);
+    let peers = args.get_usize("peers", 200)?;
+    let slots = args.get_u64("slots", 20)?;
 
     println!("ISP cost-gap ablation (static {peers} peers, {slots} slots)");
     println!(
@@ -47,4 +47,5 @@ fn main() {
     let path = save_xy("ablation_isp_interisp", "inter_mean,auction_inter_isp", &points);
     println!("\nwrote {}", path.display());
     println!("expected: the auction's inter-ISP share falls as crossing ISPs gets costlier");
+    Ok(())
 }

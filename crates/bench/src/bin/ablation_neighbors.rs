@@ -8,10 +8,10 @@ use p2p_bench::{run_static, save_xy, Args};
 use p2p_sched::AuctionScheduler;
 use p2p_streaming::SystemConfig;
 
-fn main() {
+fn main() -> p2p_types::Result<()> {
     let args = Args::from_env();
-    let peers = args.get_usize("peers", 200);
-    let slots = args.get_u64("slots", 20);
+    let peers = args.get_usize("peers", 200)?;
+    let slots = args.get_u64("slots", 20)?;
 
     println!("neighbor-count ablation (auction, static {peers} peers, {slots} slots)");
     println!("{:>10} {:>14} {:>14} {:>12}", "neighbors", "mean_welfare", "inter_isp", "miss_rate");
@@ -32,4 +32,5 @@ fn main() {
     let path = save_xy("ablation_neighbors_welfare", "neighbors,mean_welfare", &welfare_points);
     println!("\nwrote {}", path.display());
     println!("expected: welfare rises with neighbor count and saturates near the default 30");
+    Ok(())
 }

@@ -16,15 +16,15 @@ use p2p_sched::AuctionScheduler;
 use p2p_streaming::fig2::{price_series_for, representative_trace, run_distributed_slot};
 use p2p_streaming::{System, SystemConfig};
 
-fn main() {
+fn main() -> p2p_types::Result<()> {
     let args = Args::from_env();
     let quick = args.has("quick");
     // Price dynamics need contention, which needs the paper's 500-peer
     // scale; --quick shortens the traced window instead of shrinking the
     // swarm.
-    let peers = args.get_usize("peers", 500);
-    let from_secs = args.get_f64("from", 150.0);
-    let to_secs = args.get_f64("to", if quick { 170.0 } else { 250.0 });
+    let peers = args.get_usize("peers", 500)?;
+    let from_secs = args.get_f64("from", 150.0)?;
+    let to_secs = args.get_f64("to", if quick { 170.0 } else { 250.0 })?;
 
     let config = SystemConfig::paper().with_seed(42);
     let slot_secs = config.slot_len.as_secs_f64();
@@ -65,7 +65,7 @@ fn main() {
             "Fig. 2 — no provider's price moved: the swarm has no upload \
              contention at this scale. Re-run with more peers (--peers 500)."
         );
-        return;
+        return Ok(());
     };
     let series = price_series_for(rep, &outcomes, &slot_starts);
 
@@ -91,4 +91,5 @@ fn main() {
         slot_starts.iter().zip(&conv).map(|(s, c)| (s.as_secs_f64(), *c)).collect();
     let path2 = save_xy("fig2_convergence_secs", "slot_start_s,convergence_s", &conv_points);
     println!("wrote {} and {}", path.display(), path2.display());
+    Ok(())
 }

@@ -14,10 +14,10 @@ use p2p_metrics::ascii_plot;
 use p2p_sched::{AuctionScheduler, SimpleLocalityScheduler};
 use p2p_streaming::SystemConfig;
 
-fn main() {
+fn main() -> p2p_types::Result<()> {
     let args = Args::from_env();
-    let slots = args.get_u64("slots", 25);
-    let seed = args.get_u64("seed", 42);
+    let slots = args.get_u64("slots", 25)?;
+    let seed = args.get_u64("seed", 42)?;
 
     let config = SystemConfig::paper().with_seed(seed);
     eprintln!("fig3: dynamic joins 1/s, no early departures, {slots} slots");
@@ -50,4 +50,5 @@ fn main() {
 
     let path = save_csv("fig3_social_welfare", "time_s", &[&a, &l]);
     println!("wrote {}", path.display());
+    Ok(())
 }

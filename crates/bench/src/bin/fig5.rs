@@ -13,11 +13,11 @@ use p2p_metrics::ascii_plot;
 use p2p_sched::{AuctionScheduler, SimpleLocalityScheduler};
 use p2p_streaming::SystemConfig;
 
-fn main() {
+fn main() -> p2p_types::Result<()> {
     let args = Args::from_env();
-    let peers = args.get_usize("peers", 500);
-    let slots = args.get_u64("slots", 25);
-    let seed = args.get_u64("seed", 42);
+    let peers = args.get_usize("peers", 500)?;
+    let slots = args.get_u64("slots", 25)?;
+    let seed = args.get_u64("seed", 42)?;
 
     let config = SystemConfig::paper().with_seed(seed);
     eprintln!("fig5: static network of {peers} peers, {slots} slots");
@@ -42,4 +42,5 @@ fn main() {
 
     let path = save_csv("fig5_miss_rate", "time_s", &[&a, &l]);
     println!("wrote {}", path.display());
+    Ok(())
 }

@@ -12,10 +12,10 @@ use p2p_metrics::ascii_plot;
 use p2p_sched::{AuctionScheduler, SimpleLocalityScheduler};
 use p2p_streaming::SystemConfig;
 
-fn main() {
+fn main() -> p2p_types::Result<()> {
     let args = Args::from_env();
-    let slots = args.get_u64("slots", 25);
-    let seed = args.get_u64("seed", 42);
+    let slots = args.get_u64("slots", 25)?;
+    let seed = args.get_u64("seed", 42)?;
 
     let config = SystemConfig::paper().with_seed(seed).with_departures(0.6);
     eprintln!("fig6: dynamic network (joins 1/s, departures w.p. 0.6), {slots} slots");
@@ -62,4 +62,5 @@ fn main() {
     let p2 = save_csv("fig6b_inter_isp_churn", "time_s", &[&at, &lt]);
     let p3 = save_csv("fig6c_miss_rate_churn", "time_s", &[&am, &lm]);
     println!("wrote {}, {}, {}", p1.display(), p2.display(), p3.display());
+    Ok(())
 }

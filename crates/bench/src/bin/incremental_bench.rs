@@ -125,7 +125,7 @@ fn json_escape(s: &str) -> String {
 
 fn run(args: &Args) -> Result<()> {
     let quick = args.has("quick");
-    let slots = args.get_u64("slots", if quick { 8 } else { 14 }).max(1);
+    let slots = args.get_u64("slots", if quick { 8 } else { 14 })?.max(1);
     let sizes: &[usize] = if quick { &[40, 120] } else { &[60, 150, 400] };
     let out_path = args.get_str("out", "BENCH_incremental.json");
 

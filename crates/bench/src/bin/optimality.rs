@@ -8,9 +8,9 @@ use p2p_bench::{random_instance, save_xy, Args};
 use p2p_core::{verify_optimality, AuctionConfig, SyncAuction};
 use std::time::Instant;
 
-fn main() {
+fn main() -> p2p_types::Result<()> {
     let args = Args::from_env();
-    let trials = args.get_usize("trials", 5);
+    let trials = args.get_usize("trials", 5)?;
 
     println!("Theorem 1 verification: auction vs exact optimum (mean over {trials} trials)");
     println!(
@@ -64,4 +64,5 @@ fn main() {
     let path = save_xy("optimality_gap", "requests,worst_gap", &gap_points);
     println!("\nwrote {}", path.display());
     println!("expected: gap ~ 1e-9 (float round-off only) and cs_ok = true everywhere");
+    Ok(())
 }

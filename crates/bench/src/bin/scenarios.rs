@@ -31,16 +31,15 @@
 //! appear only inside the `--metrics-out` run reports).
 
 use p2p_bench::{save_csv, Args};
-use p2p_metrics::{ascii_plot, PoolCounters};
+use p2p_metrics::ascii_plot;
 use p2p_scenario::{
     builtin, builtin_spec, builtins, event_windows, parse_scenario_file, run_scenario_probed,
-    scheduler_for_runtime, Scenario, ScenarioReport, SCHEDULER_NAMES,
+    scheduler_for, Scenario, ScenarioReport, SCHEDULER_NAMES,
 };
-use p2p_sched::{ChunkScheduler, WorkerSpawner};
+use p2p_sched::ChunkScheduler;
 use p2p_types::{P2pError, Result};
 use std::path::Path;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 fn load_scenario(args: &Args) -> Result<Scenario> {
     if let Some(path) = args.get_opt_str("file") {
@@ -112,11 +111,6 @@ fn run(args: &Args) -> Result<()> {
     }
     scenario.validate()?;
 
-    // One worker pool for the whole sweep: every flat scheduler leases its
-    // slice workers here instead of spawning per run. Kept concrete so the
-    // metrics bundle can read its utilization counters.
-    let worker_pool = Arc::new(p2p_runtime::WorkerPool::new());
-    let pool: Arc<dyn WorkerSpawner> = worker_pool.clone();
     // The comparison everyone wants first: the registry's default auction
     // execution (`auction_flat` since ISSUE 6) against the locality
     // heuristic baseline. On the sim backend the interesting pair is the
@@ -127,10 +121,8 @@ fn run(args: &Args) -> Result<()> {
         _ => format!("{},locality", p2p_scenario::DEFAULT_SCHEDULER),
     };
     let names = args.get_str("schedulers", &default_pair);
-    let schedulers: Vec<Box<dyn ChunkScheduler>> = names
-        .split(',')
-        .map(|n| scheduler_for_runtime(&scenario, n.trim(), Some(pool.clone())))
-        .collect::<Result<_>>()?;
+    let schedulers: Vec<Box<dyn ChunkScheduler>> =
+        names.split(',').map(|n| scheduler_for(&scenario, n.trim())).collect::<Result<_>>()?;
     if schedulers.len() < 2 {
         return Err(p2p_types::P2pError::invalid_config(
             "schedulers",
@@ -165,7 +157,7 @@ fn run(args: &Args) -> Result<()> {
     }
 
     if let Some(dir) = metrics_out {
-        write_metrics_bundle(Path::new(&dir), &scenario, &report, &worker_pool)?;
+        write_metrics_bundle(Path::new(&dir), &scenario, &report)?;
     }
     Ok(())
 }
@@ -178,29 +170,15 @@ fn write_file(path: &Path, contents: &[u8]) -> Result<()> {
 }
 
 /// Writes the probed sweep's observability bundle under `dir`: per run one
-/// structured `RunReport` JSON (with the shared pool's utilization counters
-/// injected), the per-slot counter CSV, one recorder-series CSV per
-/// before/during/after event window, and an ascii welfare plot.
-fn write_metrics_bundle(
-    dir: &Path,
-    scenario: &Scenario,
-    report: &ScenarioReport,
-    pool: &p2p_runtime::WorkerPool,
-) -> Result<()> {
+/// structured `RunReport` JSON, the per-slot counter CSV, one
+/// recorder-series CSV per before/during/after event window, and an ascii
+/// welfare plot.
+fn write_metrics_bundle(dir: &Path, scenario: &Scenario, report: &ScenarioReport) -> Result<()> {
     std::fs::create_dir_all(dir)
         .map_err(|e| P2pError::invalid_config("metrics-out", format!("{}: {e}", dir.display())))?;
     let windows = event_windows(scenario);
     for run in &report.runs {
         let Some(rr) = &run.report else { continue };
-        let mut rr = rr.clone();
-        // The pool is shared by the whole sweep, so these counters are
-        // process-cumulative at the time this run's report is written.
-        rr.pool = Some(PoolCounters {
-            spawned: pool.spawned(),
-            jobs: pool.jobs_executed(),
-            parks: pool.parks(),
-            idle: pool.idle() as u64,
-        });
         let stem = format!("{}_{}", scenario.name, run.summary.scheduler);
         write_file(&dir.join(format!("report_{stem}.json")), rr.to_json().as_bytes())?;
         write_file(&dir.join(format!("slots_{stem}.csv")), rr.slot_csv().as_bytes())?;

@@ -9,10 +9,10 @@
 use p2p_bench::{random_instance, save_xy, Args};
 use p2p_core::strategic::{evaluate_manipulation, Misreport};
 
-fn main() {
+fn main() -> p2p_types::Result<()> {
     let args = Args::from_env();
-    let requests = args.get_usize("requests", 400);
-    let trials = args.get_usize("trials", 5);
+    let requests = args.get_usize("requests", 400)?;
+    let trials = args.get_usize("trials", 5)?;
     let providers = requests / 10;
 
     println!(
@@ -77,4 +77,5 @@ fn main() {
          welfare falls — the mechanism is not truthful, motivating the paper's \
          future work"
     );
+    Ok(())
 }

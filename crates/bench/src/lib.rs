@@ -1,4 +1,4 @@
-//! Shared harness code for the figure-regeneration binaries and benches.
+//! Shared harness code for the figure-regeneration and bench binaries.
 //!
 //! Every figure of the paper's evaluation has a binary in `src/bin/`
 //! (`fig2` … `fig6`), plus verification and ablation binaries

@@ -53,13 +53,12 @@
 //! # Worker threads
 //!
 //! With shards ≥ 2 and more than one worker, slice bids fan out across
-//! threads obtained from a [`WorkerSpawner`] — by default detached OS
-//! threads, or a shared `p2p_runtime::WorkerPool` when the caller
-//! installs one with [`FlatAuction::with_spawner`]. Workers are leased
-//! once per engine and parked on a channel between slices, so repeated
-//! slot auctions spawn zero new threads; when the engine drops, pool
-//! workers return to the pool for the next run. Thread count never affects
-//! results (slices are pure functions of their price snapshot).
+//! OS threads the engine owns. It spawns `min(shards, cores)` workers (or
+//! its [`FlatAuction::with_workers`] count) on its first sharded run and
+//! parks them on a channel between slices, so repeated slot auctions on
+//! one engine spawn zero new threads; dropping the engine joins them.
+//! Thread count never affects results (slices are pure functions of their
+//! price snapshot).
 //!
 //! # Examples
 //!
@@ -93,6 +92,7 @@ use p2p_metrics::{AuctionProbe, NoProbe};
 use p2p_types::{P2pError, SimTime};
 use std::sync::mpsc;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 pub mod kernel;
 
@@ -312,41 +312,6 @@ impl CsrBuilder {
     }
 }
 
-/// Spawns long-lived worker jobs for the flat engine's slice fan-out.
-///
-/// The engine leases `min(shards, cores)` workers once and parks them on a
-/// command channel between slices; a job therefore runs until the engine
-/// drops. [`ThreadSpawner`] backs the lease with detached OS threads;
-/// `p2p_runtime::WorkerPool` implements this trait so one shared pool can
-/// serve every engine of a process (scenario sweeps, `System` slot loops)
-/// without spawning per run.
-pub trait WorkerSpawner: Send + Sync {
-    /// Launches `job` on some worker thread. `job` runs to completion. The
-    /// returned closure blocks until the job has fully finished *and its
-    /// thread is reusable again* — the engine invokes it when the lease
-    /// ends, so "repeated runs spawn zero new threads" is a guarantee, not
-    /// a race.
-    fn spawn_worker(&self, job: Box<dyn FnOnce() + Send + 'static>) -> WorkerJoin;
-}
-
-/// Blocks until a spawned worker job has fully released its thread (see
-/// [`WorkerSpawner::spawn_worker`]).
-pub type WorkerJoin = Box<dyn FnOnce() + Send>;
-
-/// The default [`WorkerSpawner`]: one OS thread per leased worker, joined
-/// when its engine drops.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ThreadSpawner;
-
-impl WorkerSpawner for ThreadSpawner {
-    fn spawn_worker(&self, job: Box<dyn FnOnce() + Send + 'static>) -> WorkerJoin {
-        let handle = std::thread::spawn(job);
-        Box::new(move || {
-            let _ = handle.join();
-        })
-    }
-}
-
 /// One bid computed against a round's price snapshot.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FlatBid {
@@ -374,16 +339,16 @@ struct SliceCmd {
 /// Recyclable buffer set for one [`SliceCmd`].
 type SliceBufs = (Vec<u32>, Vec<FlatBid>, Vec<u32>);
 
-/// Leased worker threads: one command channel per worker, one shared
+/// The engine's worker threads: one command channel per worker, one shared
 /// result channel back. Dropping the lease closes the command channels and
-/// releases the threads (pool workers park for reuse).
+/// joins the threads.
 struct Lease {
     workers: usize,
     cmd_txs: Vec<mpsc::Sender<SliceCmd>>,
     res_rx: mpsc::Receiver<SliceCmd>,
     /// Joined on drop, after closing the command channels, so the lease's
-    /// end synchronously releases every worker back to its spawner.
-    joins: Vec<WorkerJoin>,
+    /// end synchronously releases every worker thread.
+    threads: Vec<JoinHandle<()>>,
     /// Recycled command buffers.
     free: Vec<SliceBufs>,
     /// Reassembly slots (reused across slices).
@@ -391,15 +356,15 @@ struct Lease {
 }
 
 impl Lease {
-    fn spawn(workers: usize, spawner: &dyn WorkerSpawner) -> Self {
+    fn spawn(workers: usize) -> Self {
         let (res_tx, res_rx) = mpsc::channel::<SliceCmd>();
         let mut cmd_txs = Vec::with_capacity(workers);
-        let mut joins = Vec::with_capacity(workers);
+        let mut threads = Vec::with_capacity(workers);
         for _ in 0..workers {
             let (tx, rx) = mpsc::channel::<SliceCmd>();
             cmd_txs.push(tx);
             let res_tx = res_tx.clone();
-            joins.push(spawner.spawn_worker(Box::new(move || {
+            threads.push(std::thread::spawn(move || {
                 while let Ok(mut cmd) = rx.recv() {
                     cmd.bids.clear();
                     cmd.retired.clear();
@@ -416,19 +381,21 @@ impl Lease {
                         break;
                     }
                 }
-            })));
+            }));
         }
-        Lease { workers, cmd_txs, res_rx, joins, free: Vec::new(), pending: Vec::new() }
+        Lease { workers, cmd_txs, res_rx, threads, free: Vec::new(), pending: Vec::new() }
     }
 }
 
 impl Drop for Lease {
     fn drop(&mut self) {
         // Close the command channels (ends every worker loop), then wait
-        // for each worker to actually release its thread.
+        // for each worker thread to exit. `Drop` must not panic, so a
+        // worker's panic payload is dropped here; `exec_threaded` already
+        // computed inline any chunk a dead worker could not take.
         self.cmd_txs.clear();
-        for join in self.joins.drain(..) {
-            join();
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
         }
     }
 }
@@ -699,7 +666,6 @@ pub struct FlatAuction {
     /// Test/bench override for the worker-thread count (normally
     /// `min(shards, cores)`).
     workers: Option<usize>,
-    spawner: Arc<dyn WorkerSpawner>,
     scratch: AuctionScratch,
     lease: Option<Lease>,
 }
@@ -724,7 +690,6 @@ impl Clone for FlatAuction {
             shards: self.shards,
             kernel: self.kernel,
             workers: self.workers,
-            spawner: Arc::clone(&self.spawner),
             scratch: AuctionScratch::default(),
             lease: None,
         }
@@ -745,7 +710,6 @@ impl FlatAuction {
             shards,
             kernel: BidKernel::default(),
             workers: None,
-            spawner: Arc::new(ThreadSpawner),
             scratch: AuctionScratch::default(),
             lease: None,
         }
@@ -788,16 +752,6 @@ impl FlatAuction {
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
-        self.lease = None;
-        self
-    }
-
-    /// Installs a worker source — typically a shared
-    /// `p2p_runtime::WorkerPool` — replacing the default detached-thread
-    /// spawner (builder-style). Results are unaffected.
-    #[must_use]
-    pub fn with_spawner(mut self, spawner: Arc<dyn WorkerSpawner>) -> Self {
-        self.spawner = spawner;
         self.lease = None;
         self
     }
@@ -1105,7 +1059,7 @@ impl FlatAuction {
             .max(1)
             .min(shards);
         if workers > 1 && self.lease.as_ref().is_none_or(|l| l.workers != workers) {
-            self.lease = Some(Lease::spawn(workers, self.spawner.as_ref()));
+            self.lease = Some(Lease::spawn(workers));
         }
         let data = csr.data();
         let s = &mut self.scratch;
@@ -1328,7 +1282,7 @@ fn exec_threaded(
         };
         match lease.cmd_txs[w].send(cmd) {
             Ok(()) => active += 1,
-            // A worker died (its spawner was torn down mid-run); fall back
+            // A worker died (its thread panicked earlier); fall back
             // to computing the chunk inline, parked at its own reassembly
             // slot so the merge order stays chunk order — results are
             // identical.
@@ -1745,8 +1699,7 @@ mod tests {
     fn clone_and_debug_cover_the_engine_surface() {
         let flat = FlatAuction::new(AuctionConfig::with_epsilon(0.5), ShardCount::Fixed(3))
             .with_workers(2)
-            .with_kernel(BidKernel::Scalar)
-            .with_spawner(Arc::new(ThreadSpawner));
+            .with_kernel(BidKernel::Scalar);
         let cloned = flat.clone();
         assert_eq!(cloned.config().epsilon, 0.5);
         assert_eq!(cloned.shards(), ShardCount::Fixed(3));

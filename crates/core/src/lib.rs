@@ -94,7 +94,7 @@ mod ordf64;
 
 pub use bidder::{BidDecision, EdgeView};
 pub use codec::{decode_msg, encode_msg, MAX_FRAME_LEN, WIRE_VERSION};
-pub use csr::{BidKernel, CsrBuilder, CsrInstance, FlatAuction, FlatOutcome, WorkerSpawner};
+pub use csr::{BidKernel, CsrBuilder, CsrInstance, FlatAuction, FlatOutcome};
 pub use diff::{InstanceDiff, InstancePatch};
 pub use engine::{AuctionConfig, AuctionOutcome, EpsilonScaling, SyncAuction};
 pub use instance::{EdgeSpec, InstanceBuilder, ProviderSpec, RequestSpec, WelfareInstance};

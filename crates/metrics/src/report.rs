@@ -64,20 +64,6 @@ impl CacheCounters {
     }
 }
 
-/// Worker-pool counters for the whole run (the pool is shared across a
-/// sweep, so these are process-level, not per-run).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolCounters {
-    /// OS threads ever spawned.
-    pub spawned: u64,
-    /// Jobs executed.
-    pub jobs: u64,
-    /// Worker park events (a job finished and its thread went idle).
-    pub parks: u64,
-    /// Workers currently parked idle.
-    pub idle: u64,
-}
-
 /// One slot's observations.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SlotReport {
@@ -155,8 +141,6 @@ pub struct RunReport {
     pub slots: Vec<SlotReport>,
     /// Run-level sketched uniques.
     pub uniques: UniqueCounts,
-    /// Worker-pool counters, when a shared pool served the run.
-    pub pool: Option<PoolCounters>,
     /// Event-window aggregations (filled by
     /// [`RunReport::aggregate_windows`]).
     pub windows: Vec<WindowReport>,
@@ -179,7 +163,6 @@ impl RunReport {
             slot_secs,
             slots: Vec::new(),
             uniques: UniqueCounts::default(),
-            pool: None,
             windows: Vec::new(),
             schedule_latency: Histogram::for_seconds(),
         }
@@ -240,13 +223,6 @@ impl RunReport {
             json_f64(self.uniques.providers),
             json_f64(self.uniques.edges)
         ));
-        match &self.pool {
-            Some(p) => out.push_str(&format!(
-                "  \"pool\": {{\"spawned\": {}, \"jobs\": {}, \"parks\": {}, \"idle\": {}}},\n",
-                p.spawned, p.jobs, p.parks, p.idle
-            )),
-            None => out.push_str("  \"pool\": null,\n"),
-        }
         out.push_str(&format!(
             "  \"schedule_latency\": {},\n",
             histogram_json(&self.schedule_latency)
@@ -464,7 +440,6 @@ mod tests {
         }
         r.uniques =
             UniqueCounts { precision: 12, requesters: 118.0, providers: 20.0, edges: 790.0 };
-        r.pool = Some(PoolCounters { spawned: 4, jobs: 64, parks: 64, idle: 4 });
         r.aggregate_windows(&[("before", 0, 1), ("during", 2, 2), ("after", 3, 3)]);
         r
     }
@@ -496,7 +471,6 @@ mod tests {
             "\"scheduler\"",
             "\"slot_secs\"",
             "\"uniques\"",
-            "\"pool\"",
             "\"windows\"",
             "\"slots\"",
             "\"schedule_s\"",

@@ -51,9 +51,8 @@ pub use event::ScenarioEvent;
 pub use library::{builtin, builtin_spec, builtins, BUILTIN_NAMES};
 pub use runner::{
     event_windows, run_one, run_scenario, run_scenario_probed, scenario_net, scheduler_by_name,
-    scheduler_for, scheduler_for_runtime, scheduler_with_net, scheduler_with_runtime,
-    scheduler_with_shards, RunSummary, ScenarioReport, ScenarioRun, DEFAULT_SCHEDULER,
-    NET_DEFAULT_PEERS, SCHEDULER_NAMES, SIM_FAULTY_EPSILON,
+    scheduler_for, RunSummary, ScenarioReport, ScenarioRun, DEFAULT_SCHEDULER, NET_DEFAULT_PEERS,
+    SCHEDULER_NAMES, SIM_FAULTY_EPSILON,
 };
 pub use spec::{parse_scenario, parse_scenario_file};
 pub use timeline::{Profile, Scenario, TimedEvent};

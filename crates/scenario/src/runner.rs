@@ -5,11 +5,10 @@ use p2p_metrics::{RunReport, SlotRecorder};
 use p2p_sched::{
     AuctionScheduler, ChunkScheduler, ExactScheduler, FlatAuctionScheduler, GreedyScheduler,
     NetAuctionScheduler, NetworkModel, RandomScheduler, ShardedAuctionScheduler,
-    SimAuctionScheduler, SimpleLocalityScheduler, WorkerSpawner,
+    SimAuctionScheduler, SimpleLocalityScheduler,
 };
 use p2p_streaming::{ClockMode, ShardCount, System, WorkloadTrace};
 use p2p_types::{P2pError, Result};
-use std::sync::Arc;
 
 /// Scheduler names accepted by [`scheduler_by_name`].
 pub const SCHEDULER_NAMES: [&str; 14] = [
@@ -51,81 +50,58 @@ pub const SIM_FAULTY_EPSILON: f64 = 0.01;
 pub const NET_DEFAULT_PEERS: usize = 3;
 
 /// Builds a scheduler from its CLI name (`seed` parameterizes the
-/// stochastic ones; the sharded auctions follow the machine's cores —
-/// use [`scheduler_with_shards`] or [`scheduler_for`] to pin the count).
+/// stochastic ones; the sharded auctions follow the machine's cores and the
+/// sim schedulers run an ideal network — use [`scheduler_for`] to take the
+/// shard count and network preset from a scenario).
 ///
 /// # Errors
 ///
 /// Returns [`P2pError::InvalidConfig`] for unknown names.
 pub fn scheduler_by_name(name: &str, seed: u64) -> Result<Box<dyn ChunkScheduler>> {
-    scheduler_with_shards(name, seed, ShardCount::Auto)
+    build(name, seed, ShardCount::Auto, NetworkModel::ideal())
 }
 
-/// [`scheduler_by_name`] with an explicit shard count for the sharded
-/// auction schedulers (the sequential schedulers ignore it).
+/// Builds a scheduler configured by a scenario: its seed, its `shards`
+/// knob (spec key `shards`, CLI `--shards`) for the sharded auction
+/// schedulers, and its `net` preset (spec key `net`, CLI `--net`) for the
+/// virtual-time sim schedulers. The other schedulers ignore the knobs they
+/// have no use for.
 ///
 /// # Errors
 ///
-/// Returns [`P2pError::InvalidConfig`] for unknown names or an invalid
-/// shard count.
-pub fn scheduler_with_shards(
-    name: &str,
-    seed: u64,
-    shards: ShardCount,
-) -> Result<Box<dyn ChunkScheduler>> {
-    scheduler_with_runtime(name, seed, shards, None)
+/// Returns [`P2pError::InvalidConfig`] for unknown names, an invalid shard
+/// count or an unknown network preset.
+pub fn scheduler_for(scenario: &Scenario, name: &str) -> Result<Box<dyn ChunkScheduler>> {
+    build(name, scenario.seed, scenario.shards, scenario_net(scenario)?)
 }
 
-/// [`scheduler_with_shards`] with an optional shared worker source for the
-/// flat CSR schedulers: pass one `Arc`'d `p2p_runtime::WorkerPool` (it
-/// implements [`WorkerSpawner`]) and every flat engine built through this
-/// registry leases its slice workers from that pool instead of spawning
-/// its own — repeated scenario runs then spawn zero new threads. The other
-/// schedulers ignore the spawner.
+/// Resolves a scenario's `net` preset name into a [`NetworkModel`].
 ///
 /// # Errors
 ///
-/// Returns [`P2pError::InvalidConfig`] for unknown names or an invalid
-/// shard count.
-pub fn scheduler_with_runtime(
-    name: &str,
-    seed: u64,
-    shards: ShardCount,
-    spawner: Option<Arc<dyn WorkerSpawner>>,
-) -> Result<Box<dyn ChunkScheduler>> {
-    scheduler_with_net(name, seed, shards, spawner, NetworkModel::ideal())
+/// Returns [`P2pError::InvalidConfig`] for unknown preset names.
+pub fn scenario_net(scenario: &Scenario) -> Result<NetworkModel> {
+    NetworkModel::preset(&scenario.net).ok_or_else(|| {
+        P2pError::invalid_config(
+            "net",
+            format!("unknown network preset `{}` (known: ideal, lan, lossy)", scenario.net),
+        )
+    })
 }
 
-/// [`scheduler_with_runtime`] with an explicit network model for the
-/// virtual-time sim schedulers (`auction_sim`): every message between the
-/// simulated peers draws its latency and fault fate from the model, seeded
-/// per slot from `seed`. The in-process schedulers ignore it.
-///
-/// # Errors
-///
-/// Returns [`P2pError::InvalidConfig`] for unknown names or an invalid
-/// shard count.
-pub fn scheduler_with_net(
+/// The registry behind [`scheduler_by_name`] and [`scheduler_for`]. Every
+/// message between the sim schedulers' simulated peers draws its latency
+/// and fault fate from `net`, seeded per slot from `seed`.
+fn build(
     name: &str,
     seed: u64,
     shards: ShardCount,
-    spawner: Option<Arc<dyn WorkerSpawner>>,
     net: NetworkModel,
 ) -> Result<Box<dyn ChunkScheduler>> {
     shards.validate()?;
     // `default` is a stable alias: callers that don't care which execution
     // of the auction they get follow the registry's promotion decisions.
     let name = if name == "default" { DEFAULT_SCHEDULER } else { name };
-    let flat = |warm: bool| {
-        let mut s = FlatAuctionScheduler::paper(shards);
-        if warm {
-            s = s.warm_start();
-        }
-        if let Some(spawner) = spawner.clone() {
-            s = s.with_spawner(spawner);
-        }
-        s
-    };
     let sim = |warm: bool| {
         let mut s = if net.is_ideal() {
             SimAuctionScheduler::paper(net.clone())
@@ -143,8 +119,8 @@ pub fn scheduler_with_net(
         "auction_warm" => Ok(Box::new(AuctionScheduler::paper().warm_start())),
         "auction_sharded" => Ok(Box::new(ShardedAuctionScheduler::paper(shards))),
         "auction_sharded_warm" => Ok(Box::new(ShardedAuctionScheduler::paper(shards).warm_start())),
-        "auction_flat" => Ok(Box::new(flat(false))),
-        "auction_flat_warm" => Ok(Box::new(flat(true))),
+        "auction_flat" => Ok(Box::new(FlatAuctionScheduler::paper(shards))),
+        "auction_flat_warm" => Ok(Box::new(FlatAuctionScheduler::paper(shards).warm_start())),
         "auction_sim" => Ok(Box::new(sim(false))),
         "auction_sim_warm" => Ok(Box::new(sim(true))),
         "auction_net" => Ok(Box::new(NetAuctionScheduler::paper(NET_DEFAULT_PEERS))),
@@ -160,44 +136,6 @@ pub fn scheduler_with_net(
             format!("unknown scheduler `{other}` (known: {})", SCHEDULER_NAMES.join(", ")),
         )),
     }
-}
-
-/// Builds a scheduler configured by a scenario: its seed and its `shards`
-/// knob (spec key `shards`, CLI `--shards`).
-///
-/// # Errors
-///
-/// Returns [`P2pError::InvalidConfig`] for unknown names.
-pub fn scheduler_for(scenario: &Scenario, name: &str) -> Result<Box<dyn ChunkScheduler>> {
-    scheduler_for_runtime(scenario, name, None)
-}
-
-/// Resolves a scenario's `net` preset name into a [`NetworkModel`].
-///
-/// # Errors
-///
-/// Returns [`P2pError::InvalidConfig`] for unknown preset names.
-pub fn scenario_net(scenario: &Scenario) -> Result<NetworkModel> {
-    NetworkModel::preset(&scenario.net).ok_or_else(|| {
-        P2pError::invalid_config(
-            "net",
-            format!("unknown network preset `{}` (known: ideal, lan, lossy)", scenario.net),
-        )
-    })
-}
-
-/// [`scheduler_for`] with a shared worker source (see
-/// [`scheduler_with_runtime`]).
-///
-/// # Errors
-///
-/// Returns [`P2pError::InvalidConfig`] for unknown names.
-pub fn scheduler_for_runtime(
-    scenario: &Scenario,
-    name: &str,
-    spawner: Option<Arc<dyn WorkerSpawner>>,
-) -> Result<Box<dyn ChunkScheduler>> {
-    scheduler_with_net(name, scenario.seed, scenario.shards, spawner, scenario_net(scenario)?)
 }
 
 /// Whole-run aggregates of one scheduler's pass over a scenario.
@@ -518,8 +456,8 @@ mod tests {
         assert_eq!(s.name(), "auction_sharded_warm");
         // The sequential schedulers accept (and ignore) the knob.
         assert_eq!(scheduler_for(&scenario, "auction").unwrap().name(), "auction");
-        assert!(scheduler_with_shards("auction_sharded", 1, p2p_streaming::ShardCount::Fixed(0))
-            .is_err());
+        let zero = scenario.with_shards(p2p_streaming::ShardCount::Fixed(0));
+        assert!(scheduler_for(&zero, "auction_sharded").is_err());
     }
 
     #[test]
@@ -679,19 +617,6 @@ mod tests {
         assert!(scenario_net(&bad).is_err());
         assert!(bad.validate().is_err());
         assert!(scheduler_for(&bad, "auction_sim").is_err());
-    }
-
-    #[test]
-    fn runtime_registry_accepts_a_shared_spawner() {
-        let scenario = builtin("flash_crowd").unwrap().quick(6);
-        let spawner: Arc<dyn WorkerSpawner> = Arc::new(p2p_core::csr::ThreadSpawner);
-        let s = scheduler_for_runtime(&scenario, "auction_flat", Some(spawner.clone())).unwrap();
-        assert_eq!(s.name(), "auction_flat");
-        let s = scheduler_for_runtime(&scenario, "auction_flat_warm", Some(spawner)).unwrap();
-        assert_eq!(s.name(), "auction_flat_warm");
-        // Non-flat schedulers accept (and ignore) the spawner.
-        let s = scheduler_with_runtime("auction", 1, ShardCount::Auto, None).unwrap();
-        assert_eq!(s.name(), "auction");
     }
 
     #[test]

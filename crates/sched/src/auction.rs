@@ -2,14 +2,12 @@
 
 use crate::problem::{Schedule, ScheduleStats, SlotProblem};
 use crate::ChunkScheduler;
-use p2p_core::csr::WorkerSpawner;
 use p2p_core::{
     AuctionConfig, AuctionOutcome, FlatAuction, ShardCount, ShardedAuction, SyncAuction,
 };
 use p2p_metrics::{CountingProbe, EngineReport};
 use p2p_types::{PeerId, Result};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Slot-to-slot price carry-over for warm-started auction schedulers.
 ///
@@ -313,10 +311,10 @@ impl ChunkScheduler for ShardedAuctionScheduler {
 /// `auto` adapts to the live slot size).
 ///
 /// [`FlatAuctionScheduler::warm_start`] composes with slot-to-slot price
-/// carry-over through the same [`PriceCarry`] as the nested schedulers;
-/// [`FlatAuctionScheduler::with_spawner`] lets every scheduler of a
-/// process share one `p2p_runtime::WorkerPool` for slice fan-out, so
-/// repeated runs spawn zero new threads.
+/// carry-over through the same [`PriceCarry`] as the nested schedulers.
+/// The engine spawns its slice workers on its first sharded slot and
+/// reuses them for every later slot, so a slot loop spawns no threads
+/// after warm-up; dropping the scheduler joins them.
 #[derive(Debug, Clone, Default)]
 pub struct FlatAuctionScheduler {
     engine: FlatAuction,
@@ -364,22 +362,6 @@ impl FlatAuctionScheduler {
     /// Whether warm-starting is enabled.
     pub fn is_warm_start(&self) -> bool {
         self.warm_start
-    }
-
-    /// Installs a shared worker source for the engine's slice fan-out
-    /// (builder-style); see [`p2p_core::csr::FlatAuction::with_spawner`].
-    #[must_use]
-    pub fn with_spawner(mut self, spawner: Arc<dyn WorkerSpawner>) -> Self {
-        self.engine = self.engine.with_spawner(spawner);
-        self
-    }
-
-    /// Forces the engine's worker-thread count (builder-style; results are
-    /// unaffected).
-    #[must_use]
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.engine = self.engine.with_workers(workers);
-        self
     }
 
     /// Debug-build self-check mirroring the sharded engine's: re-verify

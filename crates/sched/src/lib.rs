@@ -67,7 +67,6 @@ pub use exact::ExactScheduler;
 pub use greedy::GreedyScheduler;
 pub use locality::SimpleLocalityScheduler;
 pub use net::NetAuctionScheduler;
-pub use p2p_core::csr::WorkerSpawner;
 pub use p2p_core::NetworkModel;
 pub use problem::{Schedule, ScheduleStats, SlotProblem};
 pub use random::RandomScheduler;

@@ -20,7 +20,6 @@
 //! | [`net`] | `p2p-net` | networked runtime: tracker + peer processes over a TCP wire protocol |
 //! | [`streaming`] | `p2p-streaming` | the P2P VoD system emulator |
 //! | [`scenario`] | `p2p-scenario` | declarative scenarios: mid-run event timelines, spec parser, runner |
-//! | [`runtime`] | `p2p-runtime` | the worker pool that leases slice workers to the flat engine |
 //! | [`metrics`] | `p2p-metrics` | series, stats, CSV, ASCII plots |
 //!
 //! # Quickstart
@@ -52,7 +51,6 @@ pub use p2p_core as core;
 pub use p2p_metrics as metrics;
 pub use p2p_net as net;
 pub use p2p_netflow as netflow;
-pub use p2p_runtime as runtime;
 pub use p2p_scenario as scenario;
 pub use p2p_sched as sched;
 pub use p2p_sim as sim;
@@ -67,13 +65,11 @@ pub mod prelude {
         verify_optimality, Assignment, AuctionConfig, AuctionOutcome, CostLatency, CsrBuilder,
         CsrInstance, DualSolution, FlatAuction, FlatOutcome, InstanceDiff, InstancePatch,
         NetworkModel, ShardCount, ShardedAuction, SwarmAuction, SwarmConfig, SyncAuction,
-        WelfareInstance, WorkerSpawner,
+        WelfareInstance,
     };
     pub use p2p_metrics::{ascii_plot, SlotMetrics, SlotRecorder, Summary, TimeSeries};
-    pub use p2p_runtime::WorkerPool;
     pub use p2p_scenario::{
-        builtin, parse_scenario, run_scenario, scheduler_by_name, scheduler_for,
-        scheduler_for_runtime, scheduler_with_runtime, scheduler_with_shards, Scenario,
+        builtin, parse_scenario, run_scenario, scheduler_by_name, scheduler_for, Scenario,
         ScenarioEvent, ScenarioReport, TimedEvent,
     };
     pub use p2p_sched::{

@@ -2,13 +2,11 @@
 //! every built-in scenario scheduled by `auction_flat` produces slot
 //! metrics **bit-identical** to its nested-layout counterpart (`auction`
 //! at shards = 1, `auction_sharded` at shards ≥ 2; warm variants
-//! included), the incremental slot-build path feeds the flat scheduler its
-//! cache-emitted CSR, and repeated scenario runs on one shared
-//! `WorkerPool` spawn zero new threads.
+//! included), and the incremental slot-build path feeds the flat scheduler
+//! its cache-emitted CSR.
 
 use isp_p2p::prelude::*;
 use isp_p2p::scenario::BUILTIN_NAMES;
-use std::sync::Arc;
 
 /// Every built-in scenario under `auction_flat` is bit-identical, slot by
 /// slot, to the nested scheduler with the same shard count — in both
@@ -79,36 +77,6 @@ fn auto_shards_sweep_identically() {
     )
     .unwrap();
     assert_eq!(report.runs[0].recorder.slots(), report.runs[1].recorder.slots());
-}
-
-/// One shared `WorkerPool` serves every flat scheduler of a sweep and
-/// every sweep of a process: repeated runs spawn zero new threads beyond
-/// the first lease.
-#[test]
-fn repeated_runs_on_one_shared_pool_spawn_zero_new_threads() {
-    let pool = WorkerPool::new();
-    let spawner: Arc<dyn WorkerSpawner> = Arc::new(pool.clone());
-    let workers = 2;
-    let scenario = builtin("flash_crowd").unwrap().with_shards(ShardCount::Fixed(4)).quick(4);
-    let run_once = || {
-        let scheduler = Box::new(
-            isp_p2p::sched::FlatAuctionScheduler::paper(ShardCount::Fixed(4))
-                .with_spawner(spawner.clone())
-                .with_workers(workers),
-        );
-        let run = isp_p2p::scenario::run_one(&scenario, scheduler).unwrap();
-        assert!(run.summary.transfers > 0);
-        run.summary.table_row()
-    };
-    let first = run_once();
-    let spawned_after_first = pool.spawned();
-    assert!(
-        spawned_after_first <= workers as u64,
-        "one run leases at most {workers} workers, spawned {spawned_after_first}"
-    );
-    let second = run_once();
-    assert_eq!(pool.spawned(), spawned_after_first, "repeated runs spawn zero new threads");
-    assert_eq!(first, second, "shared-pool runs stay deterministic");
 }
 
 /// The incremental cache emits the CSR compilation directly: the flat
