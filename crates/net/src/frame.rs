@@ -28,8 +28,7 @@ pub struct FrameConn {
 impl FrameConn {
     /// Wraps a connected stream, setting `TCP_NODELAY` and the read
     /// deadline every [`recv`](FrameConn::recv) enforces (`None` blocks
-    /// forever — the tracker's reader threads use this and leave liveness
-    /// to the coordinator's reply deadline).
+    /// forever).
     pub fn new(stream: TcpStream, io_timeout: Option<Duration>) -> Result<Self> {
         stream.set_nodelay(true).map_err(|e| disconnected("setting TCP_NODELAY", &e))?;
         let conn = FrameConn { stream, opened: Instant::now(), messages: 0 };
@@ -44,10 +43,11 @@ impl FrameConn {
             .map_err(|e| disconnected("setting the read deadline", &e))
     }
 
-    /// A second handle on the same socket (shared send/receive state lives
-    /// in the kernel; the message counter restarts at zero). The tracker
-    /// uses this to give each connection's reader thread its own handle
-    /// while writers stay on the original.
+    /// A second handle on the same socket (shared send/receive state and
+    /// the read deadline live in the kernel; the message counter restarts
+    /// at zero). The tracker's coordinator reads replies on this handle, so
+    /// it never takes the lock it shares with the heartbeat thread on the
+    /// writer.
     pub fn try_clone(&self) -> Result<FrameConn> {
         let stream =
             self.stream.try_clone().map_err(|e| disconnected("cloning the socket handle", &e))?;

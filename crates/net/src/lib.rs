@@ -22,8 +22,8 @@
 //!   disconnect errors;
 //! * [`proto`] — the tracker ↔ peer control protocol and the instance /
 //!   outcome file codecs, built on [`p2p_core::codec`];
-//! * [`tracker`] — swarm membership, heartbeats, and the coordinator
-//!   sweep;
+//! * [`tracker`] — swarm membership, one heartbeat thread per swarm, and
+//!   the coordinator sweep, which reads every reply itself;
 //! * [`peer`] — actor-per-connection bidder servant with connect
 //!   retry/backoff;
 //! * [`harness`] — spawns the `tracker` and `peer` binaries as real OS
@@ -70,7 +70,7 @@ use p2p_types::{P2pError, Result};
 /// Runs one auction slot over real loopback TCP with the tracker on the
 /// calling thread and `peer_count` peer actors on their own threads — the
 /// full wire stack without OS-process management. Used by the
-/// `auction_net` scheduler backend and the wire benchmarks; the
+/// `auction_net` scheduler backend and the loopback tests; the
 /// multi-process equivalent is [`run_multiprocess`].
 pub fn run_slot_local<P: AuctionProbe>(
     instance: &WelfareInstance,
@@ -82,9 +82,9 @@ pub fn run_slot_local<P: AuctionProbe>(
     run_slot_local_stats(instance, peer_count, config, warm_prices, probe).map(|(o, _)| o)
 }
 
-/// [`run_slot_local`] plus the tracker's wire-frame counters for the slot
-/// — the measurement entry point `net_bench` uses to report frames per
-/// slot for the batched and per-request protocols.
+/// [`run_slot_local`] plus the tracker's wire-frame counters for the slot,
+/// which the loopback tests use to compare frames per slot between the
+/// batched and per-request protocols.
 pub fn run_slot_local_stats<P: AuctionProbe>(
     instance: &WelfareInstance,
     peer_count: usize,

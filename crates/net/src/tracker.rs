@@ -28,9 +28,26 @@
 //! outcome is bit-identical either way — the batched driver just spends
 //! ~`2 × peers × rounds` frames where the per-request one spends
 //! `2 × polls + notices`.
+//!
+//! # Threads and reads
+//!
+//! [`Tracker::accept_peers`] starts one background thread per swarm. Until
+//! the swarm is complete it guards the handshake: `std`'s `accept` has no
+//! timeout, so once `handshake_timeout` passes the thread makes one
+//! loopback connection to wake the blocked `accept`, which then returns
+//! [`P2pError::Timeout`]. After that it sends a heartbeat every
+//! `heartbeat_every` until [`Tracker::shutdown`] drops its channel.
+//!
+//! The coordinator reads each reply itself, from its peer's socket under
+//! the `io_timeout` deadline: one `ReplyBatch` per polled peer in
+//! peer-index order, or the polled peer's `Reply`. This cannot deadlock.
+//! Peers write only in answer to a poll, and a round's polls are all
+//! written before any reply is read, so a peer blocked writing a reply
+//! larger than the socket buffer only waits for the coordinator to reach
+//! it in index order.
 
 use crate::frame::FrameConn;
-use crate::proto::{encode_net, NetMsg, WireBidder};
+use crate::proto::{decode_net, encode_net, NetMsg, WireBidder};
 use p2p_core::bidder::{decide_bid, AbstainReason};
 use p2p_core::engine::{edge_views, final_prices_from, run_warm_with};
 use p2p_core::messages::AuctionMsg;
@@ -39,8 +56,7 @@ use p2p_core::{
     Assignment, AuctionOutcome, AuctionProbe, BidDecision, DualSolution, EdgeView, WelfareInstance,
 };
 use p2p_types::{P2pError, Result, SimTime};
-use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
@@ -61,7 +77,8 @@ pub struct NetConfig {
     /// bid decision (and how long a peer waits for tracker traffic) before
     /// returning a typed [`P2pError::Timeout`].
     pub io_timeout: Duration,
-    /// How long the tracker waits for the full swarm to connect.
+    /// How long the tracker waits for the full swarm to connect and send
+    /// its `Hello`s.
     pub handshake_timeout: Duration,
     /// Tracker → peer keep-alive interval; must be comfortably below
     /// `io_timeout` so idle peers never trip their read deadline.
@@ -107,11 +124,15 @@ impl NetRunStats {
     }
 }
 
-/// One connected peer: the shared writer (coordinator + heartbeat thread)
-/// and its reader thread.
+/// A peer's write handle, shared by the coordinator and the heartbeat
+/// thread.
+type Writer = Arc<Mutex<FrameConn>>;
+
+/// One connected peer: the shared writer, and the coordinator's own read
+/// handle on the same socket (read deadline `io_timeout`).
 struct PeerLink {
-    writer: Arc<Mutex<FrameConn>>,
-    reader: Option<JoinHandle<()>>,
+    writer: Writer,
+    reader: FrameConn,
 }
 
 /// The tracker process: binds, hands out swarm membership, then runs
@@ -120,10 +141,11 @@ pub struct Tracker {
     listener: Option<TcpListener>,
     local_addr: SocketAddr,
     links: Vec<PeerLink>,
-    rx: Option<Receiver<(usize, Result<NetMsg>)>>,
     peer_count: usize,
     config: NetConfig,
-    heartbeat_stop: Arc<AtomicBool>,
+    /// Hands the heartbeat thread the swarm's writers; dropping it stops
+    /// the thread.
+    heartbeat_signal: Option<Sender<Vec<Writer>>>,
     heartbeat: Option<JoinHandle<()>>,
     shut: bool,
     frames_sent: u64,
@@ -149,10 +171,9 @@ impl Tracker {
             listener: Some(listener),
             local_addr,
             links: Vec::new(),
-            rx: None,
             peer_count,
             config,
-            heartbeat_stop: Arc::new(AtomicBool::new(false)),
+            heartbeat_signal: None,
             heartbeat: None,
             shut: false,
             frames_sent: 0,
@@ -171,69 +192,57 @@ impl Tracker {
         self.local_addr
     }
 
-    /// Accepts and handshakes the full swarm, then starts the reader and
-    /// heartbeat threads. Returns [`P2pError::Timeout`] if the swarm is
-    /// incomplete when `handshake_timeout` expires.
+    /// Accepts and handshakes the full swarm and starts the heartbeat.
+    /// Returns [`P2pError::Timeout`] if the swarm is incomplete when
+    /// `handshake_timeout` expires, also while a client owes its `Hello`.
     pub fn accept_peers(&mut self) -> Result<()> {
         let listener = match self.listener.take() {
             Some(l) => l,
             None => return Ok(()), // already accepted
         };
-        listener.set_nonblocking(true).map_err(|e| P2pError::Disconnected {
-            context: format!("configuring the accept loop: {e}"),
-        })?;
         let started = Instant::now();
-        let (tx, rx) = channel();
+        // Returning early drops `signal`, which stops the thread.
+        let (signal, wait) = channel();
+        self.heartbeat = Some(spawn_heartbeat(
+            wait,
+            wake_addr(self.local_addr),
+            started,
+            self.config.handshake_timeout,
+            self.config.heartbeat_every,
+        ));
         while self.links.len() < self.peer_count {
-            if started.elapsed() > self.config.handshake_timeout {
+            // Blocks until a peer connects or the heartbeat thread wakes it
+            // at the deadline.
+            let accepted = listener.accept();
+            let left = self.config.handshake_timeout.saturating_sub(started.elapsed());
+            if left.is_zero() {
                 return Err(P2pError::Timeout {
                     elapsed: started.elapsed(),
                     messages: self.links.len() as u64,
                 });
             }
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nonblocking(false).map_err(|e| P2pError::Disconnected {
-                        context: format!("unblocking an accepted socket: {e}"),
-                    })?;
-                    let index = self.links.len();
-                    let mut conn = FrameConn::new(stream, Some(self.config.io_timeout))?;
-                    match crate::proto::decode_net(&conn.recv()?)? {
-                        NetMsg::Hello { .. } => {}
-                        other => {
-                            return Err(P2pError::WireMalformed {
-                                reason: format!("expected a hello, got {other:?}"),
-                            })
-                        }
-                    }
-                    conn.send(&encode_net(&NetMsg::Welcome {
-                        peer_index: index as u64,
-                        peer_count: self.peer_count as u64,
-                    }))?;
-                    let reader_conn = conn.try_clone()?;
-                    reader_conn.set_read_timeout(None)?;
-                    let reader = spawn_reader(index, reader_conn, tx.clone());
-                    self.links.push(PeerLink {
-                        writer: Arc::new(Mutex::new(conn)),
-                        reader: Some(reader),
-                    });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) => {
-                    return Err(P2pError::Disconnected {
-                        context: format!("accepting a peer connection: {e}"),
+            let (stream, _) = accepted.map_err(|e| P2pError::Disconnected {
+                context: format!("accepting a peer connection: {e}"),
+            })?;
+            let mut conn = FrameConn::new(stream, Some(self.config.io_timeout.min(left)))?;
+            match decode_net(&conn.recv()?)? {
+                NetMsg::Hello { .. } => {}
+                other => {
+                    return Err(P2pError::WireMalformed {
+                        reason: format!("expected a hello, got {other:?}"),
                     })
                 }
             }
+            conn.set_read_timeout(Some(self.config.io_timeout))?;
+            conn.send(&encode_net(&NetMsg::Welcome {
+                peer_index: self.links.len() as u64,
+                peer_count: self.peer_count as u64,
+            }))?;
+            let reader = conn.try_clone()?;
+            self.links.push(PeerLink { writer: Arc::new(Mutex::new(conn)), reader });
         }
-        self.rx = Some(rx);
-        self.heartbeat = Some(spawn_heartbeat(
-            self.links.iter().map(|l| Arc::clone(&l.writer)).collect(),
-            self.config.heartbeat_every,
-            Arc::clone(&self.heartbeat_stop),
-        ));
+        let _ = signal.send(self.links.iter().map(|l| Arc::clone(&l.writer)).collect());
+        self.heartbeat_signal = Some(signal);
         Ok(())
     }
 
@@ -268,27 +277,19 @@ impl Tracker {
     }
 
     /// Sends `Shutdown` to every peer and stops the heartbeat thread.
-    /// Idempotent; also invoked on drop.
+    /// Dropping the thread's channel wakes it at once, so this never waits
+    /// out a heartbeat interval. Idempotent; also invoked on drop.
     pub fn shutdown(&mut self) {
         if self.shut {
             return;
         }
         self.shut = true;
         for link in &self.links {
-            if let Ok(mut w) = link.writer.lock() {
-                let _ = w.send(&encode_net(&NetMsg::Shutdown));
-            }
+            let _ = send_to(link, &NetMsg::Shutdown);
         }
-        self.heartbeat_stop.store(true, Ordering::Relaxed);
+        self.heartbeat_signal = None;
         if let Some(h) = self.heartbeat.take() {
             let _ = h.join();
-        }
-        // Reader threads exit when their peer closes the socket in
-        // response to the shutdown (or already died).
-        for link in &mut self.links {
-            if let Some(r) = link.reader.take() {
-                let _ = r.join();
-            }
         }
     }
 
@@ -460,7 +461,6 @@ impl Tracker {
         // Ship one frame per peer: queued notices, then this round's polls.
         let mut snapshots: Vec<Option<Vec<f64>>> = vec![None; n];
         let mut awaiting: Vec<bool> = vec![false; self.peer_count];
-        let mut outstanding = 0usize;
         for (owner, awaiting_reply) in awaiting.iter_mut().enumerate() {
             let mut polls: Vec<(usize, Vec<f64>)> = Vec::new();
             for r in (owner..n).step_by(self.peer_count) {
@@ -478,20 +478,13 @@ impl Tracker {
             }
             self.send_counted(owner, &NetMsg::PollBatch { notices, polls })?;
             *awaiting_reply = true;
-            outstanding += 1;
         }
 
-        // Collect every peer's reply (arrival order is theirs to choose).
+        // Read every polled peer's reply in peer-index order; the module
+        // docs say why this cannot deadlock.
         let mut spec: Vec<Option<BidDecision>> = vec![None; n];
-        while outstanding > 0 {
-            let (idx, replies) = self.await_reply_batch()?;
-            if !std::mem::take(&mut awaiting[idx]) {
-                return Err(P2pError::WireMalformed {
-                    reason: format!("peer {idx} sent a reply batch it was not asked for"),
-                });
-            }
-            outstanding -= 1;
-            for (r, decision) in replies {
+        for idx in (0..self.peer_count).filter(|&i| awaiting[i]) {
+            for (r, decision) in self.await_reply_batch(idx)? {
                 let solicited = r % self.peer_count == idx
                     && snapshots.get(r).is_some_and(Option::is_some)
                     && spec[r].is_none();
@@ -562,55 +555,33 @@ impl Tracker {
         Ok(())
     }
 
-    /// Waits for `peer`'s decision about `request`, with the per-reply
-    /// deadline. A reader-thread error (peer died) or a deadline expiry
-    /// (peer silent) surfaces as the corresponding typed error.
+    /// Reads `peer`'s decision about `request` under the `io_timeout` read
+    /// deadline: a silent peer is a typed [`P2pError::Timeout`], a dead one
+    /// a [`P2pError::Disconnected`].
     fn await_reply(&mut self, peer: usize, request: usize) -> Result<BidDecision> {
-        let rx = self.rx.as_ref().expect("accept_peers ran before the sweep");
-        match rx.recv_timeout(self.config.io_timeout) {
-            Ok((idx, Ok(NetMsg::Reply { request: got, decision })))
-                if idx == peer && got == request =>
-            {
-                self.frames_recv += 1;
-                Ok(decision)
-            }
-            Ok((idx, Ok(other))) => Err(P2pError::WireMalformed {
-                reason: format!(
-                    "peer {idx} sent {other:?} while peer {peer} owed a reply for \
-                     request {request}"
-                ),
+        match self.recv_from(peer)? {
+            NetMsg::Reply { request: got, decision } if got == request => Ok(decision),
+            other => Err(P2pError::WireMalformed {
+                reason: format!("peer {peer} sent {other:?} while owing request {request}"),
             }),
-            Ok((_, Err(e))) => Err(e),
-            Err(RecvTimeoutError::Timeout) => {
-                Err(P2pError::Timeout { elapsed: self.config.io_timeout, messages: 0 })
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                Err(P2pError::Disconnected { context: "every connection reader exited".into() })
-            }
         }
     }
 
-    /// Waits for any peer's [`NetMsg::ReplyBatch`] (peers finish their
-    /// batches in whatever order the scheduler gives them), with the same
-    /// deadline and error surface as [`await_reply`](Tracker::await_reply).
-    fn await_reply_batch(&mut self) -> Result<(usize, Vec<(usize, BidDecision)>)> {
-        let rx = self.rx.as_ref().expect("accept_peers ran before the sweep");
-        match rx.recv_timeout(self.config.io_timeout) {
-            Ok((idx, Ok(NetMsg::ReplyBatch { replies }))) => {
-                self.frames_recv += 1;
-                Ok((idx, replies))
-            }
-            Ok((idx, Ok(other))) => Err(P2pError::WireMalformed {
-                reason: format!("peer {idx} sent {other:?} while a reply batch was owed"),
+    /// Reads `peer`'s [`NetMsg::ReplyBatch`], with the same deadline and
+    /// error surface as [`await_reply`](Tracker::await_reply).
+    fn await_reply_batch(&mut self, peer: usize) -> Result<Vec<(usize, BidDecision)>> {
+        match self.recv_from(peer)? {
+            NetMsg::ReplyBatch { replies } => Ok(replies),
+            other => Err(P2pError::WireMalformed {
+                reason: format!("peer {peer} sent {other:?} while a reply batch was owed"),
             }),
-            Ok((_, Err(e))) => Err(e),
-            Err(RecvTimeoutError::Timeout) => {
-                Err(P2pError::Timeout { elapsed: self.config.io_timeout, messages: 0 })
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                Err(P2pError::Disconnected { context: "every connection reader exited".into() })
-            }
         }
+    }
+
+    fn recv_from(&mut self, peer: usize) -> Result<NetMsg> {
+        let msg = decode_net(&self.links[peer].reader.recv()?)?;
+        self.frames_recv += 1;
+        Ok(msg)
     }
 }
 
@@ -748,42 +719,68 @@ fn send_to(link: &PeerLink, msg: &NetMsg) -> Result<()> {
     w.send(&encode_net(msg))
 }
 
-fn spawn_reader(
-    index: usize,
-    mut conn: FrameConn,
-    tx: Sender<(usize, Result<NetMsg>)>,
-) -> JoinHandle<()> {
-    thread::spawn(move || loop {
-        let msg = conn.recv().and_then(|bytes| crate::proto::decode_net(&bytes));
-        let failed = msg.is_err();
-        if tx.send((index, msg)).is_err() || failed {
-            return;
-        }
-    })
-}
-
+/// The tracker's one background thread. While the swarm connects it
+/// guards the handshake that started at `started`: if `handshake_timeout`
+/// passes before the writers arrive, one connection to `wake` unblocks the
+/// accept loop, which then sees the deadline and times out. Once it has
+/// the writers it sends a heartbeat every `every` until the tracker drops
+/// the sender.
 fn spawn_heartbeat(
-    writers: Vec<Arc<Mutex<FrameConn>>>,
+    signal: Receiver<Vec<Writer>>,
+    wake: SocketAddr,
+    started: Instant,
+    handshake_timeout: Duration,
     every: Duration,
-    stop: Arc<AtomicBool>,
 ) -> JoinHandle<()> {
-    let beat = encode_net(&NetMsg::Heartbeat);
     thread::spawn(move || {
-        let tick = Duration::from_millis(20).min(every);
-        let mut since_beat = Duration::ZERO;
-        while !stop.load(Ordering::Relaxed) {
-            thread::sleep(tick);
-            since_beat += tick;
-            if since_beat >= every {
-                since_beat = Duration::ZERO;
-                for w in &writers {
-                    if let Ok(mut conn) = w.lock() {
-                        // Send errors are the sweep's to report; the
-                        // heartbeat just stops bothering a dead socket.
-                        let _ = conn.send(&beat);
-                    }
+        let writers = match signal.recv_timeout(handshake_timeout.saturating_sub(started.elapsed()))
+        {
+            Ok(writers) => writers,
+            Err(RecvTimeoutError::Timeout) => {
+                // Held open until the accept loop has given up. If the
+                // swarm completed just as the deadline passed, the writers
+                // still arrive and the heartbeat runs as usual.
+                let _wake = TcpStream::connect(wake);
+                match signal.recv() {
+                    Ok(writers) => writers,
+                    Err(_) => return,
+                }
+            }
+            Err(RecvTimeoutError::Disconnected) => return,
+        };
+        let beat = encode_net(&NetMsg::Heartbeat);
+        while let Err(RecvTimeoutError::Timeout) = signal.recv_timeout(every) {
+            for w in &writers {
+                if let Ok(mut conn) = w.lock() {
+                    // Send errors are the sweep's to report; the
+                    // heartbeat just stops bothering a dead socket.
+                    let _ = conn.send(&beat);
                 }
             }
         }
     })
+}
+
+/// The address that reaches a listener bound to `bound`: loopback of the
+/// same family when it is bound to the unspecified address.
+fn wake_addr(mut bound: SocketAddr) -> SocketAddr {
+    if bound.ip().is_unspecified() {
+        let loopback: IpAddr =
+            if bound.is_ipv4() { Ipv4Addr::LOCALHOST.into() } else { Ipv6Addr::LOCALHOST.into() };
+        bound.set_ip(loopback);
+    }
+    bound
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wake_address_is_loopback_of_the_bound_family() {
+        let addr = |s: &str| s.parse::<SocketAddr>().unwrap();
+        assert_eq!(wake_addr(addr("0.0.0.0:4100")), addr("127.0.0.1:4100"));
+        assert_eq!(wake_addr(addr("[::]:4100")), addr("[::1]:4100"));
+        assert_eq!(wake_addr(addr("10.1.2.3:4100")), addr("10.1.2.3:4100"));
+    }
 }

@@ -6,29 +6,42 @@
 //! equivalence chain and every failure path at thread speed.
 
 use p2p_core::{
-    verify_optimality, AuctionConfig, CountingProbe, NoProbe, ShardCount, SyncAuction,
-    WelfareInstance,
+    verify_optimality, AuctionConfig, AuctionOutcome, CountingProbe, CsrInstance, FlatAuction,
+    NoProbe, ShardCount, SyncAuction, WelfareInstance,
 };
-use p2p_net::{run_slot_local, NetConfig, Peer, PeerConfig, Tracker};
+use p2p_net::{run_slot_local, run_slot_local_stats, NetConfig, Peer, PeerConfig, Tracker};
 use p2p_types::{ChunkId, Cost, P2pError, PeerId, RequestId, Valuation, VideoId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
 /// Random tie-free instance shaped like a slot problem (same bands as the
 /// bench generators: valuations `[0.8, 8)`, costs `[0, 10)`).
 fn random_instance(seed: u64, providers: usize, requests: usize) -> WelfareInstance {
+    shaped_instance(seed, providers, requests, 4, 3)
+}
+
+/// [`random_instance`] with capacities in `[1, max_capacity]` and up to
+/// `max_edges` candidate providers per request.
+fn shaped_instance(
+    seed: u64,
+    providers: usize,
+    requests: usize,
+    max_capacity: u32,
+    max_edges: usize,
+) -> WelfareInstance {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut b = WelfareInstance::builder();
     let ps: Vec<usize> = (0..providers)
-        .map(|i| b.add_provider(PeerId::new(100_000 + i as u32), rng.gen_range(1..=4)))
+        .map(|i| b.add_provider(PeerId::new(100_000 + i as u32), rng.gen_range(1..=max_capacity)))
         .collect();
     for d in 0..requests {
         let r = b.add_request(RequestId::new(
             PeerId::new(d as u32),
             ChunkId::new(VideoId::new(0), d as u32),
         ));
-        let k = rng.gen_range(1..=3.min(providers));
+        let k = rng.gen_range(1..=max_edges.min(providers));
         let mut picked = std::collections::HashSet::new();
         for _ in 0..k {
             let u = ps[rng.gen_range(0..providers)];
@@ -68,7 +81,6 @@ fn networked_slot_is_bit_identical_to_the_sync_engine() {
 
 #[test]
 fn networked_slot_is_bit_identical_to_the_flat_engine() {
-    use p2p_core::{CsrInstance, FlatAuction};
     let instance = random_instance(42, 6, 32);
     let csr = CsrInstance::compile(&instance);
     let flat = FlatAuction::new(AuctionConfig::paper(), ShardCount::Fixed(1)).run(&csr).unwrap();
@@ -81,8 +93,6 @@ fn networked_slot_is_bit_identical_to_the_flat_engine() {
 
 #[test]
 fn batched_polls_match_the_per_request_protocol_and_the_flat_engine() {
-    use p2p_core::{CsrInstance, FlatAuction};
-    use p2p_net::run_slot_local_stats;
     for seed in [13, 29] {
         let instance = random_instance(seed, 8, 64);
         let csr = CsrInstance::compile(&instance);
@@ -268,12 +278,126 @@ fn unreachable_tracker_fails_typed_within_the_backoff_budget() {
     assert!(elapsed < Duration::from_secs(2), "retry budget overrun: {elapsed:?}");
 }
 
+/// Runs `accept_peers` on its own thread and gives it 2 s to fail, so an
+/// `accept` that nothing wakes fails the test instead of hanging it.
+fn handshake_error_within_two_seconds(mut tracker: Tracker) -> P2pError {
+    let (tx, rx) = channel();
+    let accepting = std::thread::spawn(move || tx.send(tracker.accept_peers()));
+    let received = rx.recv_timeout(Duration::from_secs(2));
+    if let Err(RecvTimeoutError::Timeout) = received {
+        panic!("accept_peers outlived its 200 ms handshake deadline by over 1.8 s");
+    }
+    accepting.join().expect("accept_peers does not panic").unwrap();
+    received.unwrap().expect_err("the swarm never completes")
+}
+
 #[test]
 fn incomplete_swarm_times_out_the_handshake() {
     let config = NetConfig { handshake_timeout: Duration::from_millis(200), ..quick_config() };
-    let mut tracker = Tracker::bind("127.0.0.1:0", 2, config).unwrap();
-    let err = tracker.accept_peers().unwrap_err();
+    let tracker = Tracker::bind("127.0.0.1:0", 2, config).unwrap();
+    let err = handshake_error_within_two_seconds(tracker);
     assert!(matches!(err, P2pError::Timeout { .. }), "{err:?}");
+}
+
+#[test]
+fn silent_client_times_out_the_handshake() {
+    // A client that connects and never sends its `Hello` must not hold
+    // the handshake past its deadline (here far below `io_timeout`).
+    let config = NetConfig { handshake_timeout: Duration::from_millis(200), ..quick_config() };
+    let tracker = Tracker::bind("127.0.0.1:0", 1, config).unwrap();
+    let _silent = std::net::TcpStream::connect(tracker.local_addr()).unwrap();
+    let err = handshake_error_within_two_seconds(tracker);
+    assert!(matches!(err, P2pError::Timeout { .. }), "{err:?}");
+}
+
+/// Accepts a 2-peer swarm whose peers give up after 200 ms without
+/// tracker traffic, leaves it idle for 600 ms, then runs one slot.
+/// Returns the tracker's outcome and each peer's exit.
+fn run_after_idle(
+    instance: &WelfareInstance,
+    heartbeat_every: Duration,
+) -> (p2p_types::Result<AuctionOutcome>, Vec<p2p_types::Result<()>>) {
+    let config = NetConfig { heartbeat_every, ..quick_config() };
+    let mut tracker = Tracker::bind("127.0.0.1:0", 2, config).unwrap();
+    let addr = tracker.local_addr().to_string();
+    let peer_cfg = PeerConfig { io_timeout: Duration::from_millis(200), ..PeerConfig::default() };
+    let peers: Vec<_> = (0..2)
+        .map(|i| {
+            let (addr, cfg) = (addr.clone(), peer_cfg.clone());
+            std::thread::spawn(move || Peer::connect(&addr, i, cfg)?.run())
+        })
+        .collect();
+    tracker.accept_peers().unwrap();
+    std::thread::sleep(Duration::from_millis(600));
+    let outcome = tracker.run(instance, &mut NoProbe);
+    tracker.shutdown();
+    (outcome, peers.into_iter().map(|p| p.join().unwrap()).collect())
+}
+
+#[test]
+fn heartbeats_keep_idle_peers_alive() {
+    let instance = random_instance(17, 5, 24);
+    let flat = FlatAuction::new(AuctionConfig::paper(), ShardCount::Fixed(1))
+        .run(&CsrInstance::compile(&instance))
+        .unwrap();
+    let (outcome, peers) = run_after_idle(&instance, Duration::from_millis(50));
+    let net = outcome.expect("heartbeats keep the idle swarm alive");
+    assert_eq!(net.assignment.choices(), flat.assignment.choices());
+    assert_eq!(net.duals.lambda, flat.duals.lambda);
+    assert_eq!(net.rounds, flat.rounds);
+    assert_eq!(net.bids_submitted, flat.bids_submitted);
+    for exit in peers {
+        exit.expect("a kept-alive peer exits cleanly on shutdown");
+    }
+}
+
+#[test]
+fn idle_peers_time_out_without_heartbeats() {
+    // The same idle with heartbeats too sparse to reach the peers in time:
+    // they give up, and the slot fails typed instead of hanging.
+    let instance = random_instance(17, 5, 24);
+    let (outcome, _) = run_after_idle(&instance, Duration::from_secs(10));
+    let err = outcome.expect_err("the peers timed out during the idle");
+    assert!(
+        matches!(err, P2pError::Timeout { .. } | P2pError::Disconnected { .. }),
+        "expected a typed failure, got {err:?}"
+    );
+}
+
+/// The networked runtime's gates at slot scale: 10³ requests over 100
+/// providers at ε = 0.01. Both wire protocols replay the flat engine's sweep
+/// bit for bit and carry the `n·ε` certificate, and batching cuts frames
+/// at least fivefold. Frame counts are deterministic.
+#[test]
+fn batched_polls_cut_frames_fivefold_on_a_thousand_request_slot() {
+    let epsilon = 0.01;
+    let requests = 1_000;
+    let instance = shaped_instance(0x7E1 ^ requests as u64, 100, requests, 6, 6);
+    let flat = FlatAuction::new(AuctionConfig::with_epsilon(epsilon), ShardCount::Fixed(1))
+        .run(&CsrInstance::compile(&instance))
+        .unwrap();
+    let tol = epsilon * (requests as f64 + 1.0);
+    for peers in [2, 4, 8] {
+        let mut frames = [0u64; 2];
+        for (total, batch_polls) in frames.iter_mut().zip([true, false]) {
+            let config = NetConfig { epsilon, batch_polls, ..quick_config() };
+            let (out, stats) =
+                run_slot_local_stats(&instance, peers, &config, None, &mut NoProbe).unwrap();
+            let label = format!("batch_polls {batch_polls}, {peers} peers");
+            assert_eq!(out.assignment.choices(), flat.assignment.choices(), "{label}");
+            assert_eq!(out.duals.lambda, flat.duals.lambda, "{label}");
+            assert_eq!(out.rounds, flat.rounds, "{label}");
+            assert_eq!(out.bids_submitted, flat.bids_submitted, "{label}");
+            let report = verify_optimality(&instance, &out.assignment, &out.duals, tol);
+            assert!(report.is_optimal(), "{label}: {:?}", report.violations);
+            *total = stats.total();
+        }
+        let [batched, unbatched] = frames;
+        assert!(
+            batched * 5 <= unbatched,
+            "{peers} peers: batching only cut frames from {unbatched} to {batched}"
+        );
+    }
 }
 
 #[test]
