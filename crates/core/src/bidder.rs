@@ -103,7 +103,14 @@ pub fn decide_bid(
 /// with a residual margin of a few ULPs; bidding on such a margin creeps
 /// the price by ~1e-13 per round and the ε = 0 auction livelocks. Margins
 /// below the floor are treated as the exact ties they are, triggering the
-/// paper's wait rule. The welfare cost is at most `requests × floor`.
+/// paper's wait rule.
+///
+/// The `requests × floor` welfare bound covers only those sub-floor
+/// residual margins. An exact top-2 tie also abstains with
+/// [`AbstainReason::ZeroMargin`], and if no later price change wakes the
+/// request it stays unassigned with positive net utility: on real Sec. V
+/// slots at ε = 0 this strands whole requests, far above the floor (see
+/// the ε = 0 item in `ROADMAP.md`).
 pub const MIN_INCREMENT: f64 = 1e-9;
 
 /// [`decide_bid`] with an explicit tie floor: abstain unless the effective

@@ -24,7 +24,9 @@
 //!   allocated once and reused across rounds *and* slots: after the first
 //!   (warm-up) slot, [`FlatAuction::run_into`] performs **zero heap
 //!   allocations** on same-shaped slots (asserted by a counting-allocator
-//!   test).
+//!   test). The arena gives each provider `u` one segment of
+//!   `min(B(u), in-degree(u))` slots holding its admitted bids as a binary
+//!   min-heap, so an eviction or a price update costs `O(log B(u))`.
 //! * [`FlatAuction`] — one engine covering both schedules: an effective
 //!   shard count of 1 runs the sequential Gauss–Seidel sweep of
 //!   [`SyncAuction`](crate::SyncAuction), ≥ 2 runs the block-Gauss–Seidel
@@ -41,9 +43,9 @@
 //! [`FlatAuction::with_kernel`]) — bit-identical to the shared
 //! [`crate::bidder`] decision core by the order-invariance argument in the
 //! [`kernel`] docs — merges apply the same total order, and the
-//! auctioneer arena replicates the heap
-//! semantics (evict the minimum `(bid, admission-seq)` entry; price = the
-//! smallest admitted bid when full), so outcomes — prices, assignments,
+//! auctioneer arena keeps the nested auctioneer's heap order (evict the
+//! minimum `(bid, admission-seq)` entry; price = the smallest admitted bid
+//! when full), so outcomes — prices, assignments,
 //! rounds, bids, welfare, the Theorem 1 `n·ε` certificate — are
 //! **bit-identical** to [`SyncAuction`](crate::SyncAuction) (shards = 1)
 //! and [`ShardedAuction`](crate::ShardedAuction) (shards ≥ 2), at any
@@ -422,10 +424,15 @@ fn compute_slice(
 /// grows to the largest slot seen and never shrinks.
 #[derive(Debug, Default)]
 pub struct AuctionScratch {
-    // ---- auctioneer arena: per-provider unit segments ----
-    /// Per provider: start of its unit segment in the `entry_*` arrays
-    /// (`provider_count + 1` entries; prefix sums of capacities).
-    unit_offsets: Vec<u32>,
+    // ---- auctioneer arena: per-provider heap segments ----
+    /// Per provider: start of its heap segment in the `entry_*` arrays
+    /// (`provider_count + 1` entries). Provider `u`'s segment has
+    /// `min(B(u), in-degree(u))` slots: a request holds at most one unit
+    /// of `u`, so `u` never admits more requests than it has edges. Its
+    /// first `filled[u]` slots are a binary min-heap on `(bid, seq)`; the
+    /// slots past `filled[u]` are never read, so the `entry_*` arrays only
+    /// grow and are never cleared between runs.
+    segment_offsets: Vec<u32>,
     entry_bid: Vec<f64>,
     entry_seq: Vec<u64>,
     entry_req: Vec<u32>,
@@ -462,13 +469,19 @@ impl AuctionScratch {
     fn reset(&mut self, csr: &CsrData, initial: Option<&[f64]>) {
         let providers = csr.provider_count();
         let requests = csr.request_count();
-        self.unit_offsets.clear();
+        // Count in-degrees into `segment_offsets[u + 1]`; the loop below
+        // turns them into prefix sums of the segment sizes, so the arena
+        // never exceeds the edge count (which fits the `u32` row offsets).
+        self.segment_offsets.clear();
+        self.segment_offsets.resize(providers + 1, 0);
+        for &u in &csr.edge_provider {
+            self.segment_offsets[u as usize + 1] += 1;
+        }
         self.price.clear();
         self.eff_price.clear();
-        let mut total_units = 0u32;
         for (u, &cap) in csr.capacity.iter().enumerate() {
-            self.unit_offsets.push(total_units);
-            total_units += cap;
+            let in_degree = self.segment_offsets[u + 1];
+            self.segment_offsets[u + 1] = self.segment_offsets[u] + cap.min(in_degree);
             let warm = initial
                 .and_then(|ps| ps.get(u).copied())
                 .filter(|w| w.is_finite() && *w >= 0.0)
@@ -481,14 +494,12 @@ impl AuctionScratch {
                 self.eff_price.push(warm);
             }
         }
-        self.unit_offsets.push(total_units);
-        let units = total_units as usize;
-        self.entry_bid.clear();
-        self.entry_bid.resize(units, 0.0);
-        self.entry_seq.clear();
-        self.entry_seq.resize(units, 0);
-        self.entry_req.clear();
-        self.entry_req.resize(units, 0);
+        let slots = self.segment_offsets[providers] as usize;
+        if self.entry_bid.len() < slots {
+            self.entry_bid.resize(slots, 0.0);
+            self.entry_seq.resize(slots, 0);
+            self.entry_req.resize(slots, 0);
+        }
         self.filled.clear();
         self.filled.resize(providers, 0);
         self.collision_mark.clear();
@@ -508,15 +519,83 @@ enum ArenaOutcome {
     Accepted { evicted: Option<u32>, new_price: Option<f64> },
 }
 
+/// One provider's admitted set: a binary min-heap on `(bid, seq)` laid out
+/// in place over its arena segment, the order of the nested auctioneer's
+/// `BinaryHeap`. `seq` values are unique, so the order is total and the
+/// root is the one entry the nested auctioneer would evict.
+struct SegmentHeap<'a> {
+    bid: &'a mut [f64],
+    seq: &'a mut [u64],
+    req: &'a mut [u32],
+}
+
+impl SegmentHeap<'_> {
+    /// Whether slot `i` orders before the entry `(bid, seq)`.
+    fn precedes(&self, i: usize, bid: f64, seq: u64) -> bool {
+        self.bid[i] < bid || (self.bid[i] == bid && self.seq[i] < seq)
+    }
+
+    fn put(&mut self, i: usize, bid: f64, seq: u64, req: u32) {
+        self.bid[i] = bid;
+        self.seq[i] = seq;
+        self.req[i] = req;
+    }
+
+    fn lift(&mut self, from: usize, to: usize) {
+        self.put(to, self.bid[from], self.seq[from], self.req[from]);
+    }
+
+    /// Places an entry at the hole `i` (the heap's new last slot), moving
+    /// each ancestor that orders after it down one level.
+    fn sift_up(&mut self, mut i: usize, bid: f64, seq: u64, req: u32) {
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if self.precedes(parent, bid, seq) {
+                break;
+            }
+            self.lift(parent, i);
+            i = parent;
+        }
+        self.put(i, bid, seq, req);
+    }
+
+    /// Replaces the root of a full segment with an entry, moving the
+    /// smaller child up one level until the entry orders before both.
+    fn replace_root(&mut self, bid: f64, seq: u64, req: u32) {
+        let len = self.bid.len();
+        let mut i = 0;
+        loop {
+            let left = 2 * i + 1;
+            if left >= len {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < len && self.precedes(right, self.bid[left], self.seq[left]) {
+                right
+            } else {
+                left
+            };
+            if !self.precedes(child, bid, seq) {
+                break;
+            }
+            self.lift(child, i);
+            i = child;
+        }
+        self.put(i, bid, seq, req);
+    }
+}
+
 /// The auctioneer state machine over the flat arena — semantically
 /// identical to [`crate::auctioneer::Auctioneer::handle_bid`]: reject at or
-/// below the price, evict the minimum `(bid, admission-seq)` entry when
-/// full, announce the new price (the smallest admitted bid) when the set is
-/// full and the minimum changed.
+/// below the price, evict the minimum `(bid, admission-seq)` entry (the
+/// heap root) when full, announce the new price (the root's bid) when the
+/// set is full and the minimum changed. The price moves per accepted bid,
+/// because later bids of one merge batch are admitted or rejected against
+/// it.
 #[allow(clippy::too_many_arguments)]
 fn arena_handle_bid(
     capacity: &[u32],
-    unit_offsets: &[u32],
+    segment_offsets: &[u32],
     entry_bid: &mut [f64],
     entry_seq: &mut [u64],
     entry_req: &mut [u32],
@@ -532,43 +611,29 @@ fn arena_handle_bid(
     if cap == 0 || amount <= price[provider] {
         return ArenaOutcome::Rejected;
     }
-    let start = unit_offsets[provider] as usize;
+    let segment = segment_offsets[provider] as usize..segment_offsets[provider + 1] as usize;
+    let mut heap = SegmentHeap {
+        bid: &mut entry_bid[segment.clone()],
+        seq: &mut entry_seq[segment.clone()],
+        req: &mut entry_req[segment],
+    };
     let mut evicted = None;
     if filled[provider] == cap {
-        // Full: evict the minimum (bid, seq) entry — the heap root of the
-        // nested auctioneer. seq values are unique, so the order is total.
-        let seg = start..start + cap as usize;
-        let mut m = start;
-        for i in seg.skip(1) {
-            if entry_bid[i] < entry_bid[m]
-                || (entry_bid[i] == entry_bid[m] && entry_seq[i] < entry_seq[m])
-            {
-                m = i;
-            }
-        }
-        evicted = Some(entry_req[m]);
-        entry_bid[m] = amount;
-        entry_seq[m] = *seq;
-        entry_req[m] = request;
+        // A full segment holds exactly `cap` entries: its size is at most
+        // `cap`, and `filled` never passes it.
+        evicted = Some(heap.req[0]);
+        heap.replace_root(amount, *seq, request);
     } else {
-        let slot = start + filled[provider] as usize;
-        entry_bid[slot] = amount;
-        entry_seq[slot] = *seq;
-        entry_req[slot] = request;
+        let len = filled[provider] as usize;
+        debug_assert!(len < heap.bid.len(), "admission past provider {provider}'s segment");
+        heap.sift_up(len, amount, *seq, request);
         filled[provider] += 1;
     }
     *seq += 1;
     let mut new_price = None;
-    if filled[provider] == cap {
-        // Batched price update: one branchless reduction over the full
-        // unit segment (exact — see `kernel::segment_min`). The pass stays
-        // per-accepted-bid because later bids in the same merge batch are
-        // admitted or rejected against the updated price.
-        let min = kernel::segment_min(&entry_bid[start..start + cap as usize]);
-        if min != price[provider] {
-            price[provider] = min;
-            new_price = Some(min);
-        }
+    if filled[provider] == cap && heap.bid[0] != price[provider] {
+        price[provider] = heap.bid[0];
+        new_price = Some(heap.bid[0]);
     }
     ArenaOutcome::Accepted { evicted, new_price }
 }
@@ -992,7 +1057,7 @@ impl FlatAuction {
                         bids_this_round += 1;
                         match arena_handle_bid(
                             &data.capacity,
-                            &s.unit_offsets,
+                            &s.segment_offsets,
                             &mut s.entry_bid,
                             &mut s.entry_seq,
                             &mut s.entry_req,
@@ -1170,7 +1235,7 @@ impl FlatAuction {
                 for bid in &bids {
                     match arena_handle_bid(
                         &data.capacity,
-                        &s.unit_offsets,
+                        &s.segment_offsets,
                         &mut s.entry_bid,
                         &mut s.entry_seq,
                         &mut s.entry_req,
@@ -1731,6 +1796,51 @@ mod tests {
             assert_eq!(aw.assignment, bw.assignment, "warm shards={shards} eps={eps}");
             assert_eq!(aw.duals, bw.duals, "warm shards={shards} eps={eps}");
         }
+    }
+
+    #[test]
+    fn capacities_summing_past_u32_match_the_nested_engines() {
+        // Σ B(u) = 2³² overflows a `u32`; the arena is sized by in-degree.
+        let mut b = WelfareInstance::builder();
+        let us =
+            [b.add_provider(PeerId::new(100), 1 << 31), b.add_provider(PeerId::new(101), 1 << 31)];
+        for d in 0..4u32 {
+            let r = b.add_request(rid(d, 0));
+            for (i, &u) in us.iter().enumerate() {
+                let v = 2.0 + 6.0 * unit(u64::from(d) * 31 + i as u64 * 7 + 1);
+                b.add_edge(r, u, Valuation::new(v), Cost::new(1.0)).unwrap();
+            }
+        }
+        let inst = b.build().unwrap();
+        let csr = CsrInstance::compile(&inst);
+        let cfg = AuctionConfig::with_epsilon(0.01);
+        let sync = SyncAuction::new(cfg).run(&inst).unwrap();
+        let out = FlatAuction::new(cfg, ShardCount::Fixed(1)).run(&csr).unwrap();
+        assert_eq!(out.assignment, sync.assignment);
+        assert_eq!(out.duals, sync.duals);
+        let nested = ShardedAuction::new(cfg, ShardCount::Fixed(2)).run(&inst).unwrap();
+        let out2 = FlatAuction::new(cfg, ShardCount::Fixed(2)).run(&csr).unwrap();
+        assert_eq!(out2.assignment, nested.assignment);
+        assert_eq!(out2.duals, nested.duals);
+        assert_eq!(out.assignment.assigned_count(), 4);
+    }
+
+    #[test]
+    fn arena_holds_in_degree_not_capacity() {
+        let mut b = WelfareInstance::builder();
+        let seed = b.add_provider(PeerId::new(100), 800);
+        b.add_provider(PeerId::new(101), 500); // no edges
+        for d in 0..3u32 {
+            let r = b.add_request(rid(d, 0));
+            b.add_edge(r, seed, Valuation::new(5.0), Cost::new(1.0)).unwrap();
+        }
+        let inst = b.build().unwrap();
+        let mut flat = FlatAuction::new(AuctionConfig::with_epsilon(0.01), ShardCount::Fixed(1));
+        let out = flat.run(&CsrInstance::compile(&inst)).unwrap();
+        assert_eq!(out.assignment.assigned_count(), 3);
+        assert_eq!(flat.scratch.entry_bid.len(), 3);
+        assert_eq!(flat.scratch.entry_seq.len(), 3);
+        assert_eq!(flat.scratch.entry_req.len(), 3);
     }
 
     #[test]

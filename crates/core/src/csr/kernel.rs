@@ -18,12 +18,6 @@
 //! * [`scan_slice`] — the batched variant: one pass over a whole shard
 //!   slice of requests against a single price snapshot, emitting bids and
 //!   retirements exactly as the nested engines' `compute_slice` does.
-//! * [`segment_min`] — the batched price-update reduction over an
-//!   auctioneer arena unit segment (the new price is the smallest admitted
-//!   bid). The *pass itself* stays per-accepted-bid — within a merge batch
-//!   later bids are rejected against the already-updated price, so
-//!   deferring the update would change admissions — but the reduction over
-//!   the segment is branchless and chunked.
 //!
 //! # Why the kernel is bit-identical to the sequential scan
 //!
@@ -326,34 +320,6 @@ pub(crate) fn scan_slice(
     }
 }
 
-/// The batched price-update reduction: the smallest admitted bid in a full
-/// arena unit segment, chunked and branchless. Exact — the reduction is
-/// pure comparisons, and admitted bids are strictly positive, so there is
-/// no `±0.0` ambiguity to reorder.
-pub(crate) fn segment_min(bids: &[f64]) -> f64 {
-    let mut acc = [f64::INFINITY; LANES];
-    let chunks = bids.chunks_exact(LANES);
-    let rest = chunks.remainder();
-    for ch in chunks {
-        #[allow(clippy::needless_range_loop)] // lockstep min, see fold_chunk
-        for j in 0..LANES {
-            acc[j] = if ch[j] < acc[j] { ch[j] } else { acc[j] };
-        }
-    }
-    let mut min = f64::INFINITY;
-    for &v in rest {
-        if v < min {
-            min = v;
-        }
-    }
-    for &a in &acc {
-        if a < min {
-            min = a;
-        }
-    }
-    min
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -409,20 +375,6 @@ mod tests {
             decide_row(BidKernel::Lanes, &dead, &utils, &dead_prices, 0.0),
             BidDecision::Abstain { reason: AbstainReason::Unprofitable }
         );
-    }
-
-    #[test]
-    fn segment_min_matches_a_sequential_scan() {
-        for n in 0..24usize {
-            let bids: Vec<f64> = (0..n).map(|k| ((k as f64 * 13.7) % 6.1) + 0.1).collect();
-            let mut min = f64::INFINITY;
-            for &b in &bids {
-                if b < min {
-                    min = b;
-                }
-            }
-            assert_eq!(segment_min(&bids), min);
-        }
     }
 
     #[test]

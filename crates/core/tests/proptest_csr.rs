@@ -4,6 +4,8 @@
 //! to the nested-layout engines (prices, assignments, rounds, bids,
 //! welfare, and hence the Theorem 1 `n·ε` certificate) at shard counts
 //! 1/2/8, and the `SyncAuction` retirement flag never changes outcomes.
+//! The cold, ε = 0 and warm-chain properties run twice: on small instances
+//! and on paper-sized deep-heap instances with frequent equal bids.
 
 use p2p_core::csr::{CsrInstance, FlatAuction};
 use p2p_core::{
@@ -22,25 +24,7 @@ fn arb_instance() -> impl Strategy<Value = WelfareInstance> {
         let edge = (0..p, 0.8f64..8.0, 0.0f64..10.0);
         let request = prop::collection::vec(edge, 0..=p);
         let requests = prop::collection::vec(request, 0..24);
-        (Just(caps), requests).prop_map(|(caps, reqs)| {
-            let mut b = WelfareInstance::builder();
-            for (i, cap) in caps.iter().enumerate() {
-                b.add_provider(PeerId::new(1000 + i as u32), *cap);
-            }
-            for (d, edges) in reqs.into_iter().enumerate() {
-                let r = b.add_request(RequestId::new(
-                    PeerId::new(d as u32),
-                    ChunkId::new(VideoId::new(0), d as u32),
-                ));
-                let mut seen = std::collections::HashSet::new();
-                for (u, v, w) in edges {
-                    if seen.insert(u) {
-                        b.add_edge(r, u, Valuation::new(v), Cost::new(w)).unwrap();
-                    }
-                }
-            }
-            b.build().unwrap()
-        })
+        (Just(caps), requests).prop_map(|(caps, reqs)| build_instance(&caps, reqs))
     })
 }
 
@@ -50,9 +34,55 @@ fn arb_slot_chain() -> impl Strategy<Value = Vec<WelfareInstance>> {
     prop::collection::vec(arb_instance(), 1..4)
 }
 
+/// A paper-sized instance whose auctioneer heaps run deep: 100–600
+/// requests over 2–4 providers with capacities up to 300 (some above
+/// their in-degree), plus one provider no request can reach (in-degree
+/// 0). Valuations and costs sit on a 0.5 grid, so equal bids — the
+/// `(bid, seq)` tie-break below the heap root — are common.
+fn arb_deep_instance() -> impl Strategy<Value = WelfareInstance> {
+    let providers = prop::collection::vec(0u32..=300, 2..5);
+    (providers, 1u32..=300).prop_flat_map(|(caps, unreachable)| {
+        let p = caps.len();
+        let edge = (0..p, 4u32..=16, 0u32..=6)
+            .prop_map(|(u, v, w)| (u, f64::from(v) * 0.5, f64::from(w) * 0.5));
+        let requests = prop::collection::vec(prop::collection::vec(edge, 1..=4), 100..=600);
+        (Just(caps), requests).prop_map(move |(mut caps, reqs)| {
+            caps.push(unreachable);
+            build_instance(&caps, reqs)
+        })
+    })
+}
+
+/// Builds an instance from provider capacities and per-request
+/// `(provider, v, w)` edges, keeping each request's first edge to a
+/// provider.
+fn build_instance(caps: &[u32], requests: Vec<Vec<(usize, f64, f64)>>) -> WelfareInstance {
+    let mut b = WelfareInstance::builder();
+    for (i, cap) in caps.iter().enumerate() {
+        b.add_provider(PeerId::new(1000 + i as u32), *cap);
+    }
+    for (d, edges) in requests.into_iter().enumerate() {
+        let r = b.add_request(RequestId::new(
+            PeerId::new(d as u32),
+            ChunkId::new(VideoId::new(0), d as u32),
+        ));
+        let mut seen = std::collections::HashSet::new();
+        for (u, v, w) in edges {
+            if seen.insert(u) {
+                b.add_edge(r, u, Valuation::new(v), Cost::new(w)).unwrap();
+            }
+        }
+    }
+    b.build().unwrap()
+}
+
 /// Shard counts exercised per case, as the satellite requires: 1 (the
 /// sequential sweep), 2 and 8.
 const SHARDS: [usize; 3] = [1, 2, 8];
+
+/// Cases per deep-heap property: each case runs six engines over up to 600
+/// requests.
+const DEEP_CASES: u32 = 16;
 
 fn assert_outcomes_identical(label: &str, flat: &AuctionOutcome, nested: &AuctionOutcome) {
     assert_eq!(flat.assignment, nested.assignment, "{label}: assignment");
@@ -88,76 +118,84 @@ fn nested_run_warm(
     }
 }
 
+/// Cold runs are bit-identical to the nested engines at every shard count,
+/// and the flat outcome carries the same Theorem 1 certificate.
+fn check_cold_runs(inst: &WelfareInstance, eps: f64) {
+    let csr = CsrInstance::compile(inst);
+    assert!(csr.matches(inst));
+    for shards in SHARDS {
+        let nested = nested_run(inst, eps, shards);
+        let mut flat =
+            FlatAuction::new(AuctionConfig::with_epsilon(eps), ShardCount::Fixed(shards));
+        let out = flat.run(&csr).unwrap();
+        assert_outcomes_identical(&format!("cold shards={shards}"), &out, &nested);
+        let tol = eps * (inst.request_count() as f64 + 1.0);
+        let report = verify_optimality(inst, &out.assignment, &out.duals, tol);
+        assert!(report.is_optimal(), "shards={shards}: {:?}", report.violations);
+    }
+}
+
+/// The ε = 0 paper rule: flat and nested agree bit-for-bit there too.
+fn check_paper_rule(inst: &WelfareInstance) {
+    let csr = CsrInstance::compile(inst);
+    for shards in SHARDS {
+        let nested = nested_run(inst, 0.0, shards);
+        let mut flat = FlatAuction::new(AuctionConfig::paper(), ShardCount::Fixed(shards));
+        let out = flat.run(&csr).unwrap();
+        assert_outcomes_identical(&format!("paper shards={shards}"), &out, &nested);
+    }
+}
+
+/// Warm-started slot chains — one engine reused across slots, prices
+/// carried from each slot into the next (arbitrary slot-to-slot changes) —
+/// stay bit-identical to the nested engines and certified at every slot.
+/// This is the engine-level image of running a scenario event sequence
+/// under a warm-starting scheduler.
+fn check_warm_chain(chain: &[WelfareInstance], eps: f64) {
+    for shards in SHARDS {
+        let mut flat =
+            FlatAuction::new(AuctionConfig::with_epsilon(eps), ShardCount::Fixed(shards));
+        let mut carried: Option<Vec<f64>> = None;
+        for (slot, inst) in chain.iter().enumerate() {
+            let csr = CsrInstance::compile(inst);
+            let (out, nested) = match &carried {
+                None => (flat.run(&csr).unwrap(), nested_run(inst, eps, shards)),
+                Some(prices) => (
+                    flat.run_warm(&csr, prices).unwrap(),
+                    nested_run_warm(inst, eps, shards, prices),
+                ),
+            };
+            assert_outcomes_identical(&format!("slot {slot} shards={shards}"), &out, &nested);
+            let tol = eps * (inst.request_count() as f64 + 1.0);
+            let report = verify_optimality(inst, &out.assignment, &out.duals, tol);
+            assert!(report.is_optimal(), "slot {slot} shards={shards}: {:?}", report.violations);
+            carried = Some(out.duals.lambda);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Cold runs are bit-identical to the nested engines at every shard
-    /// count, and the flat outcome carries the same Theorem 1 certificate.
     #[test]
     fn flat_cold_runs_are_bit_identical(
         inst in arb_instance(),
         eps in 0.001f64..0.5,
     ) {
-        let csr = CsrInstance::compile(&inst);
-        prop_assert!(csr.matches(&inst));
-        for shards in SHARDS {
-            let nested = nested_run(&inst, eps, shards);
-            let mut flat =
-                FlatAuction::new(AuctionConfig::with_epsilon(eps), ShardCount::Fixed(shards));
-            let out = flat.run(&csr).unwrap();
-            assert_outcomes_identical(&format!("cold shards={shards}"), &out, &nested);
-            let tol = eps * (inst.request_count() as f64 + 1.0);
-            let report = verify_optimality(&inst, &out.assignment, &out.duals, tol);
-            prop_assert!(report.is_optimal(), "shards={shards}: {:?}", report.violations);
-        }
+        check_cold_runs(&inst, eps);
     }
 
-    /// The ε = 0 paper rule: flat and nested agree bit-for-bit there too.
     #[test]
     fn flat_paper_rule_is_bit_identical(inst in arb_instance()) {
-        let csr = CsrInstance::compile(&inst);
-        for shards in SHARDS {
-            let nested = nested_run(&inst, 0.0, shards);
-            let mut flat = FlatAuction::new(AuctionConfig::paper(), ShardCount::Fixed(shards));
-            let out = flat.run(&csr).unwrap();
-            assert_outcomes_identical(&format!("paper shards={shards}"), &out, &nested);
-        }
+        check_paper_rule(&inst);
     }
 
-    /// Warm-started slot chains — one engine reused across slots, prices
-    /// carried from each slot into the next (arbitrary slot-to-slot
-    /// changes) — stay bit-identical to the nested engines and certified
-    /// at every slot. This is the engine-level image of running a scenario
-    /// event sequence under a warm-starting scheduler.
     #[test]
     fn warm_slot_chains_are_bit_identical_and_certified(
         chain in arb_slot_chain(),
         eps in 0.001f64..0.3,
     ) {
-        for shards in SHARDS {
-            let mut flat =
-                FlatAuction::new(AuctionConfig::with_epsilon(eps), ShardCount::Fixed(shards));
-            let mut carried: Option<Vec<f64>> = None;
-            for (slot, inst) in chain.iter().enumerate() {
-                let csr = CsrInstance::compile(inst);
-                let (out, nested) = match &carried {
-                    None => (flat.run(&csr).unwrap(), nested_run(inst, eps, shards)),
-                    Some(prices) => (
-                        flat.run_warm(&csr, prices).unwrap(),
-                        nested_run_warm(inst, eps, shards, prices),
-                    ),
-                };
-                assert_outcomes_identical(&format!("slot {slot} shards={shards}"), &out, &nested);
-                let tol = eps * (inst.request_count() as f64 + 1.0);
-                let report = verify_optimality(inst, &out.assignment, &out.duals, tol);
-                prop_assert!(
-                    report.is_optimal(),
-                    "slot {slot} shards={shards}: {:?}",
-                    report.violations
-                );
-                carried = Some(out.duals.lambda);
-            }
-        }
+        check_warm_chain(&chain, eps);
     }
 
     /// `shards = auto` resolves identically for both layouts (the adaptive
@@ -214,5 +252,30 @@ proptest! {
             FlatAuction::new(cfg, ShardCount::Fixed(shards)).with_workers(2).run(&csr).unwrap();
         assert_outcomes_identical("reused", &second, &first);
         assert_outcomes_identical("threaded", &threaded, &first);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(DEEP_CASES))]
+
+    #[test]
+    fn deep_heap_cold_runs_are_bit_identical(
+        inst in arb_deep_instance(),
+        eps in 0.001f64..0.5,
+    ) {
+        check_cold_runs(&inst, eps);
+    }
+
+    #[test]
+    fn deep_heap_paper_rule_is_bit_identical(inst in arb_deep_instance()) {
+        check_paper_rule(&inst);
+    }
+
+    #[test]
+    fn deep_heap_warm_chains_are_bit_identical_and_certified(
+        chain in prop::collection::vec(arb_deep_instance(), 1..3),
+        eps in 0.001f64..0.3,
+    ) {
+        check_warm_chain(&chain, eps);
     }
 }
