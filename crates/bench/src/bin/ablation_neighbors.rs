@@ -9,7 +9,7 @@ use p2p_sched::AuctionScheduler;
 use p2p_streaming::SystemConfig;
 
 fn main() -> p2p_types::Result<()> {
-    let args = Args::from_env();
+    let args = Args::from_env(&["peers", "slots"])?;
     let peers = args.get_usize("peers", 200)?;
     let slots = args.get_u64("slots", 20)?;
 

@@ -14,7 +14,7 @@ use p2p_sched::{AuctionScheduler, SimpleLocalityScheduler};
 use p2p_streaming::SystemConfig;
 
 fn main() -> p2p_types::Result<()> {
-    let args = Args::from_env();
+    let args = Args::from_env(&["peers", "slots", "seed"])?;
     let peers = args.get_usize("peers", 500)?;
     let slots = args.get_u64("slots", 25)?;
     let seed = args.get_u64("seed", 42)?;

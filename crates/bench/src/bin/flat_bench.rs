@@ -617,14 +617,15 @@ fn simd_row(
 }
 
 fn main() -> ExitCode {
-    let args = Args::from_env();
-    let result = if args.has("simd") {
-        run_simd(&args)
-    } else if args.has("obs") {
-        run_obs(&args)
-    } else {
-        run(&args)
-    };
+    let result = Args::from_env(&["quick", "simd", "obs", "out"]).and_then(|args| {
+        if args.has("simd") {
+            run_simd(&args)
+        } else if args.has("obs") {
+            run_obs(&args)
+        } else {
+            run(&args)
+        }
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

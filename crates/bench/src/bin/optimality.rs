@@ -9,7 +9,7 @@ use p2p_core::{verify_optimality, AuctionConfig, SyncAuction};
 use std::time::Instant;
 
 fn main() -> p2p_types::Result<()> {
-    let args = Args::from_env();
+    let args = Args::from_env(&["trials"])?;
     let trials = args.get_usize("trials", 5)?;
 
     println!("Theorem 1 verification: auction vs exact optimum (mean over {trials} trials)");

@@ -6,7 +6,7 @@
 //!   `scenarios --list`
 //!     enumerate the built-in scenarios;
 //!   `scenarios --scenario flash_crowd [--quick] [--seed S] [--schedulers auction_flat,locality]
-//!              [--slot-build cold|incremental] [--shards auto|N]`
+//!              [--shards auto|N]`
 //!     run a built-in scenario;
 //!   `scenarios --scenario flash_crowd --backend sim [--net ideal|lan|lossy]`
 //!     run on the virtual-time swarm backend: the default comparison pair
@@ -28,7 +28,9 @@
 //!
 //! Output is deterministic: the same seed and scenario produce
 //! byte-identical metric summaries across runs (wall-clock phase timings
-//! appear only inside the `--metrics-out` run reports).
+//! appear only inside the `--metrics-out` run reports). An unknown or
+//! repeated flag, a stray argument or an unknown scenario name is an
+//! error.
 
 use p2p_bench::{save_csv, Args};
 use p2p_metrics::ascii_plot;
@@ -40,6 +42,21 @@ use p2p_sched::ChunkScheduler;
 use p2p_types::{P2pError, Result};
 use std::path::Path;
 use std::process::ExitCode;
+
+/// Every flag the CLI reads.
+const FLAGS: [&str; 11] = [
+    "list",
+    "show",
+    "scenario",
+    "file",
+    "quick",
+    "seed",
+    "schedulers",
+    "shards",
+    "backend",
+    "net",
+    "metrics-out",
+];
 
 fn load_scenario(args: &Args) -> Result<Scenario> {
     if let Some(path) = args.get_opt_str("file") {
@@ -71,27 +88,16 @@ fn run(args: &Args) -> Result<()> {
     }
     if args.has("show") {
         let name = args.get_str("scenario", "flash_crowd");
-        match builtin_spec(&name) {
-            Some(spec) => print!("{spec}"),
-            None => println!("unknown scenario `{name}`; try --list"),
-        }
+        builtin(&name)?; // an unknown name fails here, listing the built-ins
+        print!("{}", builtin_spec(&name).expect("every built-in has a spec"));
         return Ok(());
     }
 
     let mut scenario = load_scenario(args)?;
-    if let Some(raw) = args.get_opt_str("seed") {
-        // The tool's contract is seed-reproducible output, so a bad seed
-        // must fail loudly rather than silently run the default.
-        let seed = raw.parse().map_err(|_| {
-            p2p_types::P2pError::invalid_config("seed", format!("`{raw}` is not a u64 seed"))
-        })?;
-        scenario = scenario.with_seed(seed);
-    }
+    let seed = args.get_u64("seed", scenario.seed)?;
+    scenario = scenario.with_seed(seed);
     if args.has("quick") {
         scenario = scenario.quick(8);
-    }
-    if let Some(mode) = args.get_opt_str("slot-build") {
-        scenario = scenario.with_slot_build(p2p_streaming::SlotBuild::from_name(&mode)?);
     }
     if let Some(shards) = args.get_opt_str("shards") {
         scenario = scenario.with_shards(p2p_streaming::ShardCount::from_name(&shards)?);
@@ -205,15 +211,14 @@ fn write_metrics_bundle(dir: &Path, scenario: &Scenario, report: &ScenarioReport
 }
 
 fn main() -> ExitCode {
-    match run(&Args::from_env()) {
+    match Args::from_env(&FLAGS).and_then(|args| run(&args)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("scenarios: {e}");
             eprintln!("usage: scenarios [--list] [--show] [--scenario NAME | --file PATH]");
             eprintln!("                 [--quick] [--seed S] [--schedulers a,b,...]");
-            eprintln!("                 [--slot-build cold|incremental] [--shards auto|N]");
-            eprintln!("                 [--backend flat|sim|net] [--net ideal|lan|lossy]");
-            eprintln!("                 [--metrics-out DIR]");
+            eprintln!("                 [--shards auto|N] [--backend flat|sim|net]");
+            eprintln!("                 [--net ideal|lan|lossy] [--metrics-out DIR]");
             ExitCode::FAILURE
         }
     }

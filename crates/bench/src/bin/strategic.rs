@@ -10,7 +10,7 @@ use p2p_bench::{random_instance, save_xy, Args};
 use p2p_core::strategic::{evaluate_manipulation, Misreport};
 
 fn main() -> p2p_types::Result<()> {
-    let args = Args::from_env();
+    let args = Args::from_env(&["requests", "trials"])?;
     let requests = args.get_usize("requests", 400)?;
     let trials = args.get_usize("trials", 5)?;
     let providers = requests / 10;

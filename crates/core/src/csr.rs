@@ -12,13 +12,9 @@
 //!
 //! * [`CsrInstance`] — dense `edge_provider` / `edge_utility` arrays
 //!   (`v − w` precomputed once) with CSR row bounds per request, plus a
-//!   dense provider-capacity array. The arrays live behind one `Arc`, so
+//!   dense provider-capacity array, compiled in one pass by
+//!   [`CsrInstance::compile`]. The arrays live behind one `Arc`, so
 //!   sharded worker threads share them without copying.
-//! * [`CsrBuilder`] — the incremental constructor. It recycles its own
-//!   buffers between slots ([`CsrBuilder::begin`] reclaims the previous
-//!   emission when the caller has dropped it), which is how
-//!   `SlotProblemCache` emits a fresh `CsrInstance` every slot without
-//!   allocating in steady state.
 //! * [`AuctionScratch`] + [`FlatOutcome`] — every buffer the engine needs
 //!   (auctioneer arena, prices, assignment, worklists, bid batches),
 //!   allocated once and reused across rounds *and* slots: after the first
@@ -107,7 +103,7 @@ const NONE: u32 = u32::MAX;
 /// are index-aligned: `capacity[u]` per provider, `row_offsets[r] ..
 /// row_offsets[r + 1]` bounding request `r`'s edges inside
 /// `edge_provider` / `edge_utility`.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CsrData {
     /// Per provider: upload capacity `B(u)` in chunks per slot.
     capacity: Vec<u32>,
@@ -121,13 +117,6 @@ pub struct CsrData {
 }
 
 impl CsrData {
-    fn clear(&mut self) {
-        self.capacity.clear();
-        self.row_offsets.clear();
-        self.edge_provider.clear();
-        self.edge_utility.clear();
-    }
-
     /// Number of requests (rows).
     pub fn request_count(&self) -> usize {
         self.row_offsets.len().saturating_sub(1)
@@ -166,8 +155,7 @@ impl CsrData {
 
 /// A compiled, shareable flat instance (see the [module docs](self)).
 ///
-/// Cloning is an `Arc` bump — worker threads and cached slot problems share
-/// one set of arrays.
+/// Cloning is an `Arc` bump — worker threads share one set of arrays.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrInstance {
     data: Arc<CsrData>,
@@ -177,21 +165,27 @@ impl CsrInstance {
     /// Compiles a nested instance into the flat layout (one pass; `v − w`
     /// is precomputed per edge exactly as [`crate::EdgeSpec::utility`]
     /// computes it, so downstream floats are bit-identical).
+    ///
+    /// Every utility is finite, as the bid kernels require:
+    /// [`crate::InstanceBuilder::add_edge`] rejects a non-finite `v − w`,
+    /// and a [`WelfareInstance`] can only come from that builder.
     pub fn compile(instance: &WelfareInstance) -> Self {
-        let mut b = CsrBuilder::new();
-        b.begin();
-        for p in instance.providers() {
-            b.add_provider(p.capacity.chunks_per_slot());
-        }
+        let edges = instance.edge_count();
+        let mut data = CsrData {
+            capacity: instance.providers().iter().map(|p| p.capacity.chunks_per_slot()).collect(),
+            row_offsets: Vec::with_capacity(instance.request_count() + 1),
+            edge_provider: Vec::with_capacity(edges),
+            edge_utility: Vec::with_capacity(edges),
+        };
         for r in instance.requests() {
-            b.add_request();
+            data.row_offsets.push(data.edge_provider.len() as u32);
             for e in &r.edges {
-                // The nested builder already rejected non-finite utilities.
-                b.add_edge(e.provider as u32, e.utility().get())
-                    .expect("validated instance has finite utilities");
+                data.edge_provider.push(e.provider as u32);
+                data.edge_utility.push(e.utility().get());
             }
         }
-        b.finish()
+        data.row_offsets.push(data.edge_provider.len() as u32);
+        CsrInstance { data: Arc::new(data) }
     }
 
     /// The flat arrays.
@@ -217,100 +211,6 @@ impl CsrInstance {
     /// Number of candidate edges.
     pub fn edge_count(&self) -> usize {
         self.data.edge_count()
-    }
-
-    /// Whether this compilation matches `instance` value-for-value — the
-    /// debug/test oracle for builders that emit CSR directly.
-    pub fn matches(&self, instance: &WelfareInstance) -> bool {
-        *self.data == *CsrInstance::compile(instance).data
-    }
-}
-
-/// Incremental [`CsrInstance`] constructor with buffer recycling.
-///
-/// Call order per emission: [`CsrBuilder::begin`], then every
-/// [`CsrBuilder::add_provider`], then per request
-/// [`CsrBuilder::add_request`] followed by its
-/// [`CsrBuilder::add_edge`] calls (edges attach to the most recent
-/// request), then [`CsrBuilder::finish`]. `begin` reclaims the previous
-/// emission's buffers when the caller has dropped its `CsrInstance`, so a
-/// slot loop that emits one instance per slot allocates nothing in steady
-/// state.
-///
-/// This is a trusting low-level API (indices are not validated); it is fed
-/// by already-validated builders — [`CsrInstance::compile`] and the
-/// incremental slot-problem cache. The one check it does make is edge
-/// *finiteness* ([`CsrBuilder::add_edge`]): a NaN or infinite `v − w`
-/// would silently corrupt every downstream argmax, and this builder is the
-/// last gate before the kernels.
-#[derive(Debug, Default)]
-pub struct CsrBuilder {
-    data: CsrData,
-    /// The previous emission, kept so `begin` can reclaim its buffers once
-    /// the caller's handle is gone.
-    recycle: Option<Arc<CsrData>>,
-}
-
-impl CsrBuilder {
-    /// An empty builder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Starts a new emission, reclaiming the previous emission's buffers if
-    /// no other handle to it survives.
-    pub fn begin(&mut self) {
-        if let Some(prev) = self.recycle.take() {
-            if let Ok(prev) = Arc::try_unwrap(prev) {
-                self.data = prev;
-            }
-        }
-        self.data.clear();
-    }
-
-    /// Adds a provider with `capacity` chunks per slot; returns its index.
-    pub fn add_provider(&mut self, capacity: u32) -> u32 {
-        self.data.capacity.push(capacity);
-        (self.data.capacity.len() - 1) as u32
-    }
-
-    /// Opens the next request's row; returns its index.
-    pub fn add_request(&mut self) -> u32 {
-        self.data.row_offsets.push(self.data.edge_provider.len() as u32);
-        (self.data.row_offsets.len() - 1) as u32
-    }
-
-    /// Appends an edge (provider, precomputed `v − w`) to the most recently
-    /// added request.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`P2pError::NonFiniteUtility`] for a NaN or infinite
-    /// `utility`: a non-finite `v − w` entering the bid scan makes every
-    /// `φ` comparison (and the kernel's lane reduction) pick an undefined
-    /// winner, silently corrupting the argmax, so it is rejected here at
-    /// build time instead.
-    pub fn add_edge(&mut self, provider: u32, utility: f64) -> Result<(), P2pError> {
-        debug_assert!((provider as usize) < self.data.capacity.len(), "provider out of range");
-        debug_assert!(!self.data.row_offsets.is_empty(), "add_request before add_edge");
-        if !utility.is_finite() {
-            return Err(P2pError::NonFiniteUtility {
-                request: (self.data.row_offsets.len().max(1) - 1) as u32,
-                provider,
-                utility,
-            });
-        }
-        self.data.edge_provider.push(provider);
-        self.data.edge_utility.push(utility);
-        Ok(())
-    }
-
-    /// Closes the emission and returns the shareable instance.
-    pub fn finish(&mut self) -> CsrInstance {
-        self.data.row_offsets.push(self.data.edge_provider.len() as u32);
-        let arc = Arc::new(std::mem::take(&mut self.data));
-        self.recycle = Some(Arc::clone(&arc));
-        CsrInstance { data: arc }
     }
 }
 
@@ -1535,7 +1435,6 @@ mod tests {
         assert_eq!(csr.provider_count(), inst.provider_count());
         assert_eq!(csr.request_count(), inst.request_count());
         assert_eq!(csr.edge_count(), inst.edge_count());
-        assert!(csr.matches(&inst));
         let (providers, utilities) = csr.data().row(3);
         for (k, e) in inst.request(3).edges.iter().enumerate() {
             assert_eq!(providers[k] as usize, e.provider);
@@ -1544,38 +1443,6 @@ mod tests {
         for u in 0..inst.provider_count() {
             assert_eq!(csr.data().capacity(u), inst.provider(u).capacity.chunks_per_slot());
         }
-    }
-
-    #[test]
-    fn builder_recycles_buffers_between_emissions() {
-        let inst = contended_instance(8);
-        let mut b = CsrBuilder::new();
-        let emit = |b: &mut CsrBuilder| {
-            b.begin();
-            for p in inst.providers() {
-                b.add_provider(p.capacity.chunks_per_slot());
-            }
-            for r in inst.requests() {
-                b.add_request();
-                for e in &r.edges {
-                    b.add_edge(e.provider as u32, e.utility().get()).unwrap();
-                }
-            }
-            b.finish()
-        };
-        let first = emit(&mut b);
-        let ptr = first.data().edge_utility.as_ptr();
-        drop(first);
-        // The caller dropped its handle: the second emission reuses the
-        // first's buffers (same allocation).
-        let second = emit(&mut b);
-        assert_eq!(second.data().edge_utility.as_ptr(), ptr);
-        assert!(second.matches(&inst));
-        // A surviving handle blocks recycling but not correctness.
-        let third = emit(&mut b);
-        let fourth = emit(&mut b);
-        assert_eq!(third, fourth);
-        assert!(!std::ptr::eq(third.data(), fourth.data()));
     }
 
     #[test]
@@ -1841,25 +1708,5 @@ mod tests {
         assert_eq!(flat.scratch.entry_bid.len(), 3);
         assert_eq!(flat.scratch.entry_seq.len(), 3);
         assert_eq!(flat.scratch.entry_req.len(), 3);
-    }
-
-    #[test]
-    fn builder_rejects_non_finite_utilities() {
-        let mut b = CsrBuilder::new();
-        b.begin();
-        b.add_provider(1);
-        b.add_request();
-        b.add_edge(0, 1.5).unwrap();
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let err = b.add_edge(0, bad).unwrap_err();
-            assert!(
-                matches!(err, P2pError::NonFiniteUtility { request: 0, provider: 0, .. }),
-                "{err}"
-            );
-        }
-        // The rejected edges left no trace: the emission is intact.
-        let csr = b.finish();
-        assert_eq!(csr.edge_count(), 1);
-        assert_eq!(csr.data().row(0).1, &[1.5]);
     }
 }

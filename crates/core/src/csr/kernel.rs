@@ -30,8 +30,9 @@
 //! subtraction in every layout. Splitting the row into lanes and merging
 //! the per-lane top-2 states with an `(φ, edge)` tie-break therefore
 //! reproduces the sequential result *bit for bit, including on exact
-//! ties*, for every finite-`φ` input — which the builders guarantee by
-//! rejecting non-finite utilities ([`P2pError::NonFiniteUtility`]), and
+//! ties*, for every finite-`φ` input — which the instance builder
+//! guarantees by rejecting non-finite utilities
+//! ([`P2pError::NonFiniteUtility`]), and
 //! which zero-capacity providers cannot break (their `φ = −∞` candidates
 //! lose every comparison exactly as they do sequentially).
 //!

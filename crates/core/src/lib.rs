@@ -79,7 +79,6 @@ pub mod bertsekas;
 pub mod bidder;
 pub mod codec;
 pub mod csr;
-pub mod diff;
 pub mod engine;
 pub mod instance;
 pub mod messages;
@@ -94,8 +93,7 @@ mod ordf64;
 
 pub use bidder::{BidDecision, EdgeView};
 pub use codec::{decode_msg, encode_msg, MAX_FRAME_LEN, WIRE_VERSION};
-pub use csr::{BidKernel, CsrBuilder, CsrInstance, FlatAuction, FlatOutcome};
-pub use diff::{InstanceDiff, InstancePatch};
+pub use csr::{BidKernel, CsrInstance, FlatAuction, FlatOutcome};
 pub use engine::{AuctionConfig, AuctionOutcome, EpsilonScaling, SyncAuction};
 pub use instance::{EdgeSpec, InstanceBuilder, ProviderSpec, RequestSpec, WelfareInstance};
 pub use p2p_metrics::{

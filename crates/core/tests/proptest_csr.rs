@@ -122,7 +122,6 @@ fn nested_run_warm(
 /// and the flat outcome carries the same Theorem 1 certificate.
 fn check_cold_runs(inst: &WelfareInstance, eps: f64) {
     let csr = CsrInstance::compile(inst);
-    assert!(csr.matches(inst));
     for shards in SHARDS {
         let nested = nested_run(inst, eps, shards);
         let mut flat =

@@ -36,7 +36,7 @@ pub use csv::write_csv;
 pub use histogram::Histogram;
 pub use hll::{mix64, Hll};
 pub use probe::{AuctionProbe, CountingProbe, EngineReport, NoProbe, PricePoint, PriceRecorder};
-pub use report::{CacheCounters, PhaseTimings, RunReport, SlotReport, UniqueCounts, WindowReport};
+pub use report::{PhaseTimings, RunReport, SlotReport, UniqueCounts, WindowReport};
 pub use series::TimeSeries;
 pub use slot::{SlotMetrics, SlotRecorder};
 pub use summary::Summary;

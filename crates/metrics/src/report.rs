@@ -1,6 +1,6 @@
-//! Structured run reports: the per-slot stitching of engine probes, cache
-//! counters, sketched uniques and phase timings, with event-window
-//! aggregation and machine-readable JSON/CSV export.
+//! Structured run reports: the per-slot stitching of engine probes,
+//! sketched uniques and phase timings, with event-window aggregation and
+//! machine-readable JSON/CSV export.
 //!
 //! A [`RunReport`] is what the streaming `System` accumulates when probes
 //! are enabled and what the `scenarios --metrics-out` CLI writes to disk.
@@ -34,36 +34,6 @@ impl PhaseTimings {
     }
 }
 
-/// Slot-problem cache counters for one slot (plain numbers so the metrics
-/// crate stays a leaf — the streaming crate converts its own stats type).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheCounters {
-    /// Watcher blocks rebuilt from scratch.
-    pub blocks_rebuilt: u64,
-    /// Watcher blocks reused.
-    pub blocks_reused: u64,
-    /// Chunk requests scanned fresh.
-    pub chunks_fresh: u64,
-    /// Chunk requests reused from a prior slot.
-    pub chunks_reused: u64,
-    /// Delivery patches applied to cached blocks this slot.
-    pub patched: u64,
-    /// Blocks pruned (departed or emptied watchers) this slot.
-    pub pruned: u64,
-}
-
-impl CacheCounters {
-    /// Folds another slot's counters in (all fields add).
-    pub fn merge(&mut self, o: &CacheCounters) {
-        self.blocks_rebuilt += o.blocks_rebuilt;
-        self.blocks_reused += o.blocks_reused;
-        self.chunks_fresh += o.chunks_fresh;
-        self.chunks_reused += o.chunks_reused;
-        self.patched += o.patched;
-        self.pruned += o.pruned;
-    }
-}
-
 /// One slot's observations.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SlotReport {
@@ -89,8 +59,6 @@ pub struct SlotReport {
     pub online: u64,
     /// Engine probe snapshot, when the scheduler exposes one.
     pub engine: Option<EngineReport>,
-    /// Slot-problem cache counters, when the incremental builder ran.
-    pub cache: Option<CacheCounters>,
 }
 
 /// Aggregation of a contiguous slot range — the before/during/after event
@@ -250,7 +218,7 @@ impl RunReport {
                 "    {{\"slot\": {}, \"prepare_s\": {}, \"schedule_s\": {}, \"complete_s\": {}, \
                  \"requests\": {}, \"providers\": {}, \"edges\": {}, \"welfare\": {}, \
                  \"transfers\": {}, \"inter_isp\": {}, \"missed\": {}, \"online\": {}, \
-                 \"engine\": {}, \"cache\": {}}}{}\n",
+                 \"engine\": {}}}{}\n",
                 s.slot,
                 json_f64(s.phases.prepare_s),
                 json_f64(s.phases.schedule_s),
@@ -264,7 +232,6 @@ impl RunReport {
                 s.missed,
                 s.online,
                 engine_json(s.engine.as_ref()),
-                cache_json(s.cache.as_ref()),
                 comma(i, self.slots.len())
             ));
         }
@@ -276,14 +243,12 @@ impl RunReport {
     pub fn slot_csv(&self) -> String {
         let mut out = String::from(
             "slot,prepare_s,schedule_s,complete_s,requests,providers,edges,welfare,transfers,\
-             inter_isp,missed,online,rounds,bids,conflicts,retries,retired,slack,\
-             cache_rebuilt,cache_reused,cache_patched,cache_pruned\n",
+             inter_isp,missed,online,rounds,bids,conflicts,retries,retired,slack\n",
         );
         for s in &self.slots {
             let e = s.engine.clone().unwrap_or_default();
-            let c = s.cache.unwrap_or_default();
             out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
+                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
                 s.slot,
                 json_f64(s.phases.prepare_s),
                 json_f64(s.phases.schedule_s),
@@ -302,10 +267,6 @@ impl RunReport {
                 e.retries,
                 e.retired,
                 json_f64(e.slack),
-                c.blocks_rebuilt,
-                c.blocks_reused,
-                c.patched,
-                c.pruned,
             ));
         }
         out
@@ -388,18 +349,6 @@ fn engine_json(e: Option<&EngineReport>) -> String {
     )
 }
 
-/// Optional cache counters as a JSON object (or `null`).
-fn cache_json(c: Option<&CacheCounters>) -> String {
-    let Some(c) = c else {
-        return "null".to_string();
-    };
-    format!(
-        "{{\"blocks_rebuilt\": {}, \"blocks_reused\": {}, \"chunks_fresh\": {}, \
-         \"chunks_reused\": {}, \"patched\": {}, \"pruned\": {}}}",
-        c.blocks_rebuilt, c.blocks_reused, c.chunks_fresh, c.chunks_reused, c.patched, c.pruned
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -428,14 +377,6 @@ mod tests {
                 missed: slot,
                 online: 120,
                 engine: Some(engine),
-                cache: Some(CacheCounters {
-                    blocks_rebuilt: 2,
-                    blocks_reused: 90,
-                    chunks_fresh: 10,
-                    chunks_reused: 500,
-                    patched: 30,
-                    pruned: 1,
-                }),
             });
         }
         r.uniques =
@@ -477,7 +418,6 @@ mod tests {
             "\"rounds\"",
             "\"slack\"",
             "\"bids_per_round\"",
-            "\"cache\"",
         ] {
             assert!(json.contains(key), "missing {key}");
         }

@@ -222,7 +222,7 @@ impl ScenarioReport {
     pub fn summary_table(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "scenario `{}` — {} (profile {}, seed {}, {} slots, {} initial peers{}{})\n",
+            "scenario `{}` — {} (profile {}, seed {}, {} slots, {} initial peers{})\n",
             self.scenario.name,
             self.scenario.description,
             self.scenario.profile.name(),
@@ -230,10 +230,6 @@ impl ScenarioReport {
             self.scenario.slots,
             self.scenario.initial_peers,
             if self.scenario.churn { ", churn on" } else { "" },
-            match self.scenario.slot_build {
-                p2p_streaming::SlotBuild::Cold => "",
-                p2p_streaming::SlotBuild::Incremental => ", incremental slot-build",
-            },
         ));
         out.push_str(&self.scenario.timeline_description());
         out.push_str(&format!(

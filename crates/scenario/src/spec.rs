@@ -6,7 +6,7 @@
 //!
 //! * top-level `key = value` lines describe the base workload (`name`,
 //!   `description`, `profile`, `seed`, `slots`, `peers`, `churn`,
-//!   `arrival_rate`, `seeds_per_video`, `slot_build`, `shards` —
+//!   `arrival_rate`, `seeds_per_video`, `shards` —
 //!   `"auto"` or a positive shard count for `auction_sharded` — and
 //!   `net` — `"ideal"`, `"lan"` or `"lossy"`, the fault-injection
 //!   preset for the virtual-time `auction_sim` schedulers);
@@ -466,7 +466,6 @@ fn scenario_from_tables(top: Table, event_tables: Vec<Table>) -> Result<Scenario
             "churn",
             "arrival_rate",
             "seeds_per_video",
-            "slot_build",
             "shards",
             "net",
         ],
@@ -491,9 +490,6 @@ fn scenario_from_tables(top: Table, event_tables: Vec<Table>) -> Result<Scenario
     }
     scenario.arrival_rate = top.f64("arrival_rate")?;
     scenario.seeds_per_video = top.u32("seeds_per_video")?;
-    if let Some(mode) = top.str("slot_build")? {
-        scenario.slot_build = p2p_streaming::SlotBuild::from_name(&mode)?;
-    }
     if let Some(net) = top.str("net")? {
         scenario.net = net;
     }
@@ -610,7 +606,6 @@ factor = 2.0
         assert_eq!(s.profile, Profile::Small);
         assert_eq!(s.seed, 42);
         assert!(!s.churn);
-        assert_eq!(s.slot_build, p2p_streaming::SlotBuild::Cold);
         assert!(s.events.is_empty());
     }
 
@@ -629,12 +624,8 @@ factor = 2.0
     }
 
     #[test]
-    fn slot_build_key_parses_and_rejects_unknown_modes() {
-        let s = parse_scenario("name = \"x\"\nslot_build = \"incremental\"\n").unwrap();
-        assert_eq!(s.slot_build, p2p_streaming::SlotBuild::Incremental);
-        let s = parse_scenario("name = \"x\"\nslot_build = \"cold\"\n").unwrap();
-        assert_eq!(s.slot_build, p2p_streaming::SlotBuild::Cold);
-        expect_err("name = \"x\"\nslot_build = \"lukewarm\"\n", "unknown mode");
+    fn retired_build_mode_key_is_unknown() {
+        expect_err("name = \"x\"\nslot_build = \"cold\"\n", "unknown scenario key `slot_build`");
     }
 
     fn expect_err(spec: &str, needle: &str) {

@@ -1,7 +1,7 @@
 //! The scenario timeline: a named workload plus events pinned to slots.
 
 use crate::event::ScenarioEvent;
-use p2p_streaming::{ShardCount, SlotBuild, SystemConfig};
+use p2p_streaming::{ShardCount, SystemConfig};
 use p2p_types::{P2pError, Result};
 
 /// Which base system configuration a scenario runs on.
@@ -87,9 +87,6 @@ pub struct Scenario {
     /// per-ISP placement — scarce seeds force cross-ISP traffic, which is
     /// where repricing and outage events bite.
     pub seeds_per_video: Option<u32>,
-    /// How each slot's welfare instance is constructed (cold rebuild vs the
-    /// incremental slot-problem cache; both emit identical instances).
-    pub slot_build: SlotBuild,
     /// Shard count for sharded auction schedulers (`auction_sharded`):
     /// `auto` follows the machine's cores, a fixed `N` pins the partition.
     pub shards: ShardCount,
@@ -116,7 +113,6 @@ impl Scenario {
             churn: false,
             arrival_rate: None,
             seeds_per_video: None,
-            slot_build: SlotBuild::Cold,
             shards: ShardCount::Auto,
             net: "ideal".into(),
             events: Vec::new(),
@@ -127,13 +123,6 @@ impl Scenario {
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Replaces the slot-problem construction mode (builder-style).
-    #[must_use]
-    pub fn with_slot_build(mut self, mode: SlotBuild) -> Self {
-        self.slot_build = mode;
         self
     }
 
@@ -180,7 +169,6 @@ impl Scenario {
         if let Some(k) = self.seeds_per_video {
             config.seeds = p2p_streaming::SeedPlacement::PerVideoTotal(k);
         }
-        config.slot_build = self.slot_build;
         config.shards = self.shards;
         config
     }
@@ -283,14 +271,6 @@ mod tests {
         assert_eq!(c.seed, 7);
         assert_eq!(c.isp_count, 5);
         assert_eq!(c.arrival_rate, 3.0);
-        assert_eq!(c.slot_build, SlotBuild::Cold);
-    }
-
-    #[test]
-    fn slot_build_flows_into_the_base_config() {
-        let s = Scenario::new("x", "d").with_slot_build(SlotBuild::Incremental);
-        assert_eq!(s.base_config().slot_build, SlotBuild::Incremental);
-        s.validate().unwrap();
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! certifies each slot's auction outcome, and a fixed seed reproduces
 //! identical metrics.
 
-use p2p_core::{verify_optimality, AuctionConfig, InstanceDiff, SyncAuction};
+use p2p_core::{verify_optimality, AuctionConfig, SyncAuction};
 use p2p_scenario::{run_one, scheduler_by_name, Scenario, ScenarioEvent, TimedEvent};
 use p2p_sched::{Schedule, ScheduleStats};
-use p2p_streaming::{SlotBuild, System};
+use p2p_streaming::System;
 use p2p_types::{IspId, VideoId};
 use proptest::prelude::*;
 
@@ -150,85 +150,28 @@ proptest! {
         prop_assert_eq!(pop("auction"), pop("locality"));
     }
 
-    /// `SlotBuild::Incremental` is invisible: after ANY event sequence,
-    /// every slot's incrementally-built instance equals the cold rebuild
-    /// bit-for-bit, so the auction outcome (assignment welfare and final
-    /// prices) is identical too.
-    #[test]
-    fn incremental_build_matches_cold_after_any_events(scenario in arb_scenario()) {
-        let mut events: Vec<&TimedEvent> = scenario.events.iter().collect();
-        events.sort_by_key(|e| e.at_slot);
-        let make = |mode| {
-            let mut s = scenario.clone();
-            s.slot_build = mode;
-            System::new(s.base_config(), Box::new(p2p_sched::AuctionScheduler::paper()))
-        };
-        let mut cold_sys = make(SlotBuild::Cold).unwrap();
-        let mut inc_sys = make(SlotBuild::Incremental).unwrap();
-        for sys in [&mut cold_sys, &mut inc_sys] {
-            if scenario.initial_peers > 0 {
-                sys.add_static_peers(scenario.initial_peers).unwrap();
-            }
-            if scenario.churn {
-                sys.enable_poisson_churn().unwrap();
-            }
-        }
-        let engine = SyncAuction::new(AuctionConfig::with_epsilon(1e-2));
-        for slot in 0..scenario.slots {
-            for e in events.iter().filter(|e| e.at_slot == slot) {
-                e.event.apply(&mut cold_sys).unwrap();
-                e.event.apply(&mut inc_sys).unwrap();
-            }
-            let cold = cold_sys.prepare_slot().unwrap();
-            let incremental = inc_sys.prepare_slot().unwrap();
-            prop_assert_eq!(
-                &cold, &incremental,
-                "slot {} diverged: {:?}", slot,
-                InstanceDiff::between(&cold.instance, &incremental.instance)
-            );
-            let a = engine.run(&cold.instance).unwrap();
-            let b = engine.run(&incremental.instance).unwrap();
-            prop_assert_eq!(
-                a.assignment.welfare(&cold.instance).get().to_bits(),
-                b.assignment.welfare(&incremental.instance).get().to_bits()
-            );
-            prop_assert_eq!(&a.duals.lambda, &b.duals.lambda);
-            for (sys, problem, outcome) in
-                [(&mut cold_sys, &cold, a), (&mut inc_sys, &incremental, b)]
-            {
-                sys.complete_slot(
-                    problem,
-                    &Schedule { assignment: outcome.assignment, stats: ScheduleStats::default() },
-                ).unwrap();
-            }
-        }
-    }
-
-    /// Warm-started auctions on the incremental path still satisfy the
-    /// Theorem 1 certificate within the ε-auction's `n·ε` tolerance, after
-    /// ANY event sequence — carried prices are clamped/repaired, never
-    /// trusted.
+    /// Warm-started auctions still satisfy the Theorem 1 certificate
+    /// within the ε-auction's `n·ε` tolerance, after ANY event sequence —
+    /// carried prices are clamped/repaired, never trusted.
     #[test]
     fn warm_started_slots_stay_certified(scenario in arb_scenario()) {
         let mut events: Vec<&TimedEvent> = scenario.events.iter().collect();
         events.sort_by_key(|e| e.at_slot);
-        let mut s = scenario.clone();
-        s.slot_build = SlotBuild::Incremental;
         let mut sys = System::new(
-            s.base_config(),
+            scenario.base_config(),
             Box::new(p2p_sched::AuctionScheduler::paper()),
         ).unwrap();
-        if s.initial_peers > 0 {
-            sys.add_static_peers(s.initial_peers).unwrap();
+        if scenario.initial_peers > 0 {
+            sys.add_static_peers(scenario.initial_peers).unwrap();
         }
-        if s.churn {
+        if scenario.churn {
             sys.enable_poisson_churn().unwrap();
         }
         const EPS: f64 = 1e-2;
         let engine = SyncAuction::new(AuctionConfig::with_epsilon(EPS));
         let mut prior: std::collections::HashMap<p2p_types::PeerId, f64> =
             std::collections::HashMap::new();
-        for slot in 0..s.slots {
+        for slot in 0..scenario.slots {
             for e in events.iter().filter(|e| e.at_slot == slot) {
                 e.event.apply(&mut sys).unwrap();
             }

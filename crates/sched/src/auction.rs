@@ -301,9 +301,8 @@ impl ChunkScheduler for ShardedAuctionScheduler {
 }
 
 /// Schedules each slot with the flat CSR engine
-/// ([`p2p_core::csr::FlatAuction`]): the instance's CSR compilation (taken
-/// straight from the incremental slot-problem cache when available,
-/// compiled on the spot otherwise) drives the same auction schedules as
+/// ([`p2p_core::csr::FlatAuction`]): the instance's CSR compilation, made
+/// at the start of every slot, drives the same auction schedules as
 /// [`AuctionScheduler`] / [`ShardedAuctionScheduler`] with reusable scratch
 /// — zero engine allocations in the hot loop after the first slot.
 /// Outcomes are **bit-identical** to the nested-layout schedulers at every
@@ -593,16 +592,6 @@ pub(crate) mod tests {
             FlatAuctionScheduler::with_epsilon(0.01, ShardCount::Fixed(2)).schedule(&p).unwrap();
         assert_eq!(f2.assignment, sharded.assignment);
         assert_eq!(f2.stats, sharded.stats);
-    }
-
-    #[test]
-    fn flat_scheduler_uses_an_attached_csr_compilation() {
-        let p = problem();
-        let attached = p.clone().with_csr(p.csr_instance());
-        let plain = FlatAuctionScheduler::paper(ShardCount::Fixed(1)).schedule(&p).unwrap();
-        let cached = FlatAuctionScheduler::paper(ShardCount::Fixed(1)).schedule(&attached).unwrap();
-        assert_eq!(plain.assignment, cached.assignment);
-        assert_eq!(plain.stats, cached.stats);
     }
 
     /// The turnover guarantee holds for the flat warm scheduler, which

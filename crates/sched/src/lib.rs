@@ -10,8 +10,8 @@
 //!   slots;
 //! * [`FlatAuctionScheduler`] — the same auction on the flat CSR engine
 //!   (`p2p_core::csr::FlatAuction`): zero-allocation hot path over the
-//!   cache-emitted CSR compilation, bit-identical outcomes to the two
-//!   schedulers above at every shard count;
+//!   slot's CSR compilation, bit-identical outcomes to the two schedulers
+//!   above at every shard count;
 //! * [`SimAuctionScheduler`] — the same auction executed as a virtual-time
 //!   discrete-event simulation of the peer swarm (`p2p_core::SwarmAuction`):
 //!   bit-identical to the engines above under an ideal network, and the

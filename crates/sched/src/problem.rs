@@ -5,27 +5,15 @@ use p2p_types::{P2pError, SimDuration, Utility};
 
 /// One slot's scheduling problem: the welfare instance plus the per-request
 /// urgency information the locality baseline needs (the auction uses only
-/// the valuations already embedded in the instance).
-#[derive(Debug, Clone)]
+/// the valuations already embedded in the instance). The flat engine's CSR
+/// layout is compiled from the instance on demand
+/// ([`SlotProblem::csr_instance`]).
+#[derive(Debug, Clone, PartialEq)]
 pub struct SlotProblem {
     /// The welfare-maximization instance (problem (1)).
     pub instance: WelfareInstance,
     /// Per request: time to the chunk's playback deadline at slot start.
     pub urgency: Vec<SimDuration>,
-    /// The instance's flat CSR compilation, when the builder produced one
-    /// (the incremental slot-problem cache emits it directly). A derived
-    /// cache: always equal to `CsrInstance::compile(&instance)`, excluded
-    /// from `PartialEq`, and compiled on demand by
-    /// [`SlotProblem::csr_instance`] when absent.
-    pub csr: Option<CsrInstance>,
-}
-
-/// Equality is over the logical problem (instance + urgencies); the CSR
-/// field is a derived compilation and carries no extra information.
-impl PartialEq for SlotProblem {
-    fn eq(&self, other: &Self) -> bool {
-        self.instance == other.instance && self.urgency == other.urgency
-    }
 }
 
 impl SlotProblem {
@@ -43,25 +31,12 @@ impl SlotProblem {
                 instance.request_count()
             )));
         }
-        Ok(SlotProblem { instance, urgency, csr: None })
+        Ok(SlotProblem { instance, urgency })
     }
 
-    /// Attaches a pre-built CSR compilation (builder-style). Debug builds
-    /// assert it matches the instance.
-    #[must_use]
-    pub fn with_csr(mut self, csr: CsrInstance) -> Self {
-        debug_assert!(csr.matches(&self.instance), "attached CSR diverges from the instance");
-        self.csr = Some(csr);
-        self
-    }
-
-    /// The flat CSR compilation: the attached one when present (an `Arc`
-    /// bump), otherwise compiled on the spot.
+    /// The instance's flat CSR compilation, compiled on each call.
     pub fn csr_instance(&self) -> CsrInstance {
-        match &self.csr {
-            Some(csr) => csr.clone(),
-            None => CsrInstance::compile(&self.instance),
-        }
+        CsrInstance::compile(&self.instance)
     }
 
     /// Number of requests.
@@ -114,19 +89,6 @@ mod tests {
         b.add_request(RequestId::new(PeerId::new(0), ChunkId::new(VideoId::new(0), 0)));
         let inst = b.build().unwrap();
         assert!(SlotProblem::new(inst, vec![]).is_err());
-    }
-
-    #[test]
-    fn csr_attachment_is_a_transparent_cache() {
-        let p = one_request_problem();
-        let compiled = p.csr_instance();
-        assert!(compiled.matches(&p.instance));
-        let with = p.clone().with_csr(compiled.clone());
-        // Equality ignores the derived CSR field...
-        assert_eq!(with, p);
-        // ...and the attached compilation is returned by reference-bump.
-        assert_eq!(with.csr_instance(), compiled);
-        assert!(std::ptr::eq(with.csr_instance().data(), with.csr.as_ref().unwrap().data()));
     }
 
     #[test]

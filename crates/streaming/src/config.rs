@@ -53,50 +53,6 @@ pub enum ValuationTimeBase {
     SchedulingSlack,
 }
 
-/// How [`crate::System`] constructs each slot's welfare instance.
-///
-/// [`SlotBuild::Cold`] re-derives every provider, request and candidate
-/// edge from scratch each slot — the oracle. [`SlotBuild::Incremental`]
-/// routes construction through a [`crate::SlotProblemCache`] that keeps
-/// per-watcher request blocks across slots and rebuilds only what the
-/// slot's changes invalidated (deliveries, window advance, neighbor
-/// refresh, churn, link repricing); both paths emit bit-identical
-/// instances, so schedulers cannot tell them apart.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum SlotBuild {
-    /// Full rebuild every slot (default; the correctness oracle).
-    #[default]
-    Cold,
-    /// Dirty-tracked incremental construction via the slot-problem cache.
-    Incremental,
-}
-
-impl SlotBuild {
-    /// The CLI/spec name of this mode.
-    pub fn name(self) -> &'static str {
-        match self {
-            SlotBuild::Cold => "cold",
-            SlotBuild::Incremental => "incremental",
-        }
-    }
-
-    /// Parses a CLI/spec mode name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`P2pError::InvalidConfig`] for unknown names.
-    pub fn from_name(name: &str) -> Result<Self, P2pError> {
-        match name {
-            "cold" => Ok(SlotBuild::Cold),
-            "incremental" => Ok(SlotBuild::Incremental),
-            other => Err(P2pError::invalid_config(
-                "slot_build",
-                format!("unknown mode `{other}` (known: cold, incremental)"),
-            )),
-        }
-    }
-}
-
 /// Which clock the per-slot phase timings in a
 /// [`RunReport`](p2p_metrics::RunReport) are measured on.
 ///
@@ -187,8 +143,6 @@ pub struct SystemConfig {
     pub static_stagger: SimDuration,
     /// Topology parameters (cost distributions, latency mapping).
     pub topology: TopologyConfig,
-    /// How each slot's welfare instance is constructed (see [`SlotBuild`]).
-    pub slot_build: SlotBuild,
     /// Shard count for sharded auction schedulers (`auction_sharded`):
     /// `auto` follows the machine's cores, a fixed `N` pins the partition
     /// for reproducible benchmarking (spec key `shards`, CLI `--shards`).
@@ -226,7 +180,6 @@ impl SystemConfig {
             delivery_fraction: 0.5,
             static_stagger: SimDuration::from_secs(30),
             topology: TopologyConfig::paper_defaults(5),
-            slot_build: SlotBuild::Cold,
             shards: ShardCount::Auto,
             clock: ClockMode::Wall,
             seed: 42,
@@ -255,7 +208,6 @@ impl SystemConfig {
             delivery_fraction: 0.5,
             static_stagger: SimDuration::from_secs(10),
             topology: TopologyConfig::paper_defaults(2),
-            slot_build: SlotBuild::Cold,
             shards: ShardCount::Auto,
             clock: ClockMode::Wall,
             seed: 42,
@@ -267,13 +219,6 @@ impl SystemConfig {
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self.topology.seed = seed ^ 0xC0517;
-        self
-    }
-
-    /// Replaces the slot-problem construction mode (builder-style).
-    #[must_use]
-    pub fn with_slot_build(mut self, mode: SlotBuild) -> Self {
-        self.slot_build = mode;
         self
     }
 
@@ -460,17 +405,5 @@ mod tests {
         assert_eq!(c.shards, ShardCount::Auto);
         c.shards = ShardCount::Fixed(0);
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn slot_build_round_trips_and_configures() {
-        assert_eq!(SlotBuild::from_name("cold").unwrap(), SlotBuild::Cold);
-        assert_eq!(SlotBuild::from_name("incremental").unwrap(), SlotBuild::Incremental);
-        assert!(SlotBuild::from_name("warm").is_err());
-        assert_eq!(SlotBuild::Incremental.name(), "incremental");
-        assert_eq!(SlotBuild::default(), SlotBuild::Cold);
-        let c = SystemConfig::small_test().with_slot_build(SlotBuild::Incremental);
-        assert_eq!(c.slot_build, SlotBuild::Incremental);
-        c.validate().unwrap();
     }
 }

@@ -31,7 +31,6 @@
 #![warn(missing_docs)]
 
 pub mod buffer;
-pub mod cache;
 pub mod config;
 pub mod fig2;
 pub mod peer;
@@ -39,8 +38,7 @@ pub mod system;
 pub mod tracker;
 
 pub use buffer::ChunkBuffer;
-pub use cache::{CacheMemory, CacheStats, SlotProblemCache};
-pub use config::{ClockMode, SeedPlacement, SlotBuild, SystemConfig};
+pub use config::{ClockMode, SeedPlacement, SystemConfig};
 pub use p2p_core::ShardCount;
 pub use p2p_metrics::{RunReport, SlotReport};
 pub use peer::PeerState;

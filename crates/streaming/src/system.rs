@@ -1,13 +1,10 @@
 //! The slot-driven streaming system.
 
-use crate::cache::{throttled_capacity, CacheStats, SlotProblemCache};
-use crate::config::{ClockMode, SeedPlacement, SlotBuild, SystemConfig};
+use crate::config::{ClockMode, SeedPlacement, SystemConfig};
 use crate::peer::PeerState;
 use crate::tracker::Tracker;
 use p2p_core::WelfareInstance;
-use p2p_metrics::{
-    CacheCounters, Hll, PhaseTimings, RunReport, SlotMetrics, SlotRecorder, SlotReport,
-};
+use p2p_metrics::{Hll, PhaseTimings, RunReport, SlotMetrics, SlotRecorder, SlotReport};
 use p2p_sched::{ChunkScheduler, Schedule, SlotProblem};
 use p2p_topology::Topology;
 use p2p_types::{
@@ -41,9 +38,6 @@ pub struct System {
     /// Per-ISP upload-capacity multipliers (scenario throttles); peers in
     /// an absent ISP run at full capacity.
     isp_throttles: HashMap<IspId, f64>,
-    /// Incremental slot-problem state (used when `config.slot_build` is
-    /// [`SlotBuild::Incremental`]; empty otherwise).
-    cache: SlotProblemCache,
     /// Workload recording/replay state (scenario sweeps record the first
     /// run's arrival trace and replay it for every other scheduler).
     workload: WorkloadMode,
@@ -53,18 +47,13 @@ pub struct System {
 }
 
 /// Bounded-memory observability accumulation: one [`SlotReport`] per
-/// stepped slot plus three fixed-size HLL sketches and two counter
-/// snapshots — memory is O(slots + sketches), independent of swarm size.
+/// stepped slot plus three fixed-size HLL sketches — memory is
+/// O(slots + sketches), independent of swarm size.
 struct ObsState {
     report: RunReport,
     requesters: Hll,
     providers: Hll,
     edges: Hll,
-    /// Snapshot of the cache's cumulative patch counter at the previous
-    /// slot boundary (the per-slot delta goes into the slot report).
-    patched_seen: u64,
-    /// Snapshot of the cache's cumulative prune counter, likewise.
-    pruned_seen: u64,
 }
 
 impl ObsState {
@@ -74,8 +63,6 @@ impl ObsState {
             requesters: Hll::new(Hll::DEFAULT_PRECISION),
             providers: Hll::new(Hll::DEFAULT_PRECISION),
             edges: Hll::new(Hll::DEFAULT_PRECISION),
-            patched_seen: 0,
-            pruned_seen: 0,
         }
     }
 
@@ -131,6 +118,22 @@ impl WorkloadTrace {
     }
 }
 
+/// A provider's effective upload capacity under an ISP throttle factor.
+///
+/// A throttle is a hard cap on whole-chunk uploads, so fractional
+/// capacities floor — but flooring must not silently zero a capacity-1
+/// uploader under a mild throttle (factor 0.5 is "half speed", not an
+/// outage), so nonzero factors keep at least one chunk per slot. A factor
+/// of exactly 0 is the documented hard-outage semantics: the ISP's peers
+/// upload nothing.
+fn throttled_capacity(cap: u32, factor: f64) -> u32 {
+    if factor <= 0.0 || cap == 0 {
+        0
+    } else {
+        ((f64::from(cap) * factor).floor() as u32).clamp(1, cap)
+    }
+}
+
 impl System {
     /// Builds the system: catalog, topology and seed peers; no watchers yet.
     ///
@@ -154,7 +157,6 @@ impl System {
             pending_static: Vec::new(),
             next_isp: 0,
             isp_throttles: HashMap::new(),
-            cache: SlotProblemCache::new(),
             workload: WorkloadMode::Live,
             obs: None,
             config,
@@ -437,9 +439,6 @@ impl System {
                 self.topology.unregister_peer(*id);
             }
         }
-        if self.incremental() {
-            self.cache.remove_peers(&victims);
-        }
         victims.len()
     }
 
@@ -552,42 +551,31 @@ impl System {
     }
 
     /// Reprices every inter-ISP link by `factor` (see
-    /// [`Topology::set_inter_cost_scale`]); invalidates cached link costs.
+    /// [`Topology::set_inter_cost_scale`]).
     ///
     /// # Errors
     ///
     /// Returns [`P2pError::InvalidConfig`] for invalid factors.
     pub fn set_inter_link_cost_scale(&mut self, factor: f64) -> Result<()> {
-        self.topology.set_inter_cost_scale(factor)?;
-        self.cache.invalidate_costs();
-        Ok(())
+        self.topology.set_inter_cost_scale(factor)
     }
 
     /// Reprices the inter-ISP links touching `isp` by `factor` (see
-    /// [`Topology::set_isp_cost_scale`]); invalidates cached link costs.
+    /// [`Topology::set_isp_cost_scale`]).
     ///
     /// # Errors
     ///
     /// Returns [`P2pError::InvalidConfig`] for invalid factors or ISPs.
     pub fn set_isp_link_cost_scale(&mut self, isp: IspId, factor: f64) -> Result<()> {
-        self.topology.set_isp_cost_scale(isp, factor)?;
-        self.cache.invalidate_costs();
-        Ok(())
+        self.topology.set_isp_cost_scale(isp, factor)
     }
 
-    /// Drops all link-cost repricing, restoring the base cost model;
-    /// invalidates cached link costs.
+    /// Drops all link-cost repricing, restoring the base cost model.
     pub fn reset_link_cost_scales(&mut self) {
         self.topology.reset_cost_scales();
-        self.cache.invalidate_costs();
     }
 
     // ---- end scenario event hooks ---------------------------------------
-
-    /// Whether the incremental slot-problem cache is active.
-    fn incremental(&self) -> bool {
-        self.config.slot_build == SlotBuild::Incremental
-    }
 
     fn spawn_watcher(&mut self, arrival: PeerArrival) -> Result<PeerId> {
         if let WorkloadMode::Record(trace) = &mut self.workload {
@@ -662,7 +650,6 @@ impl System {
 
     /// Removes watchers that finished or departed by `now`.
     fn remove_gone(&mut self, now: SimTime) {
-        let incremental = self.incremental();
         let gone: Vec<PeerId> =
             self.peers.iter().flatten().filter(|p| p.gone(now)).map(PeerState::id).collect();
         for id in &gone {
@@ -671,18 +658,9 @@ impl System {
                 self.topology.unregister_peer(*id);
             }
         }
-        if incremental {
-            self.cache.remove_peers(&gone);
-        }
-        // Drop departed peers from neighbor lists; shedding a neighbor
-        // invalidates the peer's cached request block.
         let online: HashSet<PeerId> = self.peers.iter().flatten().map(PeerState::id).collect();
         for p in self.peers.iter_mut().flatten() {
-            let before = p.neighbors.len();
             p.neighbors.retain(|n| online.contains(n));
-            if incremental && p.neighbors.len() != before {
-                self.cache.mark_dirty(p.id());
-            }
         }
     }
 
@@ -697,7 +675,6 @@ impl System {
             .filter(|p| !p.is_seed() && p.neighbors.len() < self.config.neighbor_count)
             .map(|p| (p.id(), p.video(), p.position(now)))
             .collect();
-        let incremental = self.incremental();
         for (id, video, pos) in needy {
             let neighbors = self.tracker.neighbors_for(
                 id,
@@ -708,15 +685,7 @@ impl System {
                 |p| positions.get(&p).copied().unwrap_or(0.0),
             );
             if let Some(p) = self.peers[id.index()].as_mut() {
-                // Only an actual change invalidates the cached block —
-                // permanently under-filled peers re-query every slot but
-                // usually get the same list back.
-                if p.neighbors != neighbors {
-                    if incremental {
-                        self.cache.mark_dirty(id);
-                    }
-                    p.neighbors = neighbors;
-                }
+                p.neighbors = neighbors;
             }
         }
     }
@@ -724,11 +693,6 @@ impl System {
     /// Builds the slot's welfare-maximization problem from current buffers,
     /// windows and prices (Sec. III-B). Public so harnesses (e.g. the
     /// Fig. 2 message-level auction) can drive slots manually.
-    ///
-    /// With [`SlotBuild::Incremental`] the instance comes from the
-    /// [`SlotProblemCache`] — bit-identical to the cold rebuild (which
-    /// [`System::cold_slot_problem`] exposes as the oracle), but derived
-    /// only from what changed since the previous slot.
     ///
     /// # Errors
     ///
@@ -738,42 +702,7 @@ impl System {
         self.admit_pending(now)?;
         self.remove_gone(now);
         self.refresh_neighbors(now);
-        match self.config.slot_build {
-            SlotBuild::Cold => self.build_slot_problem(now),
-            SlotBuild::Incremental => self.cache.build(
-                &self.peers,
-                &self.topology,
-                &self.config,
-                &self.isp_throttles,
-                now,
-            ),
-        }
-    }
-
-    /// The cold-rebuilt problem for the current, already-admitted slot
-    /// state — the oracle the incremental path must match. Call right after
-    /// [`System::prepare_slot`] (before [`System::complete_slot`] advances
-    /// the slot) to compare the two construction paths.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error only on internal inconsistency.
-    pub fn cold_slot_problem(&self) -> Result<SlotProblem> {
-        self.build_slot_problem(self.now())
-    }
-
-    /// Counters from the incremental builder's most recent slot (all zero
-    /// under [`SlotBuild::Cold`]).
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    /// The incremental cache's memory footprint (all zero under
-    /// [`SlotBuild::Cold`]). On long churny runs every counter stays
-    /// bounded by the *online* population — departed watchers' blocks and
-    /// reverse-index entries are pruned, not accumulated.
-    pub fn cache_memory(&self) -> crate::cache::CacheMemory {
-        self.cache.memory()
+        self.build_slot_problem(now)
     }
 
     fn build_slot_problem(&self, now: SimTime) -> Result<SlotProblem> {
@@ -906,17 +835,9 @@ impl System {
             }
         }
 
-        // Apply deliveries; each one invalidates exactly two things in the
-        // incremental cache — the receiver's own request and the candidate
-        // lists of watchers neighboring the receiver.
-        let incremental = self.incremental();
         for ((peer, k), _) in delivered {
             if let Some(p) = self.peers[peer.index()].as_mut() {
                 p.buffer.insert_index(k);
-                if incremental {
-                    let video = p.video();
-                    self.cache.on_delivered(peer, video, k);
-                }
             }
         }
 
@@ -927,20 +848,15 @@ impl System {
     }
 
     /// Turns on run-report collection: engine probes on the scheduler,
-    /// wall-clock phase timings, HLL sketches of unique requesters /
-    /// providers / transfer edges, and per-slot cache counter deltas.
+    /// wall-clock phase timings, and HLL sketches of unique requesters /
+    /// providers / transfer edges.
     /// Memory stays bounded by O(stepped slots) plus three fixed-size
     /// sketches; the slot loop without probes is untouched. Only slots
     /// stepped through [`System::step_slot`] / [`System::run_slots`] while
     /// probes are on appear in the report.
     pub fn enable_probes(&mut self) {
         self.scheduler.set_probes(true);
-        let mut obs = ObsState::new(self.scheduler.name(), self.config.slot_len.as_secs_f64());
-        // Start cumulative-counter deltas from this instant, not from the
-        // beginning of the run.
-        obs.patched_seen = self.cache.patched_total();
-        obs.pruned_seen = self.cache.pruned_total();
-        self.obs = Some(obs);
+        self.obs = Some(ObsState::new(self.scheduler.name(), self.config.slot_len.as_secs_f64()));
     }
 
     /// Whether run-report collection is on.
@@ -967,29 +883,7 @@ impl System {
         phases: PhaseTimings,
     ) {
         let engine = self.scheduler.take_probe_report().filter(|r| !r.is_empty());
-        let cache = if self.incremental() {
-            let s = self.cache.stats();
-            Some(CacheCounters {
-                blocks_rebuilt: s.blocks_rebuilt,
-                blocks_reused: s.blocks_reused,
-                chunks_fresh: s.chunks_fresh,
-                chunks_reused: s.chunks_reused,
-                patched: 0, // deltas filled below, after `obs` is borrowed
-                pruned: 0,
-            })
-        } else {
-            None
-        };
-        let patched_total = self.cache.patched_total();
-        let pruned_total = self.cache.pruned_total();
         let Some(obs) = self.obs.as_mut() else { return };
-        let cache = cache.map(|mut c| {
-            c.patched = patched_total - obs.patched_seen;
-            c.pruned = pruned_total - obs.pruned_seen;
-            c
-        });
-        obs.patched_seen = patched_total;
-        obs.pruned_seen = pruned_total;
         let instance = &problem.instance;
         for p in instance.providers() {
             obs.providers.insert_u64(u64::from(p.peer.get()));
@@ -1014,7 +908,6 @@ impl System {
             missed: metrics.missed_chunks,
             online: metrics.online_peers,
             engine,
-            cache,
         });
     }
 
@@ -1320,6 +1213,23 @@ mod tests {
     }
 
     #[test]
+    fn throttled_capacity_clamps_but_keeps_nonzero_uploaders_alive() {
+        // The regression: capacity-1 uploaders under a mild throttle must
+        // not be zeroed into fake outages.
+        assert_eq!(throttled_capacity(1, 0.5), 1);
+        assert_eq!(throttled_capacity(1, 0.01), 1);
+        assert_eq!(throttled_capacity(50, 0.01), 1);
+        // Ordinary flooring above the clamp.
+        assert_eq!(throttled_capacity(50, 0.25), 12);
+        assert_eq!(throttled_capacity(200, 0.5), 100);
+        assert_eq!(throttled_capacity(7, 1.0), 7);
+        // Hard-zero semantics: factor 0 is an outage; capacity 0 stays 0.
+        assert_eq!(throttled_capacity(1, 0.0), 0);
+        assert_eq!(throttled_capacity(100, 0.0), 0);
+        assert_eq!(throttled_capacity(0, 0.7), 0);
+    }
+
+    #[test]
     fn mild_throttle_never_zeroes_a_nonzero_uploader() {
         // The regression: `(cap * f).floor()` used to zero small uploaders
         // under any factor < 1, turning mild throttles into fake outages.
@@ -1338,93 +1248,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn incremental_build_matches_cold_oracle_slot_by_slot() {
-        let config =
-            SystemConfig::small_test().with_seed(30).with_slot_build(crate::SlotBuild::Incremental);
-        let mut sys = System::new(config, Box::new(AuctionScheduler::paper())).unwrap();
-        sys.add_static_peers(10).unwrap();
-        let mut scheduler = AuctionScheduler::paper();
-        let mut reused_any = false;
-        for _ in 0..8 {
-            let incremental = sys.prepare_slot().unwrap();
-            let cold = sys.cold_slot_problem().unwrap();
-            assert_eq!(incremental, cold, "incremental emit must match the cold oracle");
-            reused_any |= sys.cache_stats().blocks_reused > 0;
-            let schedule = scheduler.schedule(&incremental).unwrap();
-            sys.complete_slot(&incremental, &schedule).unwrap();
-        }
-        assert!(reused_any, "a static swarm must reuse blocks across slots");
-    }
-
-    #[test]
-    fn incremental_build_tracks_throttles_and_repricing() {
-        let config =
-            SystemConfig::small_test().with_seed(31).with_slot_build(crate::SlotBuild::Incremental);
-        let mut sys = System::new(config, Box::new(AuctionScheduler::paper())).unwrap();
-        sys.add_static_peers(8).unwrap();
-        sys.run_slots(2).unwrap();
-        sys.set_isp_throttle(IspId::new(0), 0.5).unwrap();
-        sys.set_inter_link_cost_scale(7.0).unwrap();
-        let incremental = sys.prepare_slot().unwrap();
-        let cold = sys.cold_slot_problem().unwrap();
-        assert_eq!(incremental, cold, "mutation hooks must invalidate the cache");
-    }
-
-    /// Regression (ROADMAP follow-on): the incremental cache's maps must
-    /// not grow monotonically on long churn-heavy runs. Watchers join and
-    /// depart continuously; after every slot the cache holds blocks only
-    /// for online watchers, reverse-index keys only for online peers that
-    /// actually have cached watchers, and no empty reverse-index sets.
-    #[test]
-    fn cache_memory_stays_bounded_under_heavy_churn() {
-        let mut config = SystemConfig::small_test()
-            .with_seed(34)
-            .with_departures(0.9)
-            .with_slot_build(crate::SlotBuild::Incremental);
-        config.arrival_rate = 3.0;
-        let mut sys = System::new(config, Box::new(AuctionScheduler::paper())).unwrap();
-        sys.enable_poisson_churn().unwrap();
-        let mut peak_online = 0;
-        let mut saw_departures = false;
-        let mut last_online = 0;
-        for _ in 0..30 {
-            sys.step_slot().unwrap();
-            let online = sys.online_count();
-            saw_departures |= online < last_online;
-            last_online = online;
-            peak_online = peak_online.max(online);
-            let mem = sys.cache_memory();
-            assert!(
-                mem.blocks <= sys.watcher_count(),
-                "blocks ({}) must not outlive watchers ({})",
-                mem.blocks,
-                sys.watcher_count()
-            );
-            assert!(
-                mem.reverse_keys <= online,
-                "reverse index keys ({}) must not exceed online peers ({online})",
-                mem.reverse_keys
-            );
-            assert!(
-                mem.dirty <= online,
-                "dirty marks ({}) must not exceed online peers ({online})",
-                mem.dirty
-            );
-            assert!(
-                mem.reverse_entries >= mem.reverse_keys,
-                "emptied reverse-index sets must be pruned, not kept as keys"
-            );
-        }
-        assert!(saw_departures, "the run must actually churn");
-        assert!(peak_online > 0, "the run must admit watchers");
-        // The emitted problems stay bit-identical to the cold oracle
-        // through all that churn (the pruning must not over-evict).
-        let incremental = sys.prepare_slot().unwrap();
-        let cold = sys.cold_slot_problem().unwrap();
-        assert_eq!(incremental, cold);
     }
 
     #[test]
@@ -1511,9 +1334,7 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         let run = |probes: bool| {
-            let config = SystemConfig::small_test()
-                .with_seed(40)
-                .with_slot_build(crate::SlotBuild::Incremental);
+            let config = SystemConfig::small_test().with_seed(40);
             let mut sys = System::new(config, Box::new(AuctionScheduler::paper())).unwrap();
             sys.add_static_peers(8).unwrap();
             if probes {
@@ -1536,7 +1357,6 @@ mod tests {
             assert_eq!(slot.transfers, rec.1);
             assert_eq!(slot.missed, rec.2);
             assert!(slot.phases.total_s() >= 0.0);
-            assert!(slot.cache.is_some(), "incremental build reports cache counters");
         }
         // Engine reports appear once the swarm has requests to schedule.
         let engine_bids: u64 =

@@ -62,10 +62,9 @@ pub use p2p_workload as workload;
 /// The most commonly used items, importable in one line.
 pub mod prelude {
     pub use p2p_core::{
-        verify_optimality, Assignment, AuctionConfig, AuctionOutcome, CostLatency, CsrBuilder,
-        CsrInstance, DualSolution, FlatAuction, FlatOutcome, InstanceDiff, InstancePatch,
-        NetworkModel, ShardCount, ShardedAuction, SwarmAuction, SwarmConfig, SyncAuction,
-        WelfareInstance,
+        verify_optimality, Assignment, AuctionConfig, AuctionOutcome, CostLatency, CsrInstance,
+        DualSolution, FlatAuction, FlatOutcome, NetworkModel, ShardCount, ShardedAuction,
+        SwarmAuction, SwarmConfig, SyncAuction, WelfareInstance,
     };
     pub use p2p_metrics::{ascii_plot, SlotMetrics, SlotRecorder, Summary, TimeSeries};
     pub use p2p_scenario::{
@@ -76,7 +75,7 @@ pub mod prelude {
         AuctionScheduler, ChunkScheduler, ExactScheduler, FlatAuctionScheduler, GreedyScheduler,
         RandomScheduler, Schedule, ShardedAuctionScheduler, SimpleLocalityScheduler, SlotProblem,
     };
-    pub use p2p_streaming::{SlotBuild, SlotProblemCache, System, SystemConfig, WorkloadTrace};
+    pub use p2p_streaming::{System, SystemConfig, WorkloadTrace};
     pub use p2p_topology::{Topology, TopologyConfig};
     pub use p2p_types::{
         Bandwidth, ChunkId, ChunkRequest, Cost, IspId, P2pError, PeerId, RequestId, Result,

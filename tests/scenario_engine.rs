@@ -1,9 +1,10 @@
 //! Integration test: the scenario subsystem end to end through the facade —
 //! built-in library, spec parsing (including the shipped example file),
-//! multi-scheduler sweeps, and cross-run determinism.
+//! multi-scheduler sweeps, cross-run determinism, price warm-starting, and
+//! the runner's workload-trace cache.
 
 use isp_p2p::prelude::*;
-use isp_p2p::scenario::{builtins, BUILTIN_NAMES};
+use isp_p2p::scenario::{builtins, run_one, BUILTIN_NAMES};
 
 fn sweep(scenario: &Scenario) -> ScenarioReport {
     run_scenario(
@@ -79,5 +80,68 @@ fn events_change_outcomes_but_not_the_certificates() {
         "a 40x repricing must localize auction traffic ({} vs {})",
         priced.inter_isp_fraction,
         base.inter_isp_fraction
+    );
+}
+
+#[test]
+fn warm_started_sweep_stays_close_to_cold_welfare() {
+    // Warm outcomes are ε-equivalent, not bit-identical: tie-breaks can
+    // differ, but total welfare must stay within the certificate's slack.
+    let scenario = builtin("flash_crowd").unwrap().quick(10);
+    let report = run_scenario(
+        &scenario,
+        vec![
+            scheduler_by_name("auction", scenario.seed).unwrap(),
+            scheduler_by_name("auction_warm", scenario.seed).unwrap(),
+        ],
+    )
+    .unwrap();
+    assert_eq!(report.runs[0].summary.scheduler, "auction");
+    assert_eq!(report.runs[1].summary.scheduler, "auction_warm");
+    let cold = report.runs[0].summary.total_welfare;
+    let warm = report.runs[1].summary.total_welfare;
+    assert!(warm > 0.0, "warm-started runs must schedule transfers");
+    // ε = 0 auctions abstain on ties within the 1e-9 floor; across a quick
+    // sweep the totals agree to well under one valuation unit.
+    assert!((cold - warm).abs() <= 1.0 + 1e-6, "cold {cold} vs warm {warm}");
+}
+
+#[test]
+fn workload_trace_survives_scenario_and_system_round_trips() {
+    // The runner's cached sweep equals per-scheduler live generation.
+    let scenario = builtin("isp_outage").unwrap().quick(10);
+    let report = run_scenario(
+        &scenario,
+        vec![
+            scheduler_by_name("auction", scenario.seed).unwrap(),
+            scheduler_by_name("greedy", scenario.seed).unwrap(),
+        ],
+    )
+    .unwrap();
+    for (i, name) in ["auction", "greedy"].iter().enumerate() {
+        let solo = run_one(&scenario, scheduler_by_name(name, scenario.seed).unwrap()).unwrap();
+        assert_eq!(
+            report.runs[i].summary.table_row(),
+            solo.summary.table_row(),
+            "{name}: cached sweep must be byte-identical to live generation"
+        );
+    }
+    // Direct System-level record/replay through the facade.
+    let config = SystemConfig::small_test().with_seed(9);
+    let mut recorder = System::new(config.clone(), Box::new(AuctionScheduler::paper())).unwrap();
+    recorder.record_workload();
+    recorder.add_static_peers(8).unwrap();
+    recorder.run_slots(5).unwrap();
+    let trace = recorder.take_workload_trace().unwrap();
+    assert!(!trace.is_empty());
+    let mut replayer = System::new(config, Box::new(AuctionScheduler::paper())).unwrap();
+    replayer.replay_workload(trace);
+    assert!(replayer.is_replaying_workload());
+    replayer.add_static_peers(8).unwrap(); // no-op under replay
+    replayer.run_slots(5).unwrap();
+    assert_eq!(
+        recorder.recorder().slots(),
+        replayer.recorder().slots(),
+        "replayed metrics must equal the recorded run"
     );
 }
