@@ -1,6 +1,7 @@
 //! Strict `--flag value` argument parsing for the harness binaries: an
-//! unknown flag, a repeated flag or a value with no flag before it is an
-//! error that names the argument, never a silent default.
+//! unknown flag, a repeated flag, a valued flag without its value, a value
+//! after a switch or a value with no flag before it is an error that names
+//! the argument, never a silent default.
 
 use p2p_types::{P2pError, Result};
 use std::collections::HashMap;
@@ -13,75 +14,85 @@ use std::str::FromStr;
 ///
 /// ```
 /// use p2p_bench::Args;
-/// let known = ["peers", "epsilon", "quick"];
-/// let a = Args::parse(&known, ["--peers", "200", "--quick"])?;
+/// let (valued, switches) = (["peers", "epsilon"], ["quick"]);
+/// let a = Args::parse(&valued, &switches, ["--peers", "200", "--quick"])?;
 /// assert_eq!(a.get_usize("peers", 500)?, 200);
 /// assert!(a.has("quick"));
 /// assert_eq!(a.get_f64("epsilon", 0.5)?, 0.5);
-/// assert!(Args::parse(&known, ["--peers", "abc"])?.get_usize("peers", 500).is_err());
-/// // Misspelt, repeated and stray arguments fail instead of running defaults.
-/// assert!(Args::parse(&known, ["--peer", "200"]).is_err());
-/// assert!(Args::parse(&known, ["--quick", "--quick"]).is_err());
-/// assert!(Args::parse(&known, ["200"]).is_err());
+/// assert!(Args::parse(&valued, &switches, ["--peers", "abc"])?.get_usize("peers", 500).is_err());
+/// // Misspelt, repeated, value-less and stray arguments fail instead of
+/// // running defaults, and so does a value after a switch.
+/// assert!(Args::parse(&valued, &switches, ["--peer", "200"]).is_err());
+/// assert!(Args::parse(&valued, &switches, ["--quick", "--quick"]).is_err());
+/// assert!(Args::parse(&valued, &switches, ["--peers", "--quick"]).is_err());
+/// assert!(Args::parse(&valued, &switches, ["--quick", "5"]).is_err());
+/// assert!(Args::parse(&valued, &switches, ["200"]).is_err());
 /// # Ok::<(), p2p_types::P2pError>(())
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Args {
+    /// Given flags: a valued flag with its value, a switch with `None`.
     flags: HashMap<String, Option<String>>,
 }
 
 impl Args {
     /// Parses the process arguments (skipping the binary name) against the
-    /// binary's flag names.
+    /// binary's valued flags and switches.
     ///
     /// # Errors
     ///
     /// As [`Args::parse`].
-    pub fn from_env(known: &[&str]) -> Result<Self> {
-        Self::parse(known, std::env::args().skip(1))
+    pub fn from_env(valued: &[&str], switches: &[&str]) -> Result<Self> {
+        Self::parse(valued, switches, std::env::args().skip(1))
     }
 
-    /// Parses `args` against `known`, the flag names without their `--`.
-    /// A flag takes the argument after it as its value unless that
-    /// argument is itself a flag.
+    /// Parses `args` against the binary's flag names, without their `--`:
+    /// each of `valued` takes the argument after it as its value, and each
+    /// of `switches` takes none.
     ///
     /// # Errors
     ///
     /// Returns [`P2pError::InvalidConfig`] naming the argument for a flag
-    /// not in `known`, a flag given twice, or a value with no flag before
+    /// in neither list, a flag given twice, a valued flag with no value
+    /// after it, a value after a switch, or a value with no flag before
     /// it.
     pub fn parse<S: Into<String>>(
-        known: &[&str],
+        valued: &[&str],
+        switches: &[&str],
         args: impl IntoIterator<Item = S>,
     ) -> Result<Self> {
         let mut flags = HashMap::new();
-        let mut open: Option<String> = None;
-        for raw in args {
-            let raw: String = raw.into();
-            if let Some(name) = raw.strip_prefix("--") {
-                if !known.contains(&name) {
-                    let known: Vec<String> = known.iter().map(|k| format!("--{k}")).collect();
-                    return Err(flag_error(format!(
-                        "unknown flag `{raw}` (known: {})",
-                        known.join(", ")
-                    )));
-                }
-                if flags.insert(name.to_string(), None).is_some() {
-                    return Err(flag_error(format!("`{raw}` given twice")));
-                }
-                open = Some(name.to_string());
-            } else if let Some(name) = open.take() {
-                flags.insert(name, Some(raw));
+        let mut args = args.into_iter().map(Into::into).peekable();
+        let mut last_switch: Option<String> = None;
+        while let Some(raw) = args.next() {
+            let Some(name) = raw.strip_prefix("--") else {
+                return Err(flag_error(match last_switch {
+                    Some(switch) => format!("`--{switch}` takes no value, got `{raw}`"),
+                    None => format!("unexpected argument `{raw}` with no flag before it"),
+                }));
+            };
+            let value = if switches.contains(&name) {
+                None
+            } else if valued.contains(&name) {
+                let value = args.next_if(|v| !v.starts_with("--"));
+                Some(value.ok_or_else(|| flag_error(format!("`{raw}` needs a value")))?)
             } else {
+                let known: Vec<String> =
+                    valued.iter().chain(switches).map(|k| format!("--{k}")).collect();
                 return Err(flag_error(format!(
-                    "unexpected argument `{raw}` with no flag before it"
+                    "unknown flag `{raw}` (known: {})",
+                    known.join(", ")
                 )));
+            };
+            last_switch = value.is_none().then(|| name.to_string());
+            if flags.insert(name.to_string(), value).is_some() {
+                return Err(flag_error(format!("`{raw}` given twice")));
             }
         }
         Ok(Args { flags })
     }
 
-    /// Whether a flag is present (with or without a value).
+    /// Whether a switch or a valued flag was given.
     pub fn has(&self, name: &str) -> bool {
         self.flags.contains_key(name)
     }
@@ -91,8 +102,8 @@ impl Args {
     /// # Errors
     ///
     /// Returns [`P2pError::InvalidConfig`] naming the flag and its value
-    /// when the flag is present without a value or with one that does not
-    /// parse.
+    /// when the value does not parse, or naming the flag when it is a
+    /// switch.
     pub fn get_usize(&self, name: &str, default: usize) -> Result<usize> {
         self.parse_value(name, default)
     }
@@ -152,10 +163,15 @@ fn flag_error(message: String) -> P2pError {
 mod tests {
     use super::*;
 
-    const KNOWN: [&str; 6] = ["peers", "slots", "eps", "seed", "scenario", "quick"];
+    const VALUED: [&str; 5] = ["peers", "slots", "eps", "seed", "scenario"];
+    const SWITCHES: [&str; 2] = ["quick", "list"];
+
+    fn parse(raw: &[&str]) -> Result<Args> {
+        Args::parse(&VALUED, &SWITCHES, raw.iter().copied())
+    }
 
     fn args(raw: &[&str]) -> Args {
-        Args::parse(&KNOWN, raw.iter().copied()).unwrap()
+        parse(raw).unwrap()
     }
 
     #[test]
@@ -176,13 +192,13 @@ mod tests {
 
     #[test]
     fn malformed_numeric_values_are_rejected_with_flag_and_value() {
-        let a = args(&["--peers", "abc", "--slots", "1x", "--eps", "half", "--seed"]);
+        let a = args(&["--peers", "abc", "--slots", "1x", "--eps", "half", "--quick"]);
         for (err, shown) in [
             (a.get_usize("peers", 500).unwrap_err(), "--peers abc"),
             (a.get_u64("slots", 25).unwrap_err(), "--slots 1x"),
             (a.get_f64("eps", 0.0).unwrap_err(), "--eps half"),
-            // Present without a value.
-            (a.get_u64("seed", 42).unwrap_err(), "--seed"),
+            // A switch has no value to parse.
+            (a.get_u64("quick", 42).unwrap_err(), "--quick"),
         ] {
             assert!(matches!(err, P2pError::InvalidConfig { field: "flag", .. }), "{err}");
             assert!(err.to_string().contains(shown), "{err}");
@@ -212,10 +228,32 @@ mod tests {
             (&["--seed", "1", "--seed", "1"][..], "`--seed` given twice"),
             (&["flash_crowd", "--quick"][..], "unexpected argument `flash_crowd`"),
             (&["--scenario", "a", "b"][..], "unexpected argument `b`"),
+            // A valued flag needs its value; it never takes the next flag.
+            (&["--seed"][..], "`--seed` needs a value"),
+            (&["--scenario", "--quick"][..], "`--scenario` needs a value"),
         ] {
-            let err = Args::parse(&KNOWN, raw.iter().copied()).unwrap_err();
+            let err = parse(raw).unwrap_err();
             assert!(matches!(err, P2pError::InvalidConfig { field: "flag", .. }), "{err}");
             assert!(err.to_string().contains(shown), "{raw:?}: {err}");
         }
+    }
+
+    #[test]
+    fn a_value_after_a_switch_is_rejected_naming_the_switch() {
+        for (raw, shown) in [
+            (&["--list", "5"][..], "`--list` takes no value, got `5`"),
+            (
+                &["--scenario", "flash_crowd", "--quick", "7"][..],
+                "`--quick` takes no value, got `7`",
+            ),
+        ] {
+            let err = parse(raw).unwrap_err();
+            assert!(matches!(err, P2pError::InvalidConfig { field: "flag", .. }), "{err}");
+            assert!(err.to_string().contains(shown), "{raw:?}: {err}");
+        }
+        // Switches still mix freely with valued flags in any order.
+        let a = args(&["--quick", "--seed", "3", "--list"]);
+        assert!(a.has("quick") && a.has("list"));
+        assert_eq!(a.get_u64("seed", 0).unwrap(), 3);
     }
 }

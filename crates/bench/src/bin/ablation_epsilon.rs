@@ -12,7 +12,7 @@ use p2p_bench::{random_instance, save_xy, Args};
 use p2p_core::{AuctionConfig, SyncAuction};
 
 fn main() -> p2p_types::Result<()> {
-    let args = Args::from_env(&["trials", "requests"])?;
+    let args = Args::from_env(&["trials", "requests"], &[])?;
     let trials = args.get_usize("trials", 10)?;
     let requests = args.get_usize("requests", 400)?;
     let providers = requests / 10;

@@ -11,7 +11,7 @@ use p2p_streaming::SystemConfig;
 use p2p_topology::CostDistributions;
 
 fn main() -> p2p_types::Result<()> {
-    let args = Args::from_env(&["peers", "slots"])?;
+    let args = Args::from_env(&["peers", "slots"], &[])?;
     let peers = args.get_usize("peers", 200)?;
     let slots = args.get_u64("slots", 20)?;
 

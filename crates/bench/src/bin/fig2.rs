@@ -17,7 +17,7 @@ use p2p_streaming::fig2::{price_series_for, representative_trace, run_distribute
 use p2p_streaming::{System, SystemConfig};
 
 fn main() -> p2p_types::Result<()> {
-    let args = Args::from_env(&["peers", "from", "to", "quick"])?;
+    let args = Args::from_env(&["peers", "from", "to"], &["quick"])?;
     let quick = args.has("quick");
     // Price dynamics need contention, which needs the paper's 500-peer
     // scale; --quick shortens the traced window instead of shrinking the

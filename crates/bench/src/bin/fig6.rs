@@ -13,7 +13,7 @@ use p2p_sched::{AuctionScheduler, SimpleLocalityScheduler};
 use p2p_streaming::SystemConfig;
 
 fn main() -> p2p_types::Result<()> {
-    let args = Args::from_env(&["slots", "seed"])?;
+    let args = Args::from_env(&["slots", "seed"], &[])?;
     let slots = args.get_u64("slots", 25)?;
     let seed = args.get_u64("seed", 42)?;
 

@@ -617,7 +617,7 @@ fn simd_row(
 }
 
 fn main() -> ExitCode {
-    let result = Args::from_env(&["quick", "simd", "obs", "out"]).and_then(|args| {
+    let result = Args::from_env(&["out"], &["quick", "simd", "obs"]).and_then(|args| {
         if args.has("simd") {
             run_simd(&args)
         } else if args.has("obs") {

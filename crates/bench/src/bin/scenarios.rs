@@ -29,8 +29,9 @@
 //! Output is deterministic: the same seed and scenario produce
 //! byte-identical metric summaries across runs (wall-clock phase timings
 //! appear only inside the `--metrics-out` run reports). An unknown or
-//! repeated flag, a stray argument or an unknown scenario name is an
-//! error.
+//! repeated flag, a flag without its value, a value after a switch
+//! (`--list`, `--show`, `--quick`), a stray argument or an unknown
+//! scenario name is an error.
 
 use p2p_bench::{save_csv, Args};
 use p2p_metrics::ascii_plot;
@@ -43,20 +44,12 @@ use p2p_types::{P2pError, Result};
 use std::path::Path;
 use std::process::ExitCode;
 
-/// Every flag the CLI reads.
-const FLAGS: [&str; 11] = [
-    "list",
-    "show",
-    "scenario",
-    "file",
-    "quick",
-    "seed",
-    "schedulers",
-    "shards",
-    "backend",
-    "net",
-    "metrics-out",
-];
+/// Every flag the CLI reads that takes a value.
+const VALUED: [&str; 8] =
+    ["scenario", "file", "seed", "schedulers", "shards", "backend", "net", "metrics-out"];
+
+/// Every flag the CLI reads that takes none.
+const SWITCHES: [&str; 3] = ["list", "show", "quick"];
 
 fn load_scenario(args: &Args) -> Result<Scenario> {
     if let Some(path) = args.get_opt_str("file") {
@@ -211,7 +204,7 @@ fn write_metrics_bundle(dir: &Path, scenario: &Scenario, report: &ScenarioReport
 }
 
 fn main() -> ExitCode {
-    match Args::from_env(&FLAGS).and_then(|args| run(&args)) {
+    match Args::from_env(&VALUED, &SWITCHES).and_then(|args| run(&args)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("scenarios: {e}");

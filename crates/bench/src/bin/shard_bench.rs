@@ -188,7 +188,7 @@ fn run(args: &Args) -> Result<()> {
 }
 
 fn main() -> ExitCode {
-    match Args::from_env(&["quick", "out"]).and_then(|args| run(&args)) {
+    match Args::from_env(&["out"], &["quick"]).and_then(|args| run(&args)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("shard_bench: {e}");

@@ -337,7 +337,7 @@ fn run(args: &Args) -> Result<()> {
 }
 
 fn main() -> ExitCode {
-    match Args::from_env(&["quick", "out"]).and_then(|args| run(&args)) {
+    match Args::from_env(&["out"], &["quick"]).and_then(|args| run(&args)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("sim_bench: {e}");

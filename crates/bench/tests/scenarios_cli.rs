@@ -1,7 +1,7 @@
 //! The `scenarios` CLI rejects malformed command lines: an unknown
-//! scenario name, an unknown flag (misspelt or retired) and a stray
-//! positional argument each exit non-zero and name the argument on
-//! stderr, instead of running a default.
+//! scenario name, an unknown flag (misspelt or retired), a value after a
+//! switch and a stray positional argument each exit non-zero and name the
+//! argument on stderr, instead of running a default.
 
 use std::process::{Command, Output};
 
@@ -16,6 +16,9 @@ fn malformed_command_lines_fail_naming_the_argument() {
         (&["--scenario", "flash_crowd", "--quick", "--slot-build", "cold"][..], "`--slot-build`"),
         (&["--scenario", "flash_crowd", "--quick", "--sedd", "3"][..], "`--sedd`"),
         (&["--quick", "--scenario", "seed_starvation", "flash_crowd"][..], "`flash_crowd`"),
+        // A switch takes no value: the value is refused, not dropped.
+        (&["--list", "5"][..], "`--list`"),
+        (&["--scenario", "flash_crowd", "--quick", "7"][..], "`--quick`"),
     ] {
         let out = scenarios(args);
         let stderr = String::from_utf8_lossy(&out.stderr);

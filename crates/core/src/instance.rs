@@ -167,7 +167,13 @@ impl InstanceBuilder {
 
     /// Adds a request with no edges yet; returns its index.
     pub fn add_request(&mut self, id: RequestId) -> RequestIdx {
-        self.requests.push(RequestSpec { id, edges: Vec::new() });
+        self.add_request_with_capacity(id, 0)
+    }
+
+    /// Adds a request with no edges yet but room for `edges` of them, for
+    /// callers that know the request's candidate count; returns its index.
+    pub fn add_request_with_capacity(&mut self, id: RequestId, edges: usize) -> RequestIdx {
+        self.requests.push(RequestSpec { id, edges: Vec::with_capacity(edges) });
         self.requests.len() - 1
     }
 

@@ -41,6 +41,12 @@ impl ChunkBuffer {
         b
     }
 
+    /// The bitmap word of chunks `64 * i .. 64 * i + 64`: bit `j` is set
+    /// iff chunk `64 * i + j` is held (0 past the end of the video).
+    pub(crate) fn word(&self, i: usize) -> u64 {
+        self.words.get(i).copied().unwrap_or(0)
+    }
+
     /// Number of chunks in the video.
     pub fn chunk_count(&self) -> u32 {
         self.chunk_count
