@@ -13,7 +13,7 @@
 //! `BENCH_parallel.json`.
 //!
 //! Usage:
-//!   `flat_bench [--quick] [--simd] [--out PATH]`
+//!   `flat_bench [--quick] [--obs] [--out PATH]`
 //!
 //! `--quick` shrinks instance sizes for CI smoke runs; the committed JSON
 //! comes from a full run. The `flat_hot` rows time
@@ -21,14 +21,6 @@
 //! (reused scratch + reused outcome buffers); plain `flat` rows include
 //! the owned-outcome conversion so they are directly comparable with the
 //! nested engines' rows.
-//!
-//! `--simd` switches to EXP-K (ISSUE 6): the branchless lane bid kernel
-//! ([`BidKernel::Lanes`]) vs the PR 5 sequential scan
-//! ([`BidKernel::Scalar`]) over the same flat engine, with the nested
-//! engines as context rows. Every run is certificate-checked and the
-//! binary hard-fails if the two kernels diverge in *any* outcome field —
-//! so a passing run is machine-checked evidence the kernel is a pure
-//! speed change. Results land in `BENCH_simd.json`.
 //!
 //! `--obs` switches to EXP-O (ISSUE 7): the instrumented steady-state path
 //! (`run_into_probed` with a live [`CountingProbe`]) vs the bare
@@ -40,8 +32,8 @@
 use p2p_bench::Args;
 use p2p_core::csr::{CsrInstance, FlatAuction, FlatOutcome};
 use p2p_core::{
-    verify_optimality, AuctionConfig, BidKernel, CountingProbe, NoProbe, ShardCount,
-    ShardedAuction, SyncAuction, WelfareInstance,
+    verify_optimality, AuctionConfig, CountingProbe, NoProbe, ShardCount, ShardedAuction,
+    SyncAuction, WelfareInstance,
 };
 use p2p_types::Result;
 use std::process::ExitCode;
@@ -281,161 +273,6 @@ fn run(args: &Args) -> Result<()> {
     Ok(())
 }
 
-/// EXP-K — the branchless lane bid kernel vs the PR 5 sequential scan.
-///
-/// Times the zero-allocation steady-state path (`run_into` with reused
-/// scratch) of the *same* flat engine under both [`BidKernel`]s at each
-/// shard count, hard-failing on certificate loss, on any kernel/scalar
-/// outcome divergence (assignment choices, duals, rounds, bids — not just
-/// welfare), and on flat/nested welfare drift. The nested engines appear
-/// as context rows so the JSON tells the whole story: nested → flat
-/// scalar (PR 5's layout win) → flat kernel (this PR's reduction win).
-fn run_simd(args: &Args) -> Result<()> {
-    let quick = args.has("quick");
-    let sizes: &[usize] = if quick { &[400, 1_000] } else { &[1_000, 3_000, 10_000] };
-    let shard_counts: &[usize] = if quick { &[1, 4] } else { &[1, 2, 4, 8] };
-    let out_path = args.get_str("out", "BENCH_simd.json");
-    let cfg = AuctionConfig::with_epsilon(EPSILON);
-
-    let mut rows = Vec::new();
-    println!("steady-state per-slot latency by bid kernel, ε = {EPSILON}:");
-    println!(
-        "{:<10} {:<16} {:>12} {:>8} {:>10} {:>12} {:>12} {:>10}",
-        "requests", "engine", "wall", "rounds", "bids", "welfare", "vs scalar", "certified"
-    );
-    for &requests in sizes {
-        let instance = bench_instance(0xF1A7 ^ requests as u64, requests);
-        let csr = CsrInstance::compile(&instance);
-
-        // Context rows: the nested engines this PR inherits its oracle
-        // fingerprints from.
-        let sync_engine = SyncAuction::new(cfg);
-        let (sync_ns, sync_out) = best_of(|| sync_engine.run(&instance))?;
-        certify(&instance, &sync_out)?;
-        let sync_welfare = sync_out.assignment.welfare(&instance).get();
-        let mut context = vec![("sync".to_string(), None, sync_ns, sync_out)];
-        for &n in shard_counts.iter().filter(|&&n| n > 1) {
-            let engine = ShardedAuction::new(cfg, ShardCount::Fixed(n));
-            let (ns, out) = best_of(|| engine.run(&instance))?;
-            certify(&instance, &out)?;
-            context.push((format!("nested/{n}"), Some(n), ns, out));
-        }
-        for (label, shards, ns, out) in &context {
-            println!(
-                "{:<10} {:<16} {:>10}µs {:>8} {:>10} {:>12.2} {:>11} {:>10}",
-                requests,
-                label,
-                ns / 1_000,
-                out.rounds,
-                out.bids_submitted,
-                out.assignment.welfare(&instance).get(),
-                "-",
-                "yes",
-            );
-            rows.push(simd_row(
-                requests,
-                instance.provider_count(),
-                label,
-                *shards,
-                *ns,
-                out.rounds,
-                out.bids_submitted,
-                out.assignment.welfare(&instance).get(),
-                None,
-            ));
-        }
-
-        for &n in shard_counts {
-            // One persistent engine and one reused outcome per kernel: the
-            // scratch/buffer reuse the slot loop gets in production.
-            let mut results = Vec::new();
-            for kernel in [BidKernel::Scalar, BidKernel::Lanes] {
-                let mut engine = FlatAuction::new(cfg, ShardCount::Fixed(n)).with_kernel(kernel);
-                let mut hot = FlatOutcome::default();
-                let (ns, ()) = best_of(|| engine.run_into(&csr, &mut hot))?;
-                let out = hot.to_outcome();
-                certify(&instance, &out)?;
-                if (out.assignment.welfare(&instance).get() - sync_welfare).abs()
-                    > EPSILON * 2.0 * instance.request_count() as f64 + 1e-9
-                {
-                    return Err(p2p_types::P2pError::MalformedInstance(format!(
-                        "{}/{n} welfare strayed from the sync oracle on the \
-                         {requests}-request instance",
-                        kernel.name()
-                    )));
-                }
-                results.push((kernel, ns, out));
-            }
-            // The divergence gate: the kernels must agree on *everything*.
-            let (_, scalar_ns, scalar_out) = &results[0];
-            let (_, _, kernel_out) = &results[1];
-            if scalar_out.assignment != kernel_out.assignment
-                || scalar_out.duals != kernel_out.duals
-                || scalar_out.rounds != kernel_out.rounds
-                || scalar_out.bids_submitted != kernel_out.bids_submitted
-            {
-                return Err(p2p_types::P2pError::MalformedInstance(format!(
-                    "the lane kernel diverged from the scalar scan at shards = {n} \
-                     on the {requests}-request instance"
-                )));
-            }
-            for (kernel, ns, out) in &results {
-                let speedup =
-                    (*kernel == BidKernel::Lanes).then(|| *scalar_ns as f64 / (*ns).max(1) as f64);
-                let welfare = out.assignment.welfare(&instance).get();
-                println!(
-                    "{:<10} {:<16} {:>10}µs {:>8} {:>10} {:>12.2} {:>11} {:>10}",
-                    requests,
-                    format!("{}/{n}", kernel.name()),
-                    ns / 1_000,
-                    out.rounds,
-                    out.bids_submitted,
-                    welfare,
-                    speedup.map_or("-".to_string(), |s| format!("{s:.2}x")),
-                    "yes",
-                );
-                rows.push(simd_row(
-                    requests,
-                    instance.provider_count(),
-                    &format!("{}/{n}", kernel.name()),
-                    Some(n),
-                    *ns,
-                    out.rounds,
-                    out.bids_submitted,
-                    welfare,
-                    speedup,
-                ));
-            }
-        }
-    }
-
-    let json = format!(
-        "{{\n  \"note\": \"The branchless lane bid kernel (BidKernel::Lanes: chunked \
-         top-2 reduction over the CSR edge_utility rows, prices gathered per lane, \
-         merged with an index tie-break) vs the PR 5 sequential scan \
-         (BidKernel::Scalar) over the same flat engine, nested engines as context \
-         (ISSUE 6). Rows time the zero-allocation run_into steady-state path. This \
-         binary hard-fails unless both kernels produce identical assignments, duals, \
-         rounds and bids and every run passes the Theorem 1 certificate — \
-         speedup_vs_scalar is therefore a pure reduction-shape win. Regenerate with \
-         `cargo run --release -p p2p-bench --bin flat_bench -- --simd` (add --quick \
-         for CI sizes); expect run-to-run timing noise, the certified/welfare fields \
-         are exact.\",\n  \"command\": \"cargo run --release -p p2p-bench --bin \
-         flat_bench -- --simd{}\",\n  \"epsilon\": {},\n  \"machine_cores\": {},\n  \
-         \"default_kernel\": \"{}\",\n  \"runs\": [\n{}\n  ]\n}}\n",
-        if quick { " --quick" } else { "" },
-        EPSILON,
-        p2p_core::available_cores(),
-        BidKernel::default().name(),
-        rows.join(",\n"),
-    );
-    std::fs::write(&out_path, json).map_err(|e| {
-        p2p_types::P2pError::invalid_config("out", format!("cannot write `{out_path}`: {e}"))
-    })?;
-    println!("\nwrote {out_path}");
-    Ok(())
-}
-
 /// EXP-O — probe overhead on the steady-state slot path.
 ///
 /// For each instance size and shard count, times three executions of the
@@ -587,40 +424,9 @@ fn run_obs(args: &Args) -> Result<()> {
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)] // flat row serializer, mirrors the JSON shape
-fn simd_row(
-    requests: usize,
-    providers: usize,
-    engine: &str,
-    shards: Option<usize>,
-    wall_ns: u128,
-    rounds: u64,
-    bids: u64,
-    welfare: f64,
-    speedup: Option<f64>,
-) -> String {
-    format!(
-        "    {{\n      \"requests\": {},\n      \"providers\": {},\n      \
-         \"engine\": \"{}\",\n      \"shards\": {},\n      \"wall_ns\": {},\n      \
-         \"rounds\": {},\n      \"bids\": {},\n      \"welfare\": {:.3},\n      \
-         \"speedup_vs_scalar\": {},\n      \"certified\": true\n    }}",
-        requests,
-        providers,
-        engine,
-        shards.map_or("null".to_string(), |s| s.to_string()),
-        wall_ns,
-        rounds,
-        bids,
-        welfare,
-        speedup.map_or("null".to_string(), |s| format!("{s:.3}")),
-    )
-}
-
 fn main() -> ExitCode {
-    let result = Args::from_env(&["out"], &["quick", "simd", "obs"]).and_then(|args| {
-        if args.has("simd") {
-            run_simd(&args)
-        } else if args.has("obs") {
+    let result = Args::from_env(&["out"], &["quick", "obs"]).and_then(|args| {
+        if args.has("obs") {
             run_obs(&args)
         } else {
             run(&args)
@@ -630,7 +436,7 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("flat_bench: {e}");
-            eprintln!("usage: flat_bench [--quick] [--simd] [--obs] [--out PATH]");
+            eprintln!("usage: flat_bench [--quick] [--obs] [--out PATH]");
             ExitCode::FAILURE
         }
     }

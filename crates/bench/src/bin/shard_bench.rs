@@ -14,11 +14,11 @@
 //!
 //! `--quick` shrinks instance sizes for CI smoke runs; the committed JSON
 //! comes from a full run. Note on reading the numbers: a shard count ≥ 2
-//! selects the batched engine (per-slice merges + retirement pruning) and
-//! also fixes its merge batching, so each row is deterministic on every
-//! machine; worker threads are `min(shards, cores)`, so on a single-core
-//! machine the speedup shown is purely algorithmic (retirement + batching)
-//! and multi-core hardware adds parallel headroom on top.
+//! selects the batched engine (per-slice merges) and also fixes its merge
+//! batching, so each row is deterministic on every machine; worker threads
+//! are `min(shards, cores)`, so on a single-core machine the speedup shown
+//! is purely algorithmic (batching; both engines retire priced-out
+//! requests) and multi-core hardware adds parallel headroom on top.
 
 use p2p_bench::Args;
 use p2p_core::{
@@ -82,8 +82,8 @@ fn time_run(
 /// seed-starved regime of the paper's Sec. V scenarios), deep per-provider
 /// allocation sets (up to 8 units, so evictions genuinely churn), and ~24
 /// candidate edges per request as in a 30-neighbor swarm. Most of the crowd
-/// ends up priced out — exactly where the sharded engine's retirement
-/// pruning pays and the synchronous sweep re-scans the losers every round.
+/// ends up priced out, so both engines retire most requests early and
+/// later rounds scan only the contested rest.
 fn bench_instance(seed: u64, requests: usize) -> WelfareInstance {
     let providers = (requests / 16).max(4);
     p2p_bench::instances::random_instance(seed, providers, requests, 8, 24)

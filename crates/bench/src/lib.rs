@@ -9,13 +9,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod args;
 pub mod experiments;
 pub mod instances;
 
-pub use args::Args;
 pub use experiments::{run_dynamic, run_static, ComparisonRun};
 pub use instances::random_instance;
+
+/// The workspace's one strict command-line parser, re-exported so every
+/// harness binary keeps importing it from here.
+pub use p2p_types::Args;
 
 use p2p_metrics::TimeSeries;
 use std::fs;

@@ -147,8 +147,9 @@ pub(crate) struct Top2 {
 }
 
 /// Turns a [`Top2`] reduction into the paper's bid decision — the epilogue
-/// shared by every scan layout (iterator, scalar rows, kernel lanes), so a
-/// decision differs between layouts only if the reductions differ.
+/// shared by both scans (the sequential iterator and the flat engine's
+/// kernel lanes), so a decision differs between them only if the
+/// reductions differ.
 pub(crate) fn decision_from_top2(
     top: Option<Top2>,
     epsilon: f64,
@@ -176,10 +177,10 @@ pub(crate) fn decision_from_top2(
     BidDecision::Bid { edge, provider, amount }
 }
 
-/// The layout-independent decision core shared by the nested
-/// ([`EdgeView`] slice) and the flat CSR ([`crate::csr`]) engines: both map
-/// their edge storage onto the same `(provider, utility)` iterator, so the
-/// two layouts produce bit-identical decisions by construction.
+/// The sequential edge-at-a-time decision core over a `(provider,
+/// utility)` iterator: the bid scan of the nested ([`EdgeView`] slice)
+/// engines, and the oracle the flat engine's lane kernel
+/// ([`crate::csr::kernel`]) is tested against.
 pub(crate) fn decide_bid_over(
     edges: impl Iterator<Item = (ProviderIdx, f64)>,
     price_of: impl Fn(ProviderIdx) -> f64,

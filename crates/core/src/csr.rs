@@ -34,11 +34,10 @@
 //!
 //! The flat engines are not "approximately" the nested engines — they are
 //! the same auction over a different memory layout. Bid decisions run the
-//! branchless [`kernel`] reduction by default (selected by the `simd`
-//! cargo feature, overridable per engine with
-//! [`FlatAuction::with_kernel`]) — bit-identical to the shared
+//! branchless [`kernel`] reduction — bit-identical to the shared
 //! [`crate::bidder`] decision core by the order-invariance argument in the
-//! [`kernel`] docs — merges apply the same total order, and the
+//! [`kernel`] docs — both schedules retire priced-out requests as the
+//! nested engines do, merges apply the same total order, and the
 //! auctioneer arena keeps the nested auctioneer's heap order (evict the
 //! minimum `(bid, admission-seq)` entry; price = the smallest admitted bid
 //! when full), so outcomes — prices, assignments,
@@ -93,8 +92,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 pub mod kernel;
-
-pub use kernel::BidKernel;
 
 /// Sentinel for "request unassigned" in the flat choice vector.
 const NONE: u32 = u32::MAX;
@@ -166,7 +163,7 @@ impl CsrInstance {
     /// is precomputed per edge exactly as [`crate::EdgeSpec::utility`]
     /// computes it, so downstream floats are bit-identical).
     ///
-    /// Every utility is finite, as the bid kernels require:
+    /// Every utility is finite, as the bid kernel requires:
     /// [`crate::InstanceBuilder::add_edge`] rejects a non-finite `v − w`,
     /// and a [`WelfareInstance`] can only come from that builder.
     pub fn compile(instance: &WelfareInstance) -> Self {
@@ -233,7 +230,6 @@ struct SliceCmd {
     csr: Arc<CsrData>,
     prices: Arc<Vec<f64>>,
     epsilon: f64,
-    kernel: BidKernel,
     bids: Vec<FlatBid>,
     retired: Vec<u32>,
 }
@@ -271,7 +267,6 @@ impl Lease {
                     cmd.bids.clear();
                     cmd.retired.clear();
                     kernel::scan_slice(
-                        cmd.kernel,
                         &cmd.csr,
                         &cmd.chunk,
                         &cmd.prices,
@@ -300,23 +295,6 @@ impl Drop for Lease {
             let _ = thread.join();
         }
     }
-}
-
-/// Computes one slice's bids against a read-only price snapshot — a pure
-/// function of `(slice, prices, kernel)`, safe to fan out in any chunking.
-/// Mirrors the nested sharded engine's `compute_slice` (unprofitable and
-/// candidate-less requests are reported for permanent retirement), running
-/// each row through the selected bid kernel — see [`kernel::scan_slice`].
-fn compute_slice(
-    kernel: BidKernel,
-    csr: &CsrData,
-    slice: &[u32],
-    prices: &[f64],
-    epsilon: f64,
-    bids: &mut Vec<FlatBid>,
-    retired: &mut Vec<u32>,
-) {
-    kernel::scan_slice(kernel, csr, slice, prices, epsilon, bids, retired);
 }
 
 /// The reusable engine state: every buffer the hot loop touches, allocated
@@ -625,9 +603,6 @@ impl FlatOutcome {
 pub struct FlatAuction {
     config: AuctionConfig,
     shards: ShardCount,
-    /// Which bid-scan implementation the engine runs (kernel lanes by
-    /// default; see [`BidKernel`]).
-    kernel: BidKernel,
     /// Test/bench override for the worker-thread count (normally
     /// `min(shards, cores)`).
     workers: Option<usize>,
@@ -640,7 +615,6 @@ impl std::fmt::Debug for FlatAuction {
         f.debug_struct("FlatAuction")
             .field("config", &self.config)
             .field("shards", &self.shards)
-            .field("kernel", &self.kernel)
             .field("workers", &self.workers)
             .finish_non_exhaustive()
     }
@@ -653,7 +627,6 @@ impl Clone for FlatAuction {
         FlatAuction {
             config: self.config,
             shards: self.shards,
-            kernel: self.kernel,
             workers: self.workers,
             scratch: AuctionScratch::default(),
             lease: None,
@@ -673,7 +646,6 @@ impl FlatAuction {
         FlatAuction {
             config,
             shards,
-            kernel: BidKernel::default(),
             workers: None,
             scratch: AuctionScratch::default(),
             lease: None,
@@ -688,20 +660,6 @@ impl FlatAuction {
     /// The engine's shard count.
     pub fn shards(&self) -> ShardCount {
         self.shards
-    }
-
-    /// The bid kernel the engine runs.
-    pub fn kernel(&self) -> BidKernel {
-        self.kernel
-    }
-
-    /// Selects the bid-scan implementation (builder-style). Outcomes are
-    /// bit-identical either way (see the [`kernel`] docs); this exists so
-    /// benches and the cross-check suites can pin one path.
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: BidKernel) -> Self {
-        self.kernel = kernel;
-        self
     }
 
     /// The effective shard count this engine would use for a slot with
@@ -919,7 +877,6 @@ impl FlatAuction {
         let data = csr.data();
         let s = &mut self.scratch;
         s.reset(data, initial);
-        let retire = self.config.retire_priced_out;
         let requests = data.request_count();
         let mut rounds = 0u64;
         let mut bids_submitted = 0u64;
@@ -932,27 +889,18 @@ impl FlatAuction {
             let mut conflicts_this_round = 0u64;
             let mut retired_this_round = 0u64;
             for r in 0..requests {
-                if s.assigned[r] != NONE {
-                    continue;
-                }
-                if retire && s.retired[r] {
+                if s.assigned[r] != NONE || s.retired[r] {
                     continue;
                 }
                 let (providers, utilities) = data.row(r);
-                let decision =
-                    kernel::decide_row(self.kernel, providers, utilities, &s.eff_price, epsilon);
-                match decision {
-                    BidDecision::Abstain { reason } => {
-                        if retire
-                            && matches!(
-                                reason,
-                                AbstainReason::Unprofitable | AbstainReason::NoCandidates
-                            )
-                        {
-                            s.retired[r] = true;
-                            retired_this_round += 1;
-                        }
+                match kernel::decide_row(providers, utilities, &s.eff_price, epsilon) {
+                    BidDecision::Abstain {
+                        reason: AbstainReason::Unprofitable | AbstainReason::NoCandidates,
+                    } => {
+                        s.retired[r] = true;
+                        retired_this_round += 1;
                     }
+                    BidDecision::Abstain { reason: AbstainReason::ZeroMargin } => {}
                     BidDecision::Bid { edge, provider, amount } => {
                         bids_this_round += 1;
                         match arena_handle_bid(
@@ -1091,14 +1039,12 @@ impl FlatAuction {
                         slice,
                         &s.eff_price,
                         epsilon,
-                        self.kernel,
                         workers,
                         &mut bids,
                         &mut slice_retired,
                     );
                 } else {
-                    compute_slice(
-                        self.kernel,
+                    kernel::scan_slice(
                         data,
                         slice,
                         &s.eff_price,
@@ -1216,7 +1162,6 @@ fn exec_threaded(
     slice: &[u32],
     prices: &[f64],
     epsilon: f64,
-    kernel: BidKernel,
     workers: usize,
     bids: &mut Vec<FlatBid>,
     retired: &mut Vec<u32>,
@@ -1241,7 +1186,6 @@ fn exec_threaded(
             csr: csr.shared(),
             prices: Arc::clone(&snapshot),
             epsilon,
-            kernel,
             bids: bid_buf,
             retired: retired_buf,
         };
@@ -1254,8 +1198,7 @@ fn exec_threaded(
             Err(mpsc::SendError(mut cmd)) => {
                 cmd.bids.clear();
                 cmd.retired.clear();
-                compute_slice(
-                    kernel,
+                kernel::scan_slice(
                     csr.data(),
                     &cmd.chunk,
                     prices,
@@ -1278,7 +1221,7 @@ fn exec_threaded(
                 // inline (pure function — same result).
                 bids.clear();
                 retired.clear();
-                compute_slice(kernel, csr.data(), slice, prices, epsilon, bids, retired);
+                kernel::scan_slice(csr.data(), slice, prices, epsilon, bids, retired);
                 lease.pending.clear();
                 return;
             }
@@ -1630,38 +1573,46 @@ mod tests {
     #[test]
     fn clone_and_debug_cover_the_engine_surface() {
         let flat = FlatAuction::new(AuctionConfig::with_epsilon(0.5), ShardCount::Fixed(3))
-            .with_workers(2)
-            .with_kernel(BidKernel::Scalar);
+            .with_workers(2);
         let cloned = flat.clone();
         assert_eq!(cloned.config().epsilon, 0.5);
         assert_eq!(cloned.shards(), ShardCount::Fixed(3));
-        assert_eq!(cloned.kernel(), BidKernel::Scalar);
         assert!(format!("{flat:?}").contains("FlatAuction"));
-        assert_eq!(FlatAuction::default().kernel(), BidKernel::default());
     }
 
+    /// The lane kernel (flat engine) against the scalar scan (the nested
+    /// engine of the same schedule), price traces and warm starts included.
     #[test]
     fn kernel_and_scalar_paths_are_bit_identical_end_to_end() {
         for (shards, eps) in [(1usize, 0.0), (1, 0.01), (4, 0.0), (4, 0.01)] {
             let inst = contended_instance(40);
             let csr = CsrInstance::compile(&inst);
             let cfg = AuctionConfig::with_epsilon(eps);
-            let mut lanes =
-                FlatAuction::new(cfg, ShardCount::Fixed(shards)).with_kernel(BidKernel::Lanes);
-            let mut scalar =
-                FlatAuction::new(cfg, ShardCount::Fixed(shards)).with_kernel(BidKernel::Scalar);
+            let mut lanes = FlatAuction::new(cfg, ShardCount::Fixed(shards));
             let (a, a_trace) = traced(&mut lanes, &csr);
-            let (b, b_trace) = traced(&mut scalar, &csr);
+            let mut b_trace = PriceRecorder::new();
+            let (b, bw) = if shards == 1 {
+                let sync = SyncAuction::new(cfg);
+                let b = sync.run_probed(&inst, &mut b_trace).unwrap();
+                let bw = sync.run_warm(&inst, &b.duals.lambda).unwrap();
+                (b, bw)
+            } else {
+                let sharded = ShardedAuction::new(cfg, ShardCount::Fixed(shards));
+                let b = sharded.run_probed(&inst, &mut b_trace).unwrap();
+                let bw = sharded.run_warm(&inst, &b.duals.lambda).unwrap();
+                (b, bw)
+            };
             assert_eq!(a.assignment, b.assignment, "shards={shards} eps={eps}");
             assert_eq!(a.duals, b.duals, "shards={shards} eps={eps}");
             assert_eq!(a.rounds, b.rounds, "shards={shards} eps={eps}");
             assert_eq!(a.bids_submitted, b.bids_submitted, "shards={shards} eps={eps}");
-            assert_eq!(a_trace, b_trace, "shards={shards} eps={eps}");
+            assert_eq!(a_trace, b_trace.points, "shards={shards} eps={eps}");
             // Warm starts agree too.
             let aw = lanes.run_warm(&csr, &a.duals.lambda).unwrap();
-            let bw = scalar.run_warm(&csr, &b.duals.lambda).unwrap();
             assert_eq!(aw.assignment, bw.assignment, "warm shards={shards} eps={eps}");
             assert_eq!(aw.duals, bw.duals, "warm shards={shards} eps={eps}");
+            assert_eq!(aw.rounds, bw.rounds, "warm shards={shards} eps={eps}");
+            assert_eq!(aw.bids_submitted, bw.bids_submitted, "warm shards={shards} eps={eps}");
         }
     }
 

@@ -1,23 +1,23 @@
-//! Branchless bid kernels over the flat CSR layout.
+//! The flat engine's branchless bid kernel over the CSR layout.
 //!
-//! PR 5's flat engine still walked each request's row through the
-//! edge-at-a-time iterator of [`decide_bid_over`](crate::bidder) — correct,
-//! but opaque to the vectorizer: the running best/second state is carried
-//! through a `match` with two data-dependent branches per edge. This module
-//! re-expresses the same reduction in a chunked, branchless form the
-//! compiler can keep in vector registers:
+//! The nested engines walk each request's row through the edge-at-a-time
+//! scan of `decide_bid_over` (in [`crate::bidder`]), whose running
+//! best/second state is carried through a `match` with two data-dependent
+//! branches per edge — opaque to the vectorizer. The flat engine runs the
+//! same reduction in a chunked, branchless form the compiler can keep in
+//! vector registers; it is the only bid scan [`FlatAuction`] has:
 //!
-//! * [`row_top2`] — the top-2 reduction over one request's
-//!   `edge_utility` row, `LANES` independent per-lane recurrences (prices
-//!   gathered per lane from the dense `eff_price` array) merged at the end
-//!   with an index tie-break. Selected implementation: `core::simd` when
-//!   the nightly-only `portable-simd` feature is on, otherwise fixed-size
-//!   `[f64; LANES]` chunks written as straight-line selects that stable
-//!   rustc autovectorizes (verified by the `flat_bench` kernel/scalar
-//!   split in `BENCH_simd.json`).
-//! * [`scan_slice`] — the batched variant: one pass over a whole shard
+//! * `row_top2` — the top-2 reduction over one request's `edge_utility`
+//!   row: `LANES` independent per-lane recurrences (prices gathered per
+//!   lane from the dense `eff_price` array), written over fixed-size
+//!   `[f64; LANES]` chunks as straight-line selects that stable rustc
+//!   autovectorizes, and merged at the end with an index tie-break.
+//! * `scan_slice` — the batched variant: one pass over a whole shard
 //!   slice of requests against a single price snapshot, emitting bids and
 //!   retirements exactly as the nested engines' `compute_slice` does.
+//!
+//! `decide_bid_over` stays the reference: the nested engines run it, and
+//! the kernel tests compare every lane decision with it.
 //!
 //! # Why the kernel is bit-identical to the sequential scan
 //!
@@ -47,53 +47,15 @@
 //! `crates/core/tests/proptest_kernel.rs`.
 //!
 //! [`P2pError::NonFiniteUtility`]: p2p_types::P2pError::NonFiniteUtility
+//! [`FlatAuction`]: super::FlatAuction
 
 use super::{CsrData, FlatBid};
-use crate::bidder::{
-    decide_bid_over, decision_from_top2, AbstainReason, BidDecision, Top2, MIN_INCREMENT,
-};
+use crate::bidder::{decision_from_top2, AbstainReason, BidDecision, Top2, MIN_INCREMENT};
 
 /// Lane width of the chunked reductions: four `f64`s — one AVX2 register,
 /// two NEON registers — is wide enough to saturate the FP select ports
 /// while keeping the merge epilogue and sub-lane rows cheap.
 pub const LANES: usize = 4;
-
-/// Which bid-scan implementation [`FlatAuction`](super::FlatAuction) uses.
-///
-/// Both implementations are always compiled; the `simd` cargo feature
-/// (default-on) only selects which one [`BidKernel::default`] returns, so
-/// the fallback can never rot unnoticed — CI builds and tests both
-/// selections, and `flat_bench` cross-checks their outcomes bid for bid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum BidKernel {
-    /// The chunked branchless lane reduction ([`row_top2`]).
-    Lanes,
-    /// The sequential edge-at-a-time scan of PR 5
-    /// (`decide_bid_over` over the row iterator).
-    Scalar,
-}
-
-impl Default for BidKernel {
-    /// [`BidKernel::Lanes`] with the `simd` feature (the default build),
-    /// [`BidKernel::Scalar`] without it.
-    fn default() -> Self {
-        if cfg!(feature = "simd") {
-            BidKernel::Lanes
-        } else {
-            BidKernel::Scalar
-        }
-    }
-}
-
-impl BidKernel {
-    /// The CLI/bench name of this kernel (`lanes` or `scalar`).
-    pub fn name(self) -> &'static str {
-        match self {
-            BidKernel::Lanes => "lanes",
-            BidKernel::Scalar => "scalar",
-        }
-    }
-}
 
 /// One lane-parallel top-2 state: `LANES` independent copies of the
 /// sequential recurrence, kept in parallel arrays so the update loop is
@@ -128,28 +90,6 @@ impl LaneState {
     /// only grow.
     #[inline]
     fn fold_chunk(&mut self, base: u32, phi: [f64; LANES]) {
-        #[cfg(feature = "portable-simd")]
-        {
-            use core::simd::prelude::*;
-            let p = Simd::<f64, LANES>::from_array(phi);
-            let best = Simd::<f64, LANES>::from_array(self.best_phi);
-            let second = Simd::<f64, LANES>::from_array(self.second);
-            let idx = Simd::<u64, LANES>::from_array(self.best_idx.map(u64::from));
-            let here = Simd::<u64, LANES>::from_array(core::array::from_fn(|j| j as u64))
-                + Simd::<u64, LANES>::splat(u64::from(base));
-            let demoted = p.simd_lt(best).select(p, best);
-            let second = demoted.simd_gt(second).select(demoted, second);
-            let better = p.simd_gt(best);
-            let best = better.select(p, best);
-            let idx = better.select(here, idx);
-            self.best_phi = best.to_array();
-            self.second = second.to_array();
-            let idx = idx.to_array();
-            for j in 0..LANES {
-                self.best_idx[j] = idx[j] as u32;
-            }
-        }
-        #[cfg(not(feature = "portable-simd"))]
         // Indexed form, not iterators: the four parallel arrays update in
         // lockstep and the vectorizer needs to see them as one loop body.
         #[allow(clippy::needless_range_loop)]
@@ -184,7 +124,7 @@ fn merge(a: (f64, u32, f64), b: (f64, u32, f64)) -> (f64, u32, f64) {
 
 /// The sequential top-2 recurrence over a sub-range of a row — used for
 /// rows shorter than one lane and for the chunk remainder. Identical to
-/// the `decide_bid_over` recurrence (it *is* the reference semantics).
+/// the `decide_bid_over` recurrence.
 #[inline]
 fn fold_scalar(
     providers: &[u32],
@@ -265,36 +205,24 @@ fn finish(state: Option<(f64, u32, f64)>, providers: &[u32], prices: &[f64]) -> 
     })
 }
 
-/// One request's bid decision through the selected kernel. Both paths run
-/// the shared decision epilogue, so they can only differ if the top-2
-/// reductions differ — which the module invariant (and the proptest
-/// suite) rules out.
+/// One request's bid decision through the lane kernel. It runs the
+/// decision epilogue `decide_bid_over` shares, so the two can only differ
+/// if the top-2 reductions differ — which the module invariant (and the
+/// proptest suite) rules out.
 #[inline]
 pub(crate) fn decide_row(
-    kernel: BidKernel,
     providers: &[u32],
     utilities: &[f64],
     prices: &[f64],
     epsilon: f64,
 ) -> BidDecision {
-    match kernel {
-        BidKernel::Lanes => {
-            decision_from_top2(row_top2(providers, utilities, prices), epsilon, MIN_INCREMENT)
-        }
-        BidKernel::Scalar => decide_bid_over(
-            providers.iter().zip(utilities).map(|(&p, &u)| (p as usize, u)),
-            |p| prices[p],
-            epsilon,
-            MIN_INCREMENT,
-        ),
-    }
+    decision_from_top2(row_top2(providers, utilities, prices), epsilon, MIN_INCREMENT)
 }
 
 /// The batched slice scan: every request of a shard slice decided against
 /// one price snapshot in a single pass, bids and permanent retirements
 /// appended exactly as the nested engines' `compute_slice` emits them.
 pub(crate) fn scan_slice(
-    kernel: BidKernel,
     csr: &CsrData,
     slice: &[u32],
     prices: &[f64],
@@ -304,7 +232,7 @@ pub(crate) fn scan_slice(
 ) {
     for &r in slice {
         let (providers, utilities) = csr.row(r as usize);
-        match decide_row(kernel, providers, utilities, prices, epsilon) {
+        match decide_row(providers, utilities, prices, epsilon) {
             BidDecision::Bid { edge, provider, amount } => {
                 bids.push(FlatBid {
                     amount,
@@ -324,10 +252,16 @@ pub(crate) fn scan_slice(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bidder::decide_bid_over;
 
     fn decisions_match(providers: &[u32], utilities: &[f64], prices: &[f64], epsilon: f64) {
-        let lanes = decide_row(BidKernel::Lanes, providers, utilities, prices, epsilon);
-        let scalar = decide_row(BidKernel::Scalar, providers, utilities, prices, epsilon);
+        let lanes = decide_row(providers, utilities, prices, epsilon);
+        let scalar = decide_bid_over(
+            providers.iter().zip(utilities).map(|(&p, &u)| (p as usize, u)),
+            |p| prices[p],
+            epsilon,
+            MIN_INCREMENT,
+        );
         assert_eq!(lanes, scalar, "providers={providers:?} utilities={utilities:?}");
     }
 
@@ -373,16 +307,8 @@ mod tests {
         let utils = [1.0; 6];
         decisions_match(&dead, &utils, &dead_prices, 0.0);
         assert_eq!(
-            decide_row(BidKernel::Lanes, &dead, &utils, &dead_prices, 0.0),
+            decide_row(&dead, &utils, &dead_prices, 0.0),
             BidDecision::Abstain { reason: AbstainReason::Unprofitable }
         );
-    }
-
-    #[test]
-    fn kernel_names_and_default_are_stable() {
-        assert_eq!(BidKernel::Lanes.name(), "lanes");
-        assert_eq!(BidKernel::Scalar.name(), "scalar");
-        let expect = if cfg!(feature = "simd") { BidKernel::Lanes } else { BidKernel::Scalar };
-        assert_eq!(BidKernel::default(), expect);
     }
 }

@@ -6,14 +6,16 @@
 //! immediately (prices update as the sweep progresses). The auction
 //! converges when a full round produces no bids — precisely the paper's
 //! "no auctioneer wishes to change its allocation and no bidder wishes to
-//! bid again".
+//! bid again". Prices only rise within a run, so a request that abstains
+//! as unprofitable or candidate-less could never bid again: the sweep
+//! retires it and stops re-scanning it, which changes no outcome.
 //!
 //! This is the readable reference oracle the other engines are checked
 //! against; the message-level execution with latencies and faults lives
 //! in [`crate::swarm`].
 
 use crate::auctioneer::{Auctioneer, BidOutcome};
-use crate::bidder::{decide_bid, BidDecision, EdgeView};
+use crate::bidder::{decide_bid, AbstainReason, BidDecision, EdgeView};
 use crate::instance::WelfareInstance;
 use crate::solution::{Assignment, DualSolution};
 use p2p_metrics::{AuctionProbe, NoProbe};
@@ -28,38 +30,18 @@ pub struct AuctionConfig {
     pub epsilon: f64,
     /// Safety cap on rounds before declaring divergence.
     pub max_rounds: u64,
-    /// Permanently retire priced-out requests in the sequential sweep.
-    ///
-    /// Prices are monotone within a run, so a request whose best net
-    /// utility has gone negative (or that has no candidates) can never
-    /// become profitable again; the sharded engine always drops such
-    /// requests from future rounds, and this flag folds the same trick into
-    /// [`SyncAuction`] — the trick is engine-agnostic. The outcome is
-    /// unchanged either way (retired requests could only abstain), the
-    /// sweep just stops re-scanning them. Off by default to keep the
-    /// paper-faithful schedule exactly as written.
-    pub retire_priced_out: bool,
 }
 
 impl AuctionConfig {
     /// The paper's configuration: ε = 0.
     pub fn paper() -> Self {
-        AuctionConfig { epsilon: 0.0, max_rounds: 1_000_000, retire_priced_out: false }
+        AuctionConfig { epsilon: 0.0, max_rounds: 1_000_000 }
     }
 
     /// Paper configuration with a positive ε (Bertsekas ε-complementary
     /// slackness).
     pub fn with_epsilon(epsilon: f64) -> Self {
         AuctionConfig { epsilon, ..Self::paper() }
-    }
-
-    /// Enables permanent retirement of priced-out requests in the
-    /// sequential sweep (builder-style) — see
-    /// [`AuctionConfig::retire_priced_out`].
-    #[must_use]
-    pub fn retiring_priced_out(mut self) -> Self {
-        self.retire_priced_out = true;
-        self
     }
 }
 
@@ -338,8 +320,7 @@ impl SyncAuction {
             .collect();
 
         let mut assigned: Vec<Option<usize>> = vec![None; instance.request_count()];
-        let retire = self.config.retire_priced_out;
-        let mut retired: Vec<bool> = vec![false; if retire { instance.request_count() } else { 0 }];
+        let mut retired: Vec<bool> = vec![false; instance.request_count()];
         let mut rounds = 0u64;
         let mut bids_submitted = 0u64;
 
@@ -352,30 +333,21 @@ impl SyncAuction {
             let mut conflicts_this_round = 0u64;
             let mut retired_this_round = 0u64;
             for r in 0..instance.request_count() {
-                if assigned[r].is_some() {
-                    continue;
-                }
-                if retire && retired[r] {
+                if assigned[r].is_some() || retired[r] {
                     continue;
                 }
                 match decide_bid(&views[r], |p| eff_price[p], epsilon) {
                     // Prices are monotone within a run, so an unprofitable
-                    // (or candidate-less) request stays so forever; with
-                    // the retirement flag on it is never re-scanned. A
-                    // zero-margin tie can still be broken by a second-best
-                    // price rise, so it stays live.
-                    BidDecision::Abstain { reason } => {
-                        if retire
-                            && matches!(
-                                reason,
-                                crate::bidder::AbstainReason::Unprofitable
-                                    | crate::bidder::AbstainReason::NoCandidates
-                            )
-                        {
-                            retired[r] = true;
-                            retired_this_round += 1;
-                        }
+                    // (or candidate-less) request stays so forever and is
+                    // never re-scanned. A zero-margin tie can still be
+                    // broken by a second-best price rise, so it stays live.
+                    BidDecision::Abstain {
+                        reason: AbstainReason::Unprofitable | AbstainReason::NoCandidates,
+                    } => {
+                        retired[r] = true;
+                        retired_this_round += 1;
                     }
+                    BidDecision::Abstain { reason: AbstainReason::ZeroMargin } => {}
                     BidDecision::Bid { edge, provider, amount } => {
                         bids_this_round += 1;
                         match auctioneers[provider].handle_bid(r, amount) {
@@ -539,7 +511,7 @@ pub(crate) fn final_prices(instance: &WelfareInstance, auctioneers: &[Auctioneer
     final_prices_from(instance, auctioneers.iter().map(Auctioneer::price).collect())
 }
 
-/// [`final_prices`] over raw λ values — the entry point for transports
+/// `final_prices` over raw λ values — the entry point for transports
 /// whose auctioneers live inside protocol nodes rather than a bare
 /// `Vec<Auctioneer>`.
 pub fn final_prices_from(instance: &WelfareInstance, mut lambda: Vec<f64>) -> Vec<f64> {

@@ -72,7 +72,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![cfg_attr(feature = "portable-simd", feature(portable_simd))]
 
 pub mod auctioneer;
 pub mod bertsekas;
@@ -93,7 +92,7 @@ mod ordf64;
 
 pub use bidder::{BidDecision, EdgeView};
 pub use codec::{decode_msg, encode_msg, MAX_FRAME_LEN, WIRE_VERSION};
-pub use csr::{BidKernel, CsrInstance, FlatAuction, FlatOutcome};
+pub use csr::{CsrInstance, FlatAuction, FlatOutcome};
 pub use engine::{AuctionConfig, AuctionOutcome, EpsilonScaling, SyncAuction};
 pub use instance::{EdgeSpec, InstanceBuilder, ProviderSpec, RequestSpec, WelfareInstance};
 pub use p2p_metrics::{

@@ -5,8 +5,8 @@
 //! [`crate::engine::SyncAuction`] is a Gauss–Seidel sweep: one thread walks
 //! the unassigned requests in index order and every bid updates prices
 //! immediately. That is the simplest *sequential* schedule, but it cannot
-//! use more than one core and it re-scans every unassigned request each
-//! round even when nothing they can see has changed. [`ShardedAuction`]
+//! use more than one core and it re-scans every open request each round
+//! even when nothing they can see has changed. [`ShardedAuction`]
 //! runs the *same* bidder and auctioneer logic
 //! ([`crate::bidder::decide_bid`], [`crate::auctioneer::Auctioneer`]) in a
 //! schedule built for 10³–10⁴-request slots:
@@ -19,7 +19,7 @@
 //!    core it runs on the calling thread — identical results either way,
 //!    see *Determinism* below).
 //! 2. **Batched merge per shard.** A slice's bids are applied through the
-//!    unchanged [`Auctioneer`](crate::auctioneer::Auctioneer) state machine
+//!    unchanged [`Auctioneer`] state machine
 //!    in one deterministic pass, sorted by descending amount (conflicts on
 //!    the same provider resolve toward the highest bid; its price then
 //!    rejects the stale lower bids, exactly as a real asynchronous
@@ -30,13 +30,11 @@
 //!    round, so batching does not inflate the bid-round count.
 //! 3. **Retirement.** Prices are monotone within a run, so a request whose
 //!    best net utility has gone negative can never become profitable again
-//!    — it is dropped from all future rounds. The synchronous engine keeps
-//!    re-scanning priced-out requests until global quiescence; on contended
-//!    slots (where a large share of demand ends up priced out, e.g. a flash
-//!    crowd over scarce seeds) this pruning is what lets the sharded engine
-//!    beat the Gauss–Seidel sweep even on a single core, on top of the
-//!    multi-core headroom from (1). `BENCH_parallel.json` records the
-//!    measured per-slot latency wins.
+//!    — it is dropped from all future rounds, by the same rule the
+//!    synchronous sweep applies. On contended slots (where a large share of
+//!    demand ends up priced out, e.g. a flash crowd over scarce seeds) this
+//!    pruning shrinks every later round's worklist. `BENCH_parallel.json`
+//!    records the measured per-slot latencies.
 //!
 //! # Optimality
 //!

@@ -51,7 +51,7 @@
 //! bench gate), while flash-crowd fan-in shrinks the queue by the
 //! fan-out factor.
 
-use crate::bidder::{AbstainReason, BidDecision};
+use crate::bidder::BidDecision;
 use crate::engine::{edge_views, final_prices_from, run_warm_with, AuctionOutcome};
 use crate::instance::{ProviderIdx, RequestIdx, WelfareInstance};
 use crate::messages::AuctionMsg;
@@ -279,9 +279,6 @@ pub struct SwarmConfig {
     pub max_rounds: u64,
     /// Safety cap on simulator events (reactive mode).
     pub max_events: u64,
-    /// Permanently retire priced-out requests in the ideal sweep (must
-    /// match the synchronous engine's flag for bit-identity).
-    pub retire_priced_out: bool,
     /// Coalesce same-timestamp deliveries to one peer into a single
     /// batched mailbox wake-up (reactive mode). Delivery order — and with
     /// it the trace hash and every outcome bit — is unchanged; only the
@@ -293,13 +290,7 @@ pub struct SwarmConfig {
 impl SwarmConfig {
     /// Paper-faithful defaults, mirroring [`crate::AuctionConfig::paper`].
     pub fn paper() -> Self {
-        SwarmConfig {
-            epsilon: 0.0,
-            max_rounds: 1_000_000,
-            max_events: 200_000_000,
-            retire_priced_out: false,
-            coalesce: true,
-        }
+        SwarmConfig { epsilon: 0.0, max_rounds: 1_000_000, max_events: 200_000_000, coalesce: true }
     }
 
     /// Paper configuration with a positive ε.
@@ -606,7 +597,11 @@ impl SwarmAuction {
     }
 
     /// Ideal mode: the synchronous sweep replayed as `Poll` events on
-    /// virtual time. Bit-identical to [`crate::SyncAuction`].
+    /// virtual time. Bit-identical to [`crate::SyncAuction`], though it
+    /// polls every idle bidder each round where `SyncAuction` retires
+    /// priced-out requests: such a bidder can only abstain, and an
+    /// abstention sends no message, so assignment, duals, rounds, bids,
+    /// messages and trace hash all agree.
     fn ideal_once<P: AuctionProbe>(
         &self,
         instance: &WelfareInstance,
@@ -620,19 +615,15 @@ impl SwarmAuction {
         let n = instance.request_count();
         let (bidders, auctioneers) =
             build_nodes(instance, warm, self.config.epsilon, LearnPolicy::Monotone);
-        let retire = self.config.retire_priced_out;
         let world = IdealWorld {
             probe,
             bidders,
             auctioneers,
             assigned_edge: vec![None; n],
-            retire,
-            retired: vec![false; if retire { n } else { 0 }],
             round: 1,
             round_start: SimTime::ZERO,
             bids_this_round: 0,
             conflicts_this_round: 0,
-            retired_this_round: 0,
             bids_total: 0,
             max_rounds: self.config.max_rounds,
             diverged: false,
@@ -886,13 +877,10 @@ struct IdealWorld<'a, P: AuctionProbe> {
     bidders: Vec<BidderNode>,
     auctioneers: Vec<AuctioneerNode>,
     assigned_edge: Vec<Option<usize>>,
-    retire: bool,
-    retired: Vec<bool>,
     round: u64,
     round_start: SimTime,
     bids_this_round: u64,
     conflicts_this_round: u64,
-    retired_this_round: u64,
     bids_total: u64,
     max_rounds: u64,
     diverged: bool,
@@ -916,9 +904,6 @@ impl<P: AuctionProbe> World for IdealWorld<'_, P> {
     fn handle(&mut self, ctx: &mut Context<'_, IdealEv>, ev: IdealEv) {
         match ev {
             IdealEv::Poll(r) => {
-                if self.retire && self.retired[r] {
-                    return;
-                }
                 if self.bidders[r].phase() != BidderPhase::Idle {
                     return;
                 }
@@ -929,17 +914,10 @@ impl<P: AuctionProbe> World for IdealWorld<'_, P> {
                 let auctioneers = &self.auctioneers;
                 self.bidders[r].refresh_prices(|u| auctioneers[u].price());
                 match self.bidders[r].decide() {
-                    BidDecision::Abstain { reason } => {
-                        if self.retire
-                            && matches!(
-                                reason,
-                                AbstainReason::Unprofitable | AbstainReason::NoCandidates
-                            )
-                        {
-                            self.retired[r] = true;
-                            self.retired_this_round += 1;
-                        }
-                    }
+                    // An abstention sends no message, so polling a bidder
+                    // that can only abstain again is invisible in every
+                    // outcome, count and trace hash.
+                    BidDecision::Abstain { .. } => {}
                     BidDecision::Bid { edge, provider, amount } => {
                         self.bids_this_round += 1;
                         let now = ctx.now();
@@ -984,13 +962,7 @@ impl<P: AuctionProbe> World for IdealWorld<'_, P> {
             }
             IdealEv::RoundEnd => {
                 self.bids_total += self.bids_this_round;
-                self.probe.round(
-                    self.round,
-                    self.bids_this_round,
-                    self.conflicts_this_round,
-                    0,
-                    self.retired_this_round,
-                );
+                self.probe.round(self.round, self.bids_this_round, self.conflicts_this_round, 0, 0);
                 if self.bids_this_round == 0 {
                     ctx.stop();
                     return;
@@ -1004,12 +976,8 @@ impl<P: AuctionProbe> World for IdealWorld<'_, P> {
                 self.round_start = ctx.now();
                 self.bids_this_round = 0;
                 self.conflicts_this_round = 0;
-                self.retired_this_round = 0;
                 let n = self.bidders.len();
                 for r in 0..n {
-                    if self.retire && self.retired[r] {
-                        continue;
-                    }
                     if self.bidders[r].phase() == BidderPhase::Idle {
                         ctx.schedule_at(self.round_start + SWEEP_STEP * r as u64, IdealEv::Poll(r));
                     }
@@ -1449,19 +1417,6 @@ mod tests {
             assert_bit_identical(&sync, &swarm);
             assert!(swarm.converged);
             assert_eq!(swarm.faults, FaultStats::default(), "ideal mode injects no faults");
-        }
-    }
-
-    #[test]
-    fn ideal_mode_bit_identity_holds_with_epsilon_and_retirement() {
-        for seed in 0..4u64 {
-            let inst = random_instance(100 + seed, 5, 30);
-            let cfg = AuctionConfig::with_epsilon(0.01).retiring_priced_out();
-            let sync = SyncAuction::new(cfg).run(&inst).unwrap();
-            let scfg =
-                SwarmConfig { epsilon: 0.01, retire_priced_out: true, ..SwarmConfig::paper() };
-            let swarm = SwarmAuction::new(scfg, NetworkModel::ideal()).run(&inst, seed).unwrap();
-            assert_bit_identical(&sync, &swarm);
         }
     }
 

@@ -3,7 +3,7 @@
 //! image of scenario event sequences — [`FlatAuction`] is **bit-identical**
 //! to the nested-layout engines (prices, assignments, rounds, bids,
 //! welfare, and hence the Theorem 1 `n·ε` certificate) at shard counts
-//! 1/2/8, and the `SyncAuction` retirement flag never changes outcomes.
+//! 1/2/8.
 //! The cold, ε = 0 and warm-chain properties run twice: on small instances
 //! and on paper-sized deep-heap instances with frequent equal bids.
 
@@ -208,30 +208,6 @@ proptest! {
         let mut flat = FlatAuction::new(AuctionConfig::with_epsilon(0.01), ShardCount::Auto);
         let out = flat.run(&csr).unwrap();
         assert_outcomes_identical("auto", &out, &nested);
-    }
-
-    /// The retirement flag folded back into `SyncAuction` never changes
-    /// outcomes — retired requests could only have abstained — it only
-    /// skips their re-scans.
-    #[test]
-    fn sync_retirement_flag_never_changes_outcomes(
-        inst in arb_instance(),
-        eps in 0.0f64..0.5,
-    ) {
-        let plain = SyncAuction::new(AuctionConfig::with_epsilon(eps)).run(&inst).unwrap();
-        let retiring =
-            SyncAuction::new(AuctionConfig::with_epsilon(eps).retiring_priced_out())
-                .run(&inst)
-                .unwrap();
-        assert_outcomes_identical("retirement", &retiring, &plain);
-        // The flat sweep honors the same flag with the same invariance.
-        let csr = CsrInstance::compile(&inst);
-        let mut flat = FlatAuction::new(
-            AuctionConfig::with_epsilon(eps).retiring_priced_out(),
-            ShardCount::Fixed(1),
-        );
-        let out = flat.run(&csr).unwrap();
-        assert_outcomes_identical("flat retirement", &out, &plain);
     }
 
     /// Repeated runs of one engine (scratch reused) and a fresh engine are

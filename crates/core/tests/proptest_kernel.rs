@@ -1,15 +1,17 @@
-//! Property-based certification of the branchless bid kernel
-//! ([`BidKernel::Lanes`]): on tie-free instances the lane top-2 reduction
-//! is **bit-identical** to the sequential `decide_bid_over` scan at every
-//! row length 0..64 — empty rows, sub-lane rows, exact chunk multiples and
-//! ragged tails — and on adversarial all-ties instances (where reduction
-//! order is under the most pressure) the kernel still matches the scalar
-//! path bid for bid and its outcome stays within the Theorem 1 `n·ε`
-//! certificate.
+//! Property-based certification of the flat engine's branchless bid
+//! kernel against the nested engines, whose bids come from the sequential
+//! `decide_bid_over` scan: `SyncAuction` at one shard, `ShardedAuction` at
+//! four. On tie-free instances the flat engine's outcome is
+//! **bit-identical** to theirs at every row length 0..64 — empty rows,
+//! sub-lane rows, exact chunk multiples and ragged tails — and on
+//! adversarial all-ties instances (where reduction order is under the most
+//! pressure) the kernel still matches the scalar scan bid for bid and its
+//! outcome stays within the Theorem 1 `n·ε` certificate.
 
 use p2p_core::csr::{CsrInstance, FlatAuction};
 use p2p_core::{
-    verify_optimality, AuctionConfig, AuctionOutcome, BidKernel, ShardCount, WelfareInstance,
+    verify_optimality, AuctionConfig, AuctionOutcome, ShardCount, ShardedAuction, SyncAuction,
+    WelfareInstance,
 };
 use p2p_types::{ChunkId, Cost, PeerId, RequestId, Valuation, VideoId};
 use proptest::prelude::*;
@@ -33,12 +35,20 @@ fn row_instance(edges: &[(f64, f64)], n: usize, caps: &[u32]) -> WelfareInstance
     b.build().unwrap()
 }
 
-/// Runs the flat engine with the given kernel at the given shard count.
-fn run(kernel: BidKernel, shards: usize, eps: f64, csr: &CsrInstance) -> AuctionOutcome {
-    FlatAuction::new(AuctionConfig::with_epsilon(eps), ShardCount::Fixed(shards))
-        .with_kernel(kernel)
-        .run(csr)
-        .unwrap()
+/// Runs the flat engine (lane kernel) at the given shard count.
+fn run(shards: usize, eps: f64, csr: &CsrInstance) -> AuctionOutcome {
+    FlatAuction::new(AuctionConfig::with_epsilon(eps), ShardCount::Fixed(shards)).run(csr).unwrap()
+}
+
+/// Runs the nested engine of the same schedule (scalar scan): the
+/// sequential sweep at one shard, the sharded schedule otherwise.
+fn run_scalar(shards: usize, eps: f64, inst: &WelfareInstance) -> AuctionOutcome {
+    let cfg = AuctionConfig::with_epsilon(eps);
+    if shards == 1 {
+        SyncAuction::new(cfg).run(inst).unwrap()
+    } else {
+        ShardedAuction::new(cfg, ShardCount::Fixed(shards)).run(inst).unwrap()
+    }
 }
 
 fn assert_identical(label: &str, lanes: &AuctionOutcome, scalar: &AuctionOutcome) {
@@ -94,8 +104,8 @@ proptest! {
         for n in 0..=MAX_ROW {
             let inst = row_instance(&edges, n, &caps);
             let csr = CsrInstance::compile(&inst);
-            let lanes = run(BidKernel::Lanes, 1, eps, &csr);
-            let scalar = run(BidKernel::Scalar, 1, eps, &csr);
+            let lanes = run(1, eps, &csr);
+            let scalar = run_scalar(1, eps, &inst);
             assert_identical(&format!("row length {n}"), &lanes, &scalar);
         }
     }
@@ -112,8 +122,8 @@ proptest! {
     ) {
         let shards = [1usize, 4][shards_idx];
         let csr = CsrInstance::compile(&inst);
-        let lanes = run(BidKernel::Lanes, shards, eps, &csr);
-        let scalar = run(BidKernel::Scalar, shards, eps, &csr);
+        let lanes = run(shards, eps, &csr);
+        let scalar = run_scalar(shards, eps, &inst);
         assert_identical(&format!("all-ties shards={shards}"), &lanes, &scalar);
 
         let exact = inst.optimal_welfare().get();
@@ -129,19 +139,20 @@ proptest! {
         prop_assert!(report.is_optimal(), "violations: {:?}", report.violations);
     }
 
-    /// All-ties under the paper's ε = 0 abstain-on-ties rule: both kernels
-    /// abstain identically (no livelock, identical partial assignment).
+    /// All-ties under the paper's ε = 0 abstain-on-ties rule: the kernel
+    /// and the scalar scan abstain identically (no livelock, identical
+    /// partial assignment).
     #[test]
     fn all_ties_epsilon_zero_abstains_identically(inst in arb_all_ties()) {
         let csr = CsrInstance::compile(&inst);
-        let lanes = run(BidKernel::Lanes, 1, 0.0, &csr);
-        let scalar = run(BidKernel::Scalar, 1, 0.0, &csr);
+        let lanes = run(1, 0.0, &csr);
+        let scalar = run_scalar(1, 0.0, &inst);
         assert_identical("all-ties ε=0", &lanes, &scalar);
     }
 
     /// Warm starts through the kernel: carried (possibly perturbed) prices
-    /// keep the two kernels bit-identical through the clamp + CS 1 repair
-    /// loop.
+    /// keep the flat engine bit-identical to `SyncAuction::run_warm`
+    /// through the clamp + CS 1 repair loop.
     #[test]
     fn warm_started_kernel_matches_scalar(
         edges in prop::collection::vec((0.8f64..8.0, 0.0f64..10.0), MAX_ROW),
@@ -152,16 +163,11 @@ proptest! {
         let eps = [0.0f64, 0.05][eps_idx];
         let inst = row_instance(&edges, n, &[1, 2]);
         let csr = CsrInstance::compile(&inst);
-        let cold = run(BidKernel::Lanes, 1, eps, &csr);
+        let cold = run(1, eps, &csr);
         let warm: Vec<f64> = cold.duals.lambda.iter().map(|l| l + bump).collect();
-        let mut lanes_engine = FlatAuction::new(
-            AuctionConfig::with_epsilon(eps), ShardCount::Fixed(1),
-        ).with_kernel(BidKernel::Lanes);
-        let mut scalar_engine = FlatAuction::new(
-            AuctionConfig::with_epsilon(eps), ShardCount::Fixed(1),
-        ).with_kernel(BidKernel::Scalar);
-        let lanes = lanes_engine.run_warm(&csr, &warm).unwrap();
-        let scalar = scalar_engine.run_warm(&csr, &warm).unwrap();
+        let cfg = AuctionConfig::with_epsilon(eps);
+        let lanes = FlatAuction::new(cfg, ShardCount::Fixed(1)).run_warm(&csr, &warm).unwrap();
+        let scalar = SyncAuction::new(cfg).run_warm(&inst, &warm).unwrap();
         assert_identical(&format!("warm n={n}"), &lanes, &scalar);
     }
 }

@@ -43,6 +43,12 @@ fn arb_instance() -> impl Strategy<Value = WelfareInstance> {
     })
 }
 
+/// A bid increment over the range the engines run: the paper's ε = 0
+/// exactly, or any ε in [0, 0.5).
+fn arb_epsilon() -> impl Strategy<Value = f64> {
+    prop_oneof![Just(0.0), 0.0f64..0.5]
+}
+
 /// An arbitrary faulty network: every fault class the model supports, with
 /// probabilities high enough to bite on small instances, plus non-trivial
 /// latency spread so deliveries genuinely race.
@@ -75,15 +81,21 @@ proptest! {
 
     /// Zero-fault DES execution is *bit-identical* to the synchronous
     /// in-process engine on arbitrary instances: same assignment, same
-    /// duals, same round and bid counts.
+    /// duals, same round and bid counts. The ideal swarm polls every idle
+    /// bidder while `SyncAuction` retires priced-out requests, so this
+    /// also shows retirement changes no outcome.
     #[test]
-    fn ideal_swarm_is_bit_identical_to_sync(inst in arb_instance(), seed in 0u64..1000) {
-        let swarm = SwarmAuction::new(SwarmConfig::paper(), NetworkModel::ideal())
+    fn ideal_swarm_is_bit_identical_to_sync(
+        inst in arb_instance(),
+        seed in 0u64..1000,
+        eps in arb_epsilon(),
+    ) {
+        let swarm = SwarmAuction::new(SwarmConfig::with_epsilon(eps), NetworkModel::ideal())
             .run(&inst, seed)
             .unwrap();
-        let sync = SyncAuction::new(AuctionConfig::paper()).run(&inst).unwrap();
+        let sync = SyncAuction::new(AuctionConfig::with_epsilon(eps)).run(&inst).unwrap();
         prop_assert_eq!(&swarm.assignment, &sync.assignment);
-        prop_assert_eq!(&swarm.duals.lambda, &sync.duals.lambda);
+        prop_assert_eq!(&swarm.duals, &sync.duals);
         prop_assert_eq!(swarm.rounds, sync.rounds);
         prop_assert_eq!(swarm.bids_submitted, sync.bids_submitted);
     }
@@ -91,15 +103,21 @@ proptest! {
     /// Warm restarts agree too: priming both engines with the same prior
     /// prices yields the same repaired outcome.
     #[test]
-    fn ideal_warm_swarm_matches_sync_warm(inst in arb_instance(), seed in 0u64..1000) {
-        let engine = SyncAuction::new(AuctionConfig::paper());
+    fn ideal_warm_swarm_matches_sync_warm(
+        inst in arb_instance(),
+        seed in 0u64..1000,
+        eps in arb_epsilon(),
+    ) {
+        let engine = SyncAuction::new(AuctionConfig::with_epsilon(eps));
         let cold = engine.run(&inst).unwrap();
         let warm_sync = engine.run_warm(&inst, &cold.duals.lambda).unwrap();
-        let warm_swarm = SwarmAuction::new(SwarmConfig::paper(), NetworkModel::ideal())
+        let warm_swarm = SwarmAuction::new(SwarmConfig::with_epsilon(eps), NetworkModel::ideal())
             .run_warm(&inst, &cold.duals.lambda, seed)
             .unwrap();
         prop_assert_eq!(&warm_swarm.assignment, &warm_sync.assignment);
-        prop_assert_eq!(&warm_swarm.duals.lambda, &warm_sync.duals.lambda);
+        prop_assert_eq!(&warm_swarm.duals, &warm_sync.duals);
+        prop_assert_eq!(warm_swarm.rounds, warm_sync.rounds);
+        prop_assert_eq!(warm_swarm.bids_submitted, warm_sync.bids_submitted);
     }
 
     /// Under an arbitrary fault schedule (drops retried to eventual

@@ -221,6 +221,7 @@ pub fn error_token(e: &P2pError) -> &'static str {
         | P2pError::WireVersion { .. }
         | P2pError::WireMalformed { .. } => "wire",
         P2pError::WorkerPanicked { .. } => "panic",
+        P2pError::InvalidConfig { .. } => "invalid_config",
         _ => "error",
     }
 }
@@ -240,6 +241,11 @@ pub fn error_from_token(token: &str, message: &str) -> P2pError {
         "diverged" => P2pError::AuctionDiverged { iterations: 0 },
         "wire" => P2pError::WireMalformed { reason: message.to_string() },
         "panic" => P2pError::WorkerPanicked { message: message.to_string() },
+        // The refused field's name is inside the message; the error's
+        // static field names the process boundary it crossed.
+        "invalid_config" => {
+            P2pError::InvalidConfig { field: "process", reason: message.to_string() }
+        }
         _ => P2pError::WireMalformed { reason: format!("{token}: {message}") },
     }
 }

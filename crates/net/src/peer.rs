@@ -11,12 +11,13 @@
 //!
 //! A `PollBatch` is the same thing amortized: absorb the batch's notices
 //! in order, then serve each `(request, prices)` entry exactly as an
-//! individual poll would have (same shared [`decide_one`] path, same
+//! individual poll would have (same shared `decide_one` path, same
 //! fault-injection poll budget), and ship every decision back in one
 //! `ReplyBatch` frame.
 
 use crate::frame::FrameConn;
 use crate::proto::{decode_net, encode_net, NetMsg};
+use crate::tracker::epsilon_is_valid;
 use p2p_core::messages::AuctionMsg;
 use p2p_core::protocol::{BidderNode, LearnPolicy};
 use p2p_core::{BidDecision, EdgeView};
@@ -113,6 +114,13 @@ impl Peer {
         loop {
             match decode_net(&self.conn.recv()?)? {
                 NetMsg::Init { epsilon, bidders: wire } => {
+                    if !epsilon_is_valid(epsilon) {
+                        return Err(P2pError::WireMalformed {
+                            reason: format!(
+                                "init carried epsilon {epsilon}, not finite and at least 0"
+                            ),
+                        });
+                    }
                     // A fresh pass (cold start or a warm-repair rerun):
                     // previous bidders are discarded wholesale.
                     bidders = wire

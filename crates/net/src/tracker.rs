@@ -3,11 +3,12 @@
 //!
 //! The tracker hosts the [`AuctioneerNode`]s and owns the sweep schedule;
 //! peers host the [`BidderNode`](p2p_core::BidderNode)s. Each round the
-//! tracker polls every unassigned request *in index order* with the exact
-//! current prices, exactly as [`p2p_core::SyncAuction`]'s sweep reads its
-//! live price vector — so the networked outcome (assignment, duals,
-//! rounds, bids) is bit-identical to the in-process engines' by the same
-//! argument that makes the sharded, flat and ideal-swarm engines agree.
+//! tracker polls every open request (unassigned, and not retired as priced
+//! out) *in index order* with the exact current prices, exactly as
+//! [`p2p_core::SyncAuction`]'s sweep reads its live price vector — so the
+//! networked outcome (assignment, duals, rounds, bids) is bit-identical to
+//! the in-process engines' by the same argument that makes the sharded,
+//! flat and ideal-swarm engines agree.
 //! Per-connection FIFO delivery guarantees an `Accepted`/`Evicted` notice
 //! reaches a peer before that peer's next `Poll`, so bidder phase and the
 //! tracker's assignment view never disagree.
@@ -24,7 +25,7 @@
 //! aligned polls and `LearnPolicy::Monotone`, a polled bidder's decision
 //! is a pure function of the live prices) and queues a rejection so the
 //! peer's parked bidder re-idles before its next poll. Both drivers
-//! funnel every authoritative decision through [`Sweep::apply`], so the
+//! funnel every authoritative decision through `Sweep::apply`, so the
 //! outcome is bit-identical either way — the batched driver just spends
 //! ~`2 × peers × rounds` frames where the per-request one spends
 //! `2 × polls + notices`.
@@ -65,14 +66,13 @@ use std::time::{Duration, Instant};
 /// Configuration of the networked runtime (both ends).
 #[derive(Debug, Clone)]
 pub struct NetConfig {
-    /// Bid increment ε (0 is the paper-faithful rule; deterministic replay
-    /// makes it safe on the wire, unlike on lossy simulated networks).
+    /// Bid increment ε: finite and at least 0, or [`Tracker::bind`]
+    /// refuses the config (0 is the paper-faithful rule; deterministic
+    /// replay makes it safe on the wire, unlike on lossy simulated
+    /// networks).
     pub epsilon: f64,
     /// Safety cap on sweep rounds before declaring divergence.
     pub max_rounds: u64,
-    /// Permanently retire priced-out requests (same trick, and same
-    /// outcome-neutrality, as `AuctionConfig::retire_priced_out`).
-    pub retire_priced_out: bool,
     /// Per-reply deadline: how long the coordinator waits for one peer's
     /// bid decision (and how long a peer waits for tracker traffic) before
     /// returning a typed [`P2pError::Timeout`].
@@ -89,7 +89,9 @@ pub struct NetConfig {
     /// entry carries a price snapshot that the tracker revalidates at the
     /// entry's exact sweep position, repairing stale entries locally —
     /// while cutting frames per slot by roughly the poll count over the
-    /// peer count × rounds. Disable to exercise the per-request path.
+    /// peer count × rounds. `false` runs the per-request protocol, the
+    /// reference the loopback tests compare batched frames and outcomes
+    /// against.
     pub batch_polls: bool,
 }
 
@@ -98,7 +100,6 @@ impl Default for NetConfig {
         NetConfig {
             epsilon: 0.0,
             max_rounds: 1_000_000,
-            retire_priced_out: false,
             io_timeout: Duration::from_secs(5),
             handshake_timeout: Duration::from_secs(10),
             heartbeat_every: Duration::from_secs(1),
@@ -157,9 +158,21 @@ impl Tracker {
     /// [`run`](Tracker::run) (or eagerly via
     /// [`accept_peers`](Tracker::accept_peers), which the binary does so it
     /// can separate "listening" from "swarm complete").
+    ///
+    /// # Errors
+    ///
+    /// Returns [`P2pError::InvalidConfig`] for a zero `peer_count` or an ε
+    /// that is not finite and at least 0, and [`P2pError::Disconnected`]
+    /// if the socket cannot be bound.
     pub fn bind(addr: impl ToSocketAddrs, peer_count: usize, config: NetConfig) -> Result<Self> {
         if peer_count == 0 {
             return Err(P2pError::invalid_config("peer_count", "must be at least 1"));
+        }
+        if !epsilon_is_valid(config.epsilon) {
+            return Err(P2pError::invalid_config(
+                "epsilon",
+                format!("must be finite and at least 0, got {}", config.epsilon),
+            ));
         }
         let listener = TcpListener::bind(addr).map_err(|e| P2pError::Disconnected {
             context: format!("binding the tracker socket: {e}"),
@@ -343,8 +356,7 @@ impl Tracker {
         }
 
         let mut assigned: Vec<Option<usize>> = vec![None; n];
-        let retire = self.config.retire_priced_out;
-        let mut retired: Vec<bool> = vec![false; if retire { n } else { 0 }];
+        let mut retired: Vec<bool> = vec![false; n];
         let mut notices_q: Vec<Vec<AuctionMsg>> = vec![Vec::new(); self.peer_count];
         let mut rounds = 0u64;
         let mut bids_submitted = 0u64;
@@ -359,7 +371,6 @@ impl Tracker {
                 auctioneers: &mut auctioneers,
                 eff_price: &mut eff_price,
                 assigned: &mut assigned,
-                retire,
                 retired: &mut retired,
                 notices_q: &mut notices_q,
                 peer_count: self.peer_count,
@@ -593,7 +604,9 @@ struct Sweep<'a> {
     auctioneers: &'a mut [AuctioneerNode],
     eff_price: &'a mut [f64],
     assigned: &'a mut [Option<usize>],
-    retire: bool,
+    /// Requests priced out for good (unprofitable or candidate-less).
+    /// Prices only rise, so the sweep never polls them again, exactly as
+    /// `SyncAuction`'s sweep retires them.
     retired: &'a mut [bool],
     /// Notices owed to each peer, delivered at the head of its next
     /// `PollBatch` (batched mode only; the per-request driver sends
@@ -608,7 +621,7 @@ struct Sweep<'a> {
 impl Sweep<'_> {
     /// Whether `r` is out of this round's sweep (assigned or retired).
     fn is_closed(&self, r: usize) -> bool {
-        self.assigned[r].is_some() || (self.retire && self.retired[r])
+        self.assigned[r].is_some() || self.retired[r]
     }
 
     /// Whether a batch entry's price snapshot still bitwise-matches the
@@ -640,14 +653,13 @@ impl Sweep<'_> {
     ) -> Vec<(usize, AuctionMsg)> {
         let mut notices = Vec::new();
         match decision {
-            BidDecision::Abstain { reason } => {
-                if self.retire
-                    && matches!(reason, AbstainReason::Unprofitable | AbstainReason::NoCandidates)
-                {
-                    self.retired[r] = true;
-                    self.newly_retired += 1;
-                }
+            BidDecision::Abstain {
+                reason: AbstainReason::Unprofitable | AbstainReason::NoCandidates,
+            } => {
+                self.retired[r] = true;
+                self.newly_retired += 1;
             }
+            BidDecision::Abstain { reason: AbstainReason::ZeroMargin } => {}
             BidDecision::Bid { edge, provider, amount } => {
                 self.bids += 1;
                 let before = self.eff_price[provider];
@@ -680,6 +692,13 @@ impl Sweep<'_> {
         }
         notices
     }
+}
+
+/// Whether `epsilon` is a bid increment the auction can run: finite and
+/// at least 0. The tracker refuses any other at bind time, and a peer
+/// refuses one in its `Init`.
+pub(crate) fn epsilon_is_valid(epsilon: f64) -> bool {
+    epsilon.is_finite() && epsilon >= 0.0
 }
 
 /// Validates that a wire bid's `(edge, provider)` pair is consistent with

@@ -7,7 +7,7 @@
 
 use p2p_core::{
     verify_optimality, AuctionConfig, AuctionOutcome, CountingProbe, CsrInstance, FlatAuction,
-    NoProbe, ShardCount, SyncAuction, WelfareInstance,
+    FlatOutcome, NoProbe, ShardCount, SyncAuction, WelfareInstance,
 };
 use p2p_net::{run_slot_local, run_slot_local_stats, NetConfig, Peer, PeerConfig, Tracker};
 use p2p_types::{ChunkId, Cost, P2pError, PeerId, RequestId, Valuation, VideoId};
@@ -155,18 +155,66 @@ fn warm_start_repair_matches_the_sync_engine() {
     assert_eq!(net_warm.bids_submitted, expect.bids_submitted);
 }
 
+/// The tracker, `SyncAuction` and the one-shard flat sweep count the same
+/// rounds, bids, conflicts and retirements: all three retire priced-out
+/// requests by the same rule.
 #[test]
 fn probe_counters_match_the_sync_engine() {
     let instance = random_instance(3, 4, 16);
     let mut sync_probe = CountingProbe::new();
     SyncAuction::new(AuctionConfig::paper()).run_probed(&instance, &mut sync_probe).unwrap();
+    let mut flat_probe = CountingProbe::new();
+    FlatAuction::new(AuctionConfig::paper(), ShardCount::Fixed(1))
+        .run_into_probed(
+            &CsrInstance::compile(&instance),
+            &mut FlatOutcome::default(),
+            &mut flat_probe,
+        )
+        .unwrap();
     let mut net_probe = CountingProbe::new();
     run_slot_local(&instance, 2, &quick_config(), None, &mut net_probe).unwrap();
     let sync_report = sync_probe.take_report();
-    let net_report = net_probe.take_report();
-    assert_eq!(net_report.rounds, sync_report.rounds);
-    assert_eq!(net_report.bids, sync_report.bids);
-    assert_eq!(net_report.conflicts, sync_report.conflicts);
+    assert!(sync_report.retired > 0, "the instance prices no request out");
+    for (label, report) in [("net", net_probe.take_report()), ("flat", flat_probe.take_report())] {
+        assert_eq!(report.rounds, sync_report.rounds, "{label}: rounds");
+        assert_eq!(report.bids, sync_report.bids, "{label}: bids");
+        assert_eq!(report.conflicts, sync_report.conflicts, "{label}: conflicts");
+        assert_eq!(report.retired, sync_report.retired, "{label}: retired");
+    }
+}
+
+#[test]
+fn a_non_finite_or_negative_epsilon_is_refused_at_bind() {
+    for epsilon in [f64::NAN, f64::INFINITY, -1.0] {
+        let config = NetConfig { epsilon, ..quick_config() };
+        let err = Tracker::bind("127.0.0.1:0", 1, config).unwrap_err();
+        assert!(
+            matches!(err, P2pError::InvalidConfig { field: "epsilon", .. }),
+            "ε = {epsilon}: {err:?}"
+        );
+    }
+}
+
+/// A tracker impostor whose `Init` carries an ε the auction cannot run:
+/// the peer refuses it as malformed instead of bidding with it.
+#[test]
+fn a_non_finite_or_negative_init_epsilon_is_malformed_on_the_peer() {
+    use p2p_net::{decode_net, encode_net, FrameConn, NetMsg};
+    for epsilon in [f64::NAN, f64::INFINITY, -1.0] {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let peer = std::thread::spawn(move || {
+            Peer::connect(&addr, 0, PeerConfig::default()).and_then(|mut p| p.run())
+        });
+        let (stream, _) = listener.accept().unwrap();
+        let mut conn = FrameConn::new(stream, Some(Duration::from_secs(5))).unwrap();
+        assert!(matches!(decode_net(&conn.recv().unwrap()).unwrap(), NetMsg::Hello { .. }));
+        conn.send(&encode_net(&NetMsg::Welcome { peer_index: 0, peer_count: 1 })).unwrap();
+        conn.send(&encode_net(&NetMsg::Init { epsilon, bidders: Vec::new() })).unwrap();
+        let err = peer.join().unwrap().expect_err("the peer must refuse the init");
+        assert!(matches!(err, P2pError::WireMalformed { .. }), "ε = {epsilon}: {err:?}");
+        assert!(err.to_string().contains("epsilon"), "ε = {epsilon}: {err}");
+    }
 }
 
 #[test]

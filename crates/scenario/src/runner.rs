@@ -29,11 +29,10 @@ pub const SCHEDULER_NAMES: [&str; 14] = [
 ];
 
 /// The scheduler the registry hands out for the name `default`: the flat
-/// CSR auction engine. Promoted from `auction` on the evidence of
-/// `BENCH_simd.json` (ISSUE 6) — the flat engine with the lane bid kernel
-/// is the fastest certified execution of the paper's auction at every
-/// measured slot size, and its outcomes are bit-identical to the
-/// sequential engine's, so the flip changes latency only.
+/// CSR auction engine. With its lane bid kernel it is the fastest certified
+/// execution of the paper's auction at every measured slot size, and its
+/// outcomes are bit-identical to the sequential engine's, so choosing it
+/// changes latency only.
 pub const DEFAULT_SCHEDULER: &str = "auction_flat";
 
 /// Minimum bid increment the registry gives the sim schedulers on faulty

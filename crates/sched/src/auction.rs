@@ -114,7 +114,7 @@ pub(crate) fn schedule_with_carry(
 /// exercised separately by the Fig. 2 harness).
 ///
 /// With [`AuctionScheduler::warm_start`] enabled the scheduler carries the
-/// previous slot's final prices across slots via [`PriceCarry`] and seeds
+/// previous slot's final prices across slots via `PriceCarry` and seeds
 /// the next auction from them through [`SyncAuction::run_warm`] —
 /// locality-aware swarms change little between slots, so most prices are
 /// already near equilibrium and convergence needs far fewer bids. The `n·ε`
@@ -217,7 +217,7 @@ impl ChunkScheduler for AuctionScheduler {
 /// delegates to the synchronous sweep).
 ///
 /// [`ShardedAuctionScheduler::warm_start`] composes sharding with
-/// slot-to-slot price carry-over, reusing the identical [`PriceCarry`] and
+/// slot-to-slot price carry-over, reusing the identical `PriceCarry` and
 /// `run_warm` repair semantics as the sequential scheduler.
 #[derive(Debug, Clone, Default)]
 pub struct ShardedAuctionScheduler {
@@ -310,7 +310,7 @@ impl ChunkScheduler for ShardedAuctionScheduler {
 /// `auto` adapts to the live slot size).
 ///
 /// [`FlatAuctionScheduler::warm_start`] composes with slot-to-slot price
-/// carry-over through the same [`PriceCarry`] as the nested schedulers.
+/// carry-over through the same `PriceCarry` as the nested schedulers.
 /// The engine spawns its slice workers on its first sharded slot and
 /// reuses them for every later slot, so a slot loop spawns no threads
 /// after warm-up; dropping the scheduler joins them.

@@ -27,7 +27,7 @@ use p2p_types::Result;
 ///
 /// With [`warm_start`](NetAuctionScheduler::warm_start) enabled, carries
 /// the previous slot's final prices across slots exactly like the other
-/// auction schedulers (shared [`PriceCarry`] protocol, including the CS 1
+/// auction schedulers (shared `PriceCarry` protocol, including the CS 1
 /// repair loop), so warm-start semantics cannot drift between transports.
 ///
 /// # Examples

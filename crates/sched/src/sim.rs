@@ -15,7 +15,7 @@
 //! schedule from `derive_seed(seed, slot_index)`, so runs are byte-for-byte
 //! reproducible regardless of `P2P_CORES`. It reports the swarm's
 //! convergence time through
-//! [`ChunkScheduler::take_virtual_elapsed`](crate::ChunkScheduler::take_virtual_elapsed),
+//! [`ChunkScheduler::take_virtual_elapsed`],
 //! which the streaming system uses to report virtual (not wall-clock)
 //! schedule-phase durations.
 
@@ -30,7 +30,7 @@ use p2p_types::Result;
 ///
 /// With [`warm_start`](SimAuctionScheduler::warm_start) enabled, carries
 /// the previous slot's final prices across slots exactly like the other
-/// auction schedulers (shared [`PriceCarry`] protocol, including the CS 1
+/// auction schedulers (shared `PriceCarry` protocol, including the CS 1
 /// repair loop), so warm-start semantics cannot drift between transports.
 ///
 /// # Examples

@@ -1,9 +1,10 @@
-//! Strict `--flag value` argument parsing for the harness binaries: an
+//! Strict `--flag value` argument parsing, shared by every binary in the
+//! workspace (the figure and bench binaries, `tracker` and `peer`): an
 //! unknown flag, a repeated flag, a valued flag without its value, a value
 //! after a switch or a value with no flag before it is an error that names
 //! the argument, never a silent default.
 
-use p2p_types::{P2pError, Result};
+use crate::{P2pError, Result};
 use std::collections::HashMap;
 use std::fmt::Display;
 use std::str::FromStr;
@@ -13,7 +14,7 @@ use std::str::FromStr;
 /// # Examples
 ///
 /// ```
-/// use p2p_bench::Args;
+/// use p2p_types::Args;
 /// let (valued, switches) = (["peers", "epsilon"], ["quick"]);
 /// let a = Args::parse(&valued, &switches, ["--peers", "200", "--quick"])?;
 /// assert_eq!(a.get_usize("peers", 500)?, 200);

@@ -22,12 +22,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod args;
 pub mod error;
 pub mod ids;
 pub mod request;
 pub mod time;
 pub mod units;
 
+pub use args::Args;
 pub use error::{P2pError, Result};
 pub use ids::{ChunkId, IspId, PeerId, RequestId, VideoId};
 pub use request::{ChunkRequest, ScheduledTransfer};

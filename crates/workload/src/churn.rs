@@ -2,7 +2,7 @@
 //!
 //! Reproduces the dynamic model of Sec. V: peers join as a Poisson process
 //! (rate 1/s), are spread evenly over the ISPs, pick a video by the
-//! Zipf–Mandelbrot law, draw an upload capacity uniform in [1,4]× the
+//! Zipf–Mandelbrot law, draw an upload capacity uniform in \[1,4\]× the
 //! streaming rate, and either watch to the end or (Sec. V-E) depart early
 //! "at any time with probability 0.6" — modelled as a Bernoulli(0.6) early
 //! departure at a uniformly random instant of the viewing period.

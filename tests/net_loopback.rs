@@ -80,6 +80,17 @@ fn crashing_peer_process_fails_the_run_with_a_typed_error() {
 }
 
 #[test]
+fn a_non_finite_epsilon_is_a_typed_error_across_the_process_boundary() {
+    let instance = random_instance(4, 3, 8);
+    for epsilon in [f64::NAN, f64::INFINITY] {
+        let config = MultiProcessConfig { epsilon, ..MultiProcessConfig::default() };
+        let err = run_multiprocess(&instance, &config).unwrap_err();
+        assert!(matches!(err, P2pError::InvalidConfig { .. }), "ε = {epsilon}: {err:?}");
+        assert!(err.to_string().contains("`epsilon`"), "ε = {epsilon}: {err}");
+    }
+}
+
+#[test]
 fn peer_process_against_a_dead_port_reports_connect_failed() {
     // Bind then drop, so the port is (momentarily) known-dead.
     let dead = {
