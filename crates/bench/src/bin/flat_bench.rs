@@ -1,4 +1,4 @@
-//! EXP-F — the flat CSR engine vs the nested-layout engines on
+//! EXP-F — the flat CSR engine vs the nested engines on
 //! flash-crowd-scale slot instances.
 //!
 //! Measures per-slot auction latency on 10³–10⁴-request welfare instances
@@ -6,8 +6,8 @@
 //! CSR engine ([`p2p_core::csr::FlatAuction`]) at matching shard counts
 //! (plus the sequential sweep and `shards = auto`), checks every outcome
 //! against the Theorem 1 `n·ε` certificate and the sync oracle's welfare,
-//! and — because the flat engine is the *same* auction over a different
-//! memory layout — hard-fails unless each flat run is **bit-identical**
+//! and — because the flat engine is the *same* auction over the same rows
+//! with different scratch — hard-fails unless each flat run is **bit-identical**
 //! (welfare, rounds, bids) to its nested counterpart. Results land in
 //! `BENCH_flat.json` at the repo root, comparable row-for-row with
 //! `BENCH_parallel.json`.

@@ -21,8 +21,11 @@
 //!   the two outcomes are byte-identical: same `trace_hash`, same fault
 //!   counters, same assignment/duals/bids/virtual time.
 //!
-//! Results land in `BENCH_sim.json` (events/sec throughput, wall and
-//! virtual time, coalesced-event and peak-queue counters per row). Usage:
+//! Each row prints as soon as it is measured. A correctness gate stops the
+//! run at once; timing-gate misses are collected and reported together
+//! after the last size. Results land in `BENCH_sim.json` (events/sec
+//! throughput, wall and virtual time, coalesced-event and peak-queue
+//! counters per row), written only when every gate passed. Usage:
 //!   `sim_bench [--quick] [--out PATH]`
 //!
 //! `--quick` shrinks sizes for CI smoke runs (the equivalence,
@@ -106,6 +109,50 @@ impl Row {
     fn events_per_sec(&self) -> f64 {
         self.events as f64 / (self.wall_ns.max(1) as f64 / 1e9)
     }
+
+    /// Prints the row as a table line, as soon as it is measured.
+    fn print(&self) {
+        println!(
+            "{:<10} {:<13} {:>10}µs {:>9.3}s {:>12} {:>12.0} {:>10} {:>10} {:>10} {:>10}",
+            self.requests,
+            self.mode,
+            self.wall_ns / 1_000,
+            self.virtual_s,
+            self.events,
+            self.events_per_sec(),
+            self.coalesced,
+            self.peak_queue,
+            self.rounds,
+            self.bit_identical.map_or("-".to_string(), |b| b.to_string()),
+        );
+    }
+}
+
+/// The timing gates a full run holds an ideal row to: one message per
+/// miss, for the report after the last size.
+fn timing_misses(row: &Row) -> Vec<String> {
+    let wall_s = row.wall_ns as f64 / 1e9;
+    let mut misses = Vec::new();
+    if row.requests == GATE_REQUESTS && wall_s > WALL_BUDGET_S {
+        misses.push(format!(
+            "the {GATE_REQUESTS}-peer ideal scenario took {wall_s:.2} s — over the \
+             {WALL_BUDGET_S} s budget"
+        ));
+    }
+    if row.requests == GATE_REQUESTS && row.events_per_sec() < BASELINE_EVENTS_PER_SEC {
+        misses.push(format!(
+            "the {GATE_REQUESTS}-peer ideal scenario ran at {:.0} events/s — under \
+             the pre-optimization floor of {BASELINE_EVENTS_PER_SEC:.0}",
+            row.events_per_sec()
+        ));
+    }
+    if row.requests == FLASH_REQUESTS && wall_s > FLASH_BUDGET_S {
+        misses.push(format!(
+            "the {FLASH_REQUESTS}-peer flash-crowd scenario took {wall_s:.2} s — over \
+             the {FLASH_BUDGET_S} s budget"
+        ));
+    }
+    misses
 }
 
 fn run(args: &Args) -> Result<()> {
@@ -116,6 +163,9 @@ fn run(args: &Args) -> Result<()> {
     let out_path = args.get_str("out", "BENCH_sim.json");
 
     let mut rows: Vec<Row> = Vec::new();
+    // Timing-gate misses, reported together after the last size so a
+    // failing run still prints every row.
+    let mut misses: Vec<String> = Vec::new();
     println!("virtual-time swarm auction, ε = {EPSILON} (DES: one actor per peer):");
     println!(
         "{:<10} {:<13} {:>12} {:>10} {:>12} {:>12} {:>10} {:>10} {:>10} {:>10}",
@@ -137,7 +187,6 @@ fn run(args: &Args) -> Result<()> {
         let t0 = Instant::now();
         let out = engine.run(&instance, 0xCAFE ^ requests as u64)?;
         let wall_ns = t0.elapsed().as_nanos();
-        certify(&instance, &out, "ideal")?;
 
         // The equivalence gate: under zero faults the swarm is a replay of
         // the same auction the flat engine runs — assignment, duals,
@@ -150,26 +199,6 @@ fn run(args: &Args) -> Result<()> {
             && out.duals == flat_out.duals
             && out.rounds == flat_out.rounds
             && out.bids_submitted == flat_out.bids_submitted;
-        if !identical {
-            return Err(p2p_types::P2pError::MalformedInstance(format!(
-                "the ideal swarm diverged from the flat engine on the {requests}-request \
-                 instance: (rounds {}, bids {}) vs (rounds {}, bids {})",
-                out.rounds, out.bids_submitted, flat_out.rounds, flat_out.bids_submitted
-            )));
-        }
-        let wall_s = wall_ns as f64 / 1e9;
-        if !quick && requests == GATE_REQUESTS && wall_s > WALL_BUDGET_S {
-            return Err(p2p_types::P2pError::MalformedInstance(format!(
-                "the {GATE_REQUESTS}-peer ideal scenario took {wall_s:.2} s — over the \
-                 {WALL_BUDGET_S} s budget"
-            )));
-        }
-        if !quick && requests == FLASH_REQUESTS && wall_s > FLASH_BUDGET_S {
-            return Err(p2p_types::P2pError::MalformedInstance(format!(
-                "the {FLASH_REQUESTS}-peer flash-crowd scenario took {wall_s:.2} s — over \
-                 the {FLASH_BUDGET_S} s budget"
-            )));
-        }
         let row = Row {
             requests,
             providers: instance.provider_count(),
@@ -184,14 +213,19 @@ fn run(args: &Args) -> Result<()> {
             dropped: 0,
             coalesced: out.coalesced_events,
             peak_queue: out.peak_queue,
-            bit_identical: Some(true),
+            bit_identical: Some(identical),
         };
-        if !quick && requests == GATE_REQUESTS && row.events_per_sec() < BASELINE_EVENTS_PER_SEC {
+        row.print();
+        certify(&instance, &out, "ideal")?;
+        if !identical {
             return Err(p2p_types::P2pError::MalformedInstance(format!(
-                "the {GATE_REQUESTS}-peer ideal scenario ran at {:.0} events/s — under \
-                 the pre-optimization floor of {BASELINE_EVENTS_PER_SEC:.0}",
-                row.events_per_sec()
+                "the ideal swarm diverged from the flat engine on the {requests}-request \
+                 instance: (rounds {}, bids {}) vs (rounds {}, bids {})",
+                out.rounds, out.bids_submitted, flat_out.rounds, flat_out.bids_submitted
             )));
+        }
+        if !quick {
+            misses.extend(timing_misses(&row));
         }
         rows.push(row);
     }
@@ -204,6 +238,37 @@ fn run(args: &Args) -> Result<()> {
         let t0 = Instant::now();
         let out = coalescing.run(&instance, seed)?;
         let wall_ns = t0.elapsed().as_nanos();
+
+        // The same row with coalescing off must reproduce the exact same
+        // simulation (checked below).
+        let mut uncoal_cfg = SwarmConfig::with_epsilon(EPSILON);
+        uncoal_cfg.coalesce = false;
+        let uncoalescing = SwarmAuction::new(uncoal_cfg, NetworkModel::lossy());
+        let t1 = Instant::now();
+        let off = uncoalescing.run(&instance, seed)?;
+        let uncoal_wall_ns = t1.elapsed().as_nanos();
+
+        for (mode, o, ns) in [("lossy", &out, wall_ns), ("lossy-uncoal", &off, uncoal_wall_ns)] {
+            let row = Row {
+                requests,
+                providers: instance.provider_count(),
+                mode,
+                wall_ns: ns,
+                virtual_s: o.converged_at.as_secs_f64(),
+                events: o.events,
+                messages: o.messages,
+                rounds: o.rounds,
+                bids: o.bids_submitted,
+                welfare: o.assignment.welfare(&instance).get(),
+                dropped: o.faults.dropped,
+                coalesced: o.coalesced_events,
+                peak_queue: o.peak_queue,
+                bit_identical: None,
+            };
+            row.print();
+            rows.push(row);
+        }
+
         certify(&instance, &out, "lossy")?;
         if out.faults.dropped == 0 {
             return Err(p2p_types::P2pError::MalformedInstance(format!(
@@ -211,17 +276,9 @@ fn run(args: &Args) -> Result<()> {
                  the fault path is not being exercised"
             )));
         }
-
-        // The coalescing-divergence gate: the same row with coalescing
-        // off must reproduce the exact same simulation — trace hash,
-        // fault counters, outcome, virtual time — or the fast path is
+        // The coalescing-divergence gate: trace hash, fault counters,
+        // outcome and virtual time must all match, or the fast path is
         // changing delivery order somewhere.
-        let mut uncoal_cfg = SwarmConfig::with_epsilon(EPSILON);
-        uncoal_cfg.coalesce = false;
-        let uncoalescing = SwarmAuction::new(uncoal_cfg, NetworkModel::lossy());
-        let t1 = Instant::now();
-        let off = uncoalescing.run(&instance, seed)?;
-        let uncoal_wall_ns = t1.elapsed().as_nanos();
         let identical = out.trace_hash == off.trace_hash
             && out.faults == off.faults
             && out.messages == off.messages
@@ -237,42 +294,18 @@ fn run(args: &Args) -> Result<()> {
                 out.trace_hash, off.trace_hash, out.coalesced_events, off.coalesced_events
             )));
         }
+    }
 
-        for (mode, o, ns) in [("lossy", &out, wall_ns), ("lossy-uncoal", &off, uncoal_wall_ns)] {
-            rows.push(Row {
-                requests,
-                providers: instance.provider_count(),
-                mode,
-                wall_ns: ns,
-                virtual_s: o.converged_at.as_secs_f64(),
-                events: o.events,
-                messages: o.messages,
-                rounds: o.rounds,
-                bids: o.bids_submitted,
-                welfare: o.assignment.welfare(&instance).get(),
-                dropped: o.faults.dropped,
-                coalesced: o.coalesced_events,
-                peak_queue: o.peak_queue,
-                bit_identical: None,
-            });
-        }
+    if !misses.is_empty() {
+        return Err(p2p_types::P2pError::MalformedInstance(format!(
+            "{} timing gate(s) missed, {out_path} not written: {}",
+            misses.len(),
+            misses.join("; ")
+        )));
     }
 
     let mut json_rows = Vec::new();
     for r in &rows {
-        println!(
-            "{:<10} {:<13} {:>10}µs {:>9.3}s {:>12} {:>12.0} {:>10} {:>10} {:>10} {:>10}",
-            r.requests,
-            r.mode,
-            r.wall_ns / 1_000,
-            r.virtual_s,
-            r.events,
-            r.events_per_sec(),
-            r.coalesced,
-            r.peak_queue,
-            r.rounds,
-            r.bit_identical.map_or("-".to_string(), |b| b.to_string()),
-        );
         json_rows.push(format!(
             "    {{\n      \"requests\": {},\n      \"providers\": {},\n      \
              \"net\": \"{}\",\n      \"wall_ns\": {},\n      \"virtual_s\": {:.6},\n      \

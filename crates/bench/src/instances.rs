@@ -53,7 +53,7 @@ mod tests {
         assert_eq!(inst.request_count(), 50);
         assert!(inst.edge_count() > 0);
         for r in inst.requests() {
-            assert!(!r.edges.is_empty() && r.edges.len() <= 4);
+            assert!(r.edge_count() > 0 && r.edge_count() <= 4);
         }
     }
 

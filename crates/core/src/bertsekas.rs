@@ -171,7 +171,7 @@ pub fn solve_assignment_auction(
 pub fn expand_to_assignment(instance: &WelfareInstance) -> (AssignmentProblem, Vec<ProviderIdx>) {
     let mut object_of_provider: Vec<Vec<usize>> = Vec::with_capacity(instance.provider_count());
     let mut object_provider = Vec::new();
-    for (u, p) in instance.providers().iter().enumerate() {
+    for (u, p) in instance.providers().enumerate() {
         let units = (0..p.capacity.chunks_per_slot())
             .map(|_| {
                 object_provider.push(u);
@@ -182,13 +182,12 @@ pub fn expand_to_assignment(instance: &WelfareInstance) -> (AssignmentProblem, V
     }
     let values = instance
         .requests()
-        .iter()
         .map(|r| {
-            r.edges
+            r.providers()
                 .iter()
-                .flat_map(|e| {
-                    let utility = e.utility().get();
-                    object_of_provider[e.provider].iter().map(move |&obj| (obj, utility))
+                .zip(r.utilities())
+                .flat_map(|(&u, &utility)| {
+                    object_of_provider[u as usize].iter().map(move |&obj| (obj, utility))
                 })
                 .collect()
         })
@@ -213,14 +212,13 @@ pub fn solve_via_expansion(
     let result = solve_assignment_auction(&problem, epsilon)?;
     let choices = instance
         .requests()
-        .iter()
         .zip(&result.matches)
         .map(|(req, m)| {
             m.map(|obj| {
-                let provider = object_provider[obj];
-                req.edges
+                let provider = object_provider[obj] as u32;
+                req.providers()
                     .iter()
-                    .position(|e| e.provider == provider)
+                    .position(|&u| u == provider)
                     .expect("matched object derives from an edge")
             })
         })

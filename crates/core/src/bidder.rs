@@ -20,7 +20,7 @@
 //!   slackness), guaranteeing termination under ties at a welfare loss of
 //!   at most `n·ε` — `ε = 0` is the paper-faithful mode.
 
-use crate::instance::ProviderIdx;
+use crate::instance::{ProviderIdx, RequestView};
 use serde::{Deserialize, Serialize};
 
 /// A bidder-visible candidate edge: the provider and the edge's welfare
@@ -95,6 +95,18 @@ pub fn decide_bid(
     epsilon: f64,
 ) -> BidDecision {
     decide_bid_with_floor(edges, price_of, epsilon, MIN_INCREMENT)
+}
+
+/// [`decide_bid`] over one instance row: the scan every in-process engine
+/// and the tracker run, reading the row's provider and `v − w` slices in
+/// place.
+pub fn decide_row_bid(
+    row: RequestView<'_>,
+    price_of: impl Fn(ProviderIdx) -> f64,
+    epsilon: f64,
+) -> BidDecision {
+    let edges = row.providers().iter().zip(row.utilities()).map(|(&u, &w)| (u as usize, w));
+    decide_bid_over(edges, price_of, epsilon, MIN_INCREMENT)
 }
 
 /// The default floor under which a bid increment counts as a tie.
@@ -178,9 +190,10 @@ pub(crate) fn decision_from_top2(
 }
 
 /// The sequential edge-at-a-time decision core over a `(provider,
-/// utility)` iterator: the bid scan of the nested ([`EdgeView`] slice)
-/// engines, and the oracle the flat engine's lane kernel
-/// ([`crate::csr::kernel`]) is tested against.
+/// utility)` iterator: the bid scan of the nested engines (over instance
+/// rows) and of the protocol bidders (over [`EdgeView`] slices), and the
+/// oracle the flat engine's lane kernel ([`crate::csr::kernel`]) is tested
+/// against.
 pub(crate) fn decide_bid_over(
     edges: impl Iterator<Item = (ProviderIdx, f64)>,
     price_of: impl Fn(ProviderIdx) -> f64,

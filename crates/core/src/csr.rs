@@ -1,20 +1,16 @@
-//! Flat CSR instance layout and the zero-allocation auction hot path.
+//! The flat auction engine: the zero-allocation hot path over the
+//! instance's CSR rows.
 //!
-//! The nested [`WelfareInstance`] stores one `Vec<EdgeSpec>` per request —
-//! simple to build and patch, but the auction inner loop then chases one
-//! pointer per request and re-derives `v − w` per visit, and every engine
-//! run reallocates its round scratch (edge views, auctioneer heaps, bid
-//! batches, worklists). At the 10³–10⁴-request flash-crowd slots the
-//! ROADMAP targets, that memory traffic dominates per-slot latency.
+//! A [`WelfareInstance`] stores its edges once, in flat row-major arrays
+//! ([`CsrData`]: dense `edge_provider` / `edge_utility` arrays with CSR row
+//! bounds per request, plus a dense provider-capacity array), so the
+//! auction inner loop reads one contiguous row per request with `v − w`
+//! precomputed. This module runs the *same* auction over those arrays with
+//! reusable scratch:
 //!
-//! This module compiles an instance into a structure-of-arrays form and
-//! runs the *same* auction over it with reusable scratch:
-//!
-//! * [`CsrInstance`] — dense `edge_provider` / `edge_utility` arrays
-//!   (`v − w` precomputed once) with CSR row bounds per request, plus a
-//!   dense provider-capacity array, compiled in one pass by
-//!   [`CsrInstance::compile`]. The arrays live behind one `Arc`, so
-//!   sharded worker threads share them without copying.
+//! * [`CsrInstance`] — a handle on the instance's arrays.
+//!   [`CsrInstance::compile`] copies nothing: it bumps the `Arc` the arrays
+//!   live behind, and sharded worker threads share that same `Arc`.
 //! * [`AuctionScratch`] + [`FlatOutcome`] — every buffer the engine needs
 //!   (auctioneer arena, prices, assignment, worklists, bid batches),
 //!   allocated once and reused across rounds *and* slots: after the first
@@ -32,8 +28,11 @@
 //!
 //! # Bit-equality with the nested engines
 //!
-//! The flat engines are not "approximately" the nested engines — they are
-//! the same auction over a different memory layout. Bid decisions run the
+//! The flat engines are not "approximately" the nested engines
+//! ([`SyncAuction`](crate::SyncAuction) and
+//! [`ShardedAuction`](crate::ShardedAuction), named for the per-provider
+//! auctioneer objects and per-request scans they run over the same rows) —
+//! they are the same auction with different scratch. Bid decisions run the
 //! branchless [`kernel`] reduction — bit-identical to the shared
 //! [`crate::bidder`] decision core by the order-invariance argument in the
 //! [`kernel`] docs — both schedules retire priced-out requests as the
@@ -81,10 +80,13 @@
 //! ```
 
 use crate::bidder::{AbstainReason, BidDecision};
-use crate::engine::{AuctionConfig, AuctionOutcome, EpsilonScaling};
-use crate::instance::WelfareInstance;
+use crate::engine::{
+    clamp_warm_prices, initial_price, standalone_prices, AuctionConfig, AuctionOutcome,
+    EpsilonScaling,
+};
+use crate::instance::{CsrData, WelfareInstance};
 use crate::shard::ShardCount;
-use crate::solution::{Assignment, DualSolution};
+use crate::solution::{eta_into, Assignment, DualSolution};
 use p2p_metrics::{AuctionProbe, NoProbe};
 use p2p_types::{P2pError, SimTime};
 use std::sync::mpsc;
@@ -96,61 +98,7 @@ pub mod kernel;
 /// Sentinel for "request unassigned" in the flat choice vector.
 const NONE: u32 = u32::MAX;
 
-/// The flat structure-of-arrays payload of a [`CsrInstance`]. All arrays
-/// are index-aligned: `capacity[u]` per provider, `row_offsets[r] ..
-/// row_offsets[r + 1]` bounding request `r`'s edges inside
-/// `edge_provider` / `edge_utility`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CsrData {
-    /// Per provider: upload capacity `B(u)` in chunks per slot.
-    capacity: Vec<u32>,
-    /// CSR row bounds: request `r` owns edges `row_offsets[r] ..
-    /// row_offsets[r + 1]`; length is `request_count + 1`.
-    row_offsets: Vec<u32>,
-    /// Per edge: the provider index.
-    edge_provider: Vec<u32>,
-    /// Per edge: the welfare weight `v − w`, precomputed once.
-    edge_utility: Vec<f64>,
-}
-
-impl CsrData {
-    /// Number of requests (rows).
-    pub fn request_count(&self) -> usize {
-        self.row_offsets.len().saturating_sub(1)
-    }
-
-    /// Number of providers.
-    pub fn provider_count(&self) -> usize {
-        self.capacity.len()
-    }
-
-    /// Number of candidate edges.
-    pub fn edge_count(&self) -> usize {
-        self.edge_provider.len()
-    }
-
-    /// One request's edges as parallel `(providers, utilities)` slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of range.
-    pub fn row(&self, r: usize) -> (&[u32], &[f64]) {
-        let lo = self.row_offsets[r] as usize;
-        let hi = self.row_offsets[r + 1] as usize;
-        (&self.edge_provider[lo..hi], &self.edge_utility[lo..hi])
-    }
-
-    /// A provider's capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is out of range.
-    pub fn capacity(&self, u: usize) -> u32 {
-        self.capacity[u]
-    }
-}
-
-/// A compiled, shareable flat instance (see the [module docs](self)).
+/// A handle on an instance's flat arrays (see the [module docs](self)).
 ///
 /// Cloning is an `Arc` bump — worker threads share one set of arrays.
 #[derive(Debug, Clone, PartialEq)]
@@ -159,40 +107,21 @@ pub struct CsrInstance {
 }
 
 impl CsrInstance {
-    /// Compiles a nested instance into the flat layout (one pass; `v − w`
-    /// is precomputed per edge exactly as [`crate::EdgeSpec::utility`]
-    /// computes it, so downstream floats are bit-identical).
+    /// A handle on `instance`'s arrays. Nothing is copied or allocated:
+    /// the engine reads the rows the instance's builder wrote, whose
+    /// `v − w` was computed by the same single subtraction as
+    /// [`crate::EdgeSpec::utility`].
     ///
     /// Every utility is finite, as the bid kernel requires:
     /// [`crate::InstanceBuilder::add_edge`] rejects a non-finite `v − w`,
     /// and a [`WelfareInstance`] can only come from that builder.
     pub fn compile(instance: &WelfareInstance) -> Self {
-        let edges = instance.edge_count();
-        let mut data = CsrData {
-            capacity: instance.providers().iter().map(|p| p.capacity.chunks_per_slot()).collect(),
-            row_offsets: Vec::with_capacity(instance.request_count() + 1),
-            edge_provider: Vec::with_capacity(edges),
-            edge_utility: Vec::with_capacity(edges),
-        };
-        for r in instance.requests() {
-            data.row_offsets.push(data.edge_provider.len() as u32);
-            for e in &r.edges {
-                data.edge_provider.push(e.provider as u32);
-                data.edge_utility.push(e.utility().get());
-            }
-        }
-        data.row_offsets.push(data.edge_provider.len() as u32);
-        CsrInstance { data: Arc::new(data) }
+        CsrInstance { data: Arc::clone(&instance.data) }
     }
 
     /// The flat arrays.
     pub fn data(&self) -> &CsrData {
         &self.data
-    }
-
-    /// A shared handle to the arrays (what worker threads hold).
-    pub fn shared(&self) -> Arc<CsrData> {
-        Arc::clone(&self.data)
     }
 
     /// Number of providers.
@@ -360,10 +289,7 @@ impl AuctionScratch {
         for (u, &cap) in csr.capacity.iter().enumerate() {
             let in_degree = self.segment_offsets[u + 1];
             self.segment_offsets[u + 1] = self.segment_offsets[u] + cap.min(in_degree);
-            let warm = initial
-                .and_then(|ps| ps.get(u).copied())
-                .filter(|w| w.is_finite() && *w >= 0.0)
-                .unwrap_or(0.0);
+            let warm = initial_price(initial, u);
             if cap == 0 {
                 self.price.push(0.0);
                 self.eff_price.push(f64::INFINITY);
@@ -1183,7 +1109,7 @@ fn exec_threaded(
         let cmd = SliceCmd {
             idx: w,
             chunk: chunk_buf,
-            csr: csr.shared(),
+            csr: Arc::clone(&csr.data),
             prices: Arc::clone(&snapshot),
             epsilon,
             bids: bid_buf,
@@ -1238,8 +1164,9 @@ fn exec_threaded(
 
 /// Writes the converged run's results into `out` without allocating beyond
 /// the buffers' high-water marks: final λ (with the zero-capacity
-/// standalone prices of the nested `final_prices`), η derived exactly as
-/// [`DualSolution::from_prices`], choices, welfare and counters.
+/// standalone prices of [`crate::engine::final_prices_from`]), η derived
+/// exactly as [`DualSolution::from_prices`] derives it, choices, welfare
+/// and counters.
 fn finalize<P: AuctionProbe>(
     data: &CsrData,
     s: &mut AuctionScratch,
@@ -1250,32 +1177,14 @@ fn finalize<P: AuctionProbe>(
 ) {
     out.lambda.clear();
     out.lambda.extend_from_slice(&s.price);
-    // Zero-capacity providers constrain nothing but still appear in dual
-    // constraint (6): report the smallest feasible standalone price
-    // `max(0, max incident v − w)` — the nested `final_prices` rule.
-    if data.capacity.contains(&0) {
-        for (e, &p) in data.edge_provider.iter().enumerate() {
-            let u = p as usize;
-            if data.capacity[u] == 0 && data.edge_utility[e] > out.lambda[u] {
-                out.lambda[u] = data.edge_utility[e];
-            }
-        }
-    }
-    out.eta.clear();
+    standalone_prices(data, &mut out.lambda);
+    eta_into(data, &out.lambda, &mut out.eta);
     out.choice.clear();
+    out.choice.extend_from_slice(&s.assigned);
     out.welfare = 0.0;
-    for r in 0..data.request_count() {
-        let lo = data.row_offsets[r] as usize;
-        let hi = data.row_offsets[r + 1] as usize;
-        let mut eta = 0.0_f64;
-        for e in lo..hi {
-            eta = eta.max(data.edge_utility[e] - out.lambda[data.edge_provider[e] as usize]);
-        }
-        out.eta.push(eta);
-        let choice = s.assigned[r];
-        out.choice.push(choice);
+    for (r, &choice) in s.assigned.iter().enumerate() {
         if choice != NONE {
-            out.welfare += data.edge_utility[lo + choice as usize];
+            out.welfare += data.edge_utility[data.row_offsets[r] as usize + choice as usize];
         }
     }
     out.rounds = rounds;
@@ -1291,36 +1200,6 @@ fn finalize<P: AuctionProbe>(
         dual += out.eta.iter().sum::<f64>();
         let assigned = out.choice.iter().filter(|&&c| c != NONE).count() as u64;
         probe.run_complete(rounds, bids_submitted, assigned, dual - out.welfare);
-    }
-}
-
-/// Carried prices made ε-valid for a warm start, written into `prices`
-/// without allocating: the clamp and cheap support pre-filter of the
-/// nested `clamped_warm_prices`, over the flat arrays.
-fn clamp_warm_prices(
-    data: &CsrData,
-    prior: &[f64],
-    eps: f64,
-    prices: &mut Vec<f64>,
-    potential: &mut Vec<u32>,
-) {
-    prices.clear();
-    for u in 0..data.provider_count() {
-        let p = prior.get(u).copied().unwrap_or(0.0);
-        prices.push(if p.is_finite() { (p - eps).max(0.0) } else { 0.0 });
-    }
-    potential.clear();
-    potential.resize(data.provider_count(), 0);
-    for (e, &p) in data.edge_provider.iter().enumerate() {
-        let u = p as usize;
-        if prices[u] > 0.0 && data.edge_utility[e] > prices[u] {
-            potential[u] += 1;
-        }
-    }
-    for u in 0..data.provider_count() {
-        if prices[u] > 0.0 && potential[u] < data.capacity[u] {
-            prices[u] = 0.0;
-        }
     }
 }
 
@@ -1378,13 +1257,18 @@ mod tests {
         assert_eq!(csr.provider_count(), inst.provider_count());
         assert_eq!(csr.request_count(), inst.request_count());
         assert_eq!(csr.edge_count(), inst.edge_count());
-        let (providers, utilities) = csr.data().row(3);
-        for (k, e) in inst.request(3).edges.iter().enumerate() {
-            assert_eq!(providers[k] as usize, e.provider);
-            assert_eq!(utilities[k], e.utility().get());
+        // The handle's rows are the views' rows: the same arrays, not a copy.
+        for (r, view) in inst.requests().enumerate() {
+            let (providers, utilities) = csr.data().row(r);
+            assert!(std::ptr::eq(providers, view.providers()), "row {r}");
+            assert!(std::ptr::eq(utilities, view.utilities()), "row {r}");
+            for (k, e) in view.edges().enumerate() {
+                assert_eq!(providers[k] as usize, e.provider);
+                assert_eq!(utilities[k].to_bits(), e.utility().get().to_bits());
+            }
         }
         for u in 0..inst.provider_count() {
-            assert_eq!(csr.data().capacity(u), inst.provider(u).capacity.chunks_per_slot());
+            assert_eq!(csr.data().capacity[u], inst.provider(u).capacity.chunks_per_slot());
         }
     }
 

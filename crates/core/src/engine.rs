@@ -15,8 +15,8 @@
 //! in [`crate::swarm`].
 
 use crate::auctioneer::{Auctioneer, BidOutcome};
-use crate::bidder::{decide_bid, AbstainReason, BidDecision, EdgeView};
-use crate::instance::WelfareInstance;
+use crate::bidder::{decide_row_bid, AbstainReason, BidDecision};
+use crate::instance::{CsrData, WelfareInstance};
 use crate::solution::{Assignment, DualSolution};
 use p2p_metrics::{AuctionProbe, NoProbe};
 use p2p_types::{P2pError, SimTime};
@@ -293,31 +293,7 @@ impl SyncAuction {
         epsilon: f64,
         probe: &mut P,
     ) -> Result<AuctionOutcome, P2pError> {
-        let views = edge_views(instance);
-        let mut auctioneers: Vec<Auctioneer> = instance
-            .providers()
-            .iter()
-            .enumerate()
-            .map(|(u, p)| {
-                let warm = initial_prices
-                    .and_then(|ps| ps.get(u).copied())
-                    .filter(|w| w.is_finite() && *w >= 0.0)
-                    .unwrap_or(0.0);
-                if p.capacity.is_zero() {
-                    Auctioneer::new(0)
-                } else {
-                    Auctioneer::with_price(p.capacity.chunks_per_slot(), warm)
-                }
-            })
-            .collect();
-        // Effective price used by bidders: +∞ for zero-capacity providers
-        // so nobody targets them.
-        let mut eff_price: Vec<f64> = instance
-            .providers()
-            .iter()
-            .enumerate()
-            .map(|(u, p)| if p.capacity.is_zero() { f64::INFINITY } else { auctioneers[u].price() })
-            .collect();
+        let (mut auctioneers, mut eff_price) = seeded_auctioneers(instance, initial_prices);
 
         let mut assigned: Vec<Option<usize>> = vec![None; instance.request_count()];
         let mut retired: Vec<bool> = vec![false; instance.request_count()];
@@ -336,7 +312,7 @@ impl SyncAuction {
                 if assigned[r].is_some() || retired[r] {
                     continue;
                 }
-                match decide_bid(&views[r], |p| eff_price[p], epsilon) {
+                match decide_row_bid(instance.request(r), |p| eff_price[p], epsilon) {
                     // Prices are monotone within a run, so an unprofitable
                     // (or candidate-less) request stays so forever and is
                     // never re-scanned. A zero-margin tie can still be
@@ -383,7 +359,8 @@ impl SyncAuction {
             }
         }
 
-        let lambda = final_prices(instance, &auctioneers);
+        let lambda =
+            final_prices_from(instance, auctioneers.iter().map(Auctioneer::price).collect());
         let outcome = AuctionOutcome {
             assignment: Assignment::new(assigned),
             duals: DualSolution::from_prices(instance, lambda),
@@ -391,18 +368,7 @@ impl SyncAuction {
             bids_submitted,
             converged: true,
         };
-        if probe.enabled() {
-            // Theorem 1's certificate: the duality gap bounds the welfare
-            // loss. Only computed when someone is listening.
-            let slack =
-                outcome.duals.objective(instance) - outcome.assignment.welfare(instance).get();
-            probe.run_complete(
-                outcome.rounds,
-                outcome.bids_submitted,
-                outcome.assignment.assigned_count() as u64,
-                slack,
-            );
-        }
+        report_complete(instance, &outcome, probe);
         Ok(outcome)
     }
 }
@@ -419,7 +385,8 @@ pub fn run_warm_with(
     epsilon: f64,
     mut run_from: impl FnMut(Option<&[f64]>) -> Result<AuctionOutcome, P2pError>,
 ) -> Result<AuctionOutcome, P2pError> {
-    let mut prices = clamped_warm_prices(instance, prior_prices, epsilon);
+    let mut prices = Vec::new();
+    clamp_warm_prices(&instance.data, prior_prices, epsilon, &mut prices, &mut Vec::new());
     let mut rounds = 0;
     let mut bids = 0;
     loop {
@@ -432,40 +399,41 @@ pub fn run_warm_with(
     }
 }
 
-/// Carried prices made ε-valid for a warm start: non-finite or negative
-/// entries become 0, every price is relaxed by ε, and the support
-/// pre-filter zeroes prices the slot's demand cannot sustain.
-fn clamped_warm_prices(instance: &WelfareInstance, prior_prices: &[f64], eps: f64) -> Vec<f64> {
-    let mut prices: Vec<f64> = (0..instance.provider_count())
-        .map(|u| {
-            let p = prior_prices.get(u).copied().unwrap_or(0.0);
-            if p.is_finite() {
-                (p - eps).max(0.0)
-            } else {
-                0.0
-            }
-        })
-        .collect();
+/// Carried prices made ε-valid for a warm start, written into `prices`
+/// without allocating: non-finite or negative entries become 0, every
+/// price is relaxed by ε, and the support pre-filter zeroes prices the
+/// slot's demand cannot sustain. `potential` is scratch.
+pub(crate) fn clamp_warm_prices(
+    data: &CsrData,
+    prior: &[f64],
+    eps: f64,
+    prices: &mut Vec<f64>,
+    potential: &mut Vec<u32>,
+) {
+    prices.clear();
+    for u in 0..data.provider_count() {
+        let p = prior.get(u).copied().unwrap_or(0.0);
+        prices.push(if p.is_finite() { (p - eps).max(0.0) } else { 0.0 });
+    }
     // Cheap support pre-filter: a positive price survives only if the
     // provider can sell out at it, and a request only bids where
     // `v − w > λ` — so a carried price with fewer than `capacity`
     // profitable incident edges is doomed. Zeroing those up front
     // avoids a full repair rerun whenever last slot's demand moved
     // away (delivered chunks leaving the instance is the common case).
-    let mut potential = vec![0u32; instance.provider_count()];
-    for r in instance.requests() {
-        for e in &r.edges {
-            if prices[e.provider] > 0.0 && e.utility().get() > prices[e.provider] {
-                potential[e.provider] += 1;
-            }
+    potential.clear();
+    potential.resize(data.provider_count(), 0);
+    for (&u, &utility) in data.edge_provider.iter().zip(&data.edge_utility) {
+        let u = u as usize;
+        if prices[u] > 0.0 && utility > prices[u] {
+            potential[u] += 1;
         }
     }
-    for (u, spec) in instance.providers().iter().enumerate() {
-        if prices[u] > 0.0 && potential[u] < spec.capacity.chunks_per_slot() {
+    for (u, &cap) in data.capacity.iter().enumerate() {
+        if prices[u] > 0.0 && potential[u] < cap {
             prices[u] = 0.0;
         }
     }
-    prices
 }
 
 /// CS 1 support check: a provider with spare capacity and λ > 0 kept an
@@ -479,7 +447,7 @@ fn zero_unsupported_prices(
 ) -> bool {
     let loads = outcome.assignment.provider_loads(instance);
     let mut repaired = false;
-    for (u, spec) in instance.providers().iter().enumerate() {
+    for (u, spec) in instance.providers().enumerate() {
         let cap = spec.capacity.chunks_per_slot();
         if cap > 0 && loads[u] < cap && prices[u] > 0.0 && outcome.duals.lambda[u] > 0.0 {
             prices[u] = 0.0;
@@ -489,45 +457,76 @@ fn zero_unsupported_prices(
     repaired
 }
 
-/// Precomputes the bidder-visible edge views of every request.
-pub fn edge_views(instance: &WelfareInstance) -> Vec<Vec<EdgeView>> {
+/// A run's starting price for provider `u`: its carried warm price when
+/// there is a finite, non-negative one, else 0.
+pub fn initial_price(initial: Option<&[f64]>, u: usize) -> f64 {
+    initial.and_then(|ps| ps.get(u).copied()).filter(|w| w.is_finite() && *w >= 0.0).unwrap_or(0.0)
+}
+
+/// The auctioneers of a run seeded from `initial` prices, with the
+/// bidder-visible prices: +∞ for zero-capacity providers so nobody
+/// targets them.
+pub(crate) fn seeded_auctioneers(
+    instance: &WelfareInstance,
+    initial: Option<&[f64]>,
+) -> (Vec<Auctioneer>, Vec<f64>) {
     instance
-        .requests()
-        .iter()
-        .map(|r| {
-            r.edges
-                .iter()
-                .map(|e| EdgeView { provider: e.provider, utility: e.utility().get() })
-                .collect()
+        .providers()
+        .enumerate()
+        .map(|(u, p)| match p.capacity.chunks_per_slot() {
+            0 => (Auctioneer::new(0), f64::INFINITY),
+            cap => {
+                let price = initial_price(initial, u);
+                (Auctioneer::with_price(cap, price), price)
+            }
         })
-        .collect()
+        .unzip()
 }
 
-/// Reported final prices: the auctioneer's λ for active providers; for
-/// zero-capacity providers (which constrain nothing but still appear in
-/// dual constraint (6)), the smallest feasible standalone price
-/// `max(0, max incident v−w)`.
-pub(crate) fn final_prices(instance: &WelfareInstance, auctioneers: &[Auctioneer]) -> Vec<f64> {
-    final_prices_from(instance, auctioneers.iter().map(Auctioneer::price).collect())
+/// Emits a converged run's Theorem 1 certificate (the duality gap bounds
+/// the welfare loss) to the probe; only computed when someone listens.
+pub fn report_complete<P: AuctionProbe>(
+    instance: &WelfareInstance,
+    outcome: &AuctionOutcome,
+    probe: &mut P,
+) {
+    if probe.enabled() {
+        let slack = outcome.duals.objective(instance) - outcome.assignment.welfare(instance).get();
+        probe.run_complete(
+            outcome.rounds,
+            outcome.bids_submitted,
+            outcome.assignment.assigned_count() as u64,
+            slack,
+        );
+    }
 }
 
-/// `final_prices` over raw λ values — the entry point for transports
-/// whose auctioneers live inside protocol nodes rather than a bare
-/// `Vec<Auctioneer>`.
+/// Reported final prices from raw λ values: the auctioneers' λ for active
+/// providers; for zero-capacity providers (which constrain nothing but
+/// still appear in dual constraint (6)), the smallest feasible standalone
+/// price `max(0, max incident v−w)`.
 pub fn final_prices_from(instance: &WelfareInstance, mut lambda: Vec<f64>) -> Vec<f64> {
-    for (u, spec) in instance.providers().iter().enumerate() {
-        if spec.capacity.is_zero() {
-            let max_utility = instance
-                .requests()
-                .iter()
-                .flat_map(|r| r.edges.iter())
-                .filter(|e| e.provider == u)
-                .map(|e| e.utility().get())
-                .fold(0.0_f64, f64::max);
-            lambda[u] = max_utility;
+    standalone_prices(&instance.data, &mut lambda);
+    lambda
+}
+
+/// Overwrites each zero-capacity provider's λ with its standalone price
+/// `max(0, max incident v − w)`, in one pass over the edges.
+pub(crate) fn standalone_prices(data: &CsrData, lambda: &mut [f64]) {
+    if !data.capacity.contains(&0) {
+        return;
+    }
+    for (u, &cap) in data.capacity.iter().enumerate() {
+        if cap == 0 {
+            lambda[u] = 0.0;
         }
     }
-    lambda
+    for (&u, &utility) in data.edge_provider.iter().zip(&data.edge_utility) {
+        let u = u as usize;
+        if data.capacity[u] == 0 && utility > lambda[u] {
+            lambda[u] = utility;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -649,14 +648,12 @@ mod tests {
             if let Some(u) = out.assignment.provider_of(&inst, r) {
                 let best = inst
                     .request(r)
-                    .edges
-                    .iter()
+                    .edges()
                     .map(|e| e.utility().get() - out.duals.lambda[e.provider])
                     .fold(f64::NEG_INFINITY, f64::max);
                 let chosen = inst
                     .request(r)
-                    .edges
-                    .iter()
+                    .edges()
                     .find(|e| e.provider == u)
                     .map(|e| e.utility().get() - out.duals.lambda[u])
                     .unwrap();

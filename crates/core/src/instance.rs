@@ -1,8 +1,21 @@
 //! The per-slot welfare maximization instance (problem (1) of the paper).
+//!
+//! One slot's problem is one sparse request → provider graph, and every
+//! execution of the auction only ever scans one request's candidate row
+//! (Sec. IV-B). The instance therefore stores each edge once, in flat
+//! row-major (CSR) arrays behind one `Arc` ([`CsrData`]): request `r` owns
+//! edges `row_offsets[r] .. row_offsets[r + 1]`, and per edge the arrays
+//! hold the provider, the welfare weight `v − w` (computed once, by the
+//! same single subtraction [`EdgeSpec::utility`] performs), the valuation
+//! and the cost. Readers borrow one row at a time through
+//! [`WelfareInstance::request`]; the flat engine's
+//! [`CsrInstance`](crate::csr::CsrInstance) is a handle on the same arrays,
+//! and cloning an instance is a reference bump.
 
 use p2p_netflow::TransportationProblem;
 use p2p_types::{Bandwidth, Cost, P2pError, PeerId, RequestId, Utility, Valuation};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Index of a provider within a [`WelfareInstance`].
 pub type ProviderIdx = usize;
@@ -37,14 +50,106 @@ impl EdgeSpec {
     }
 }
 
-/// One download request `(I_d, c)` with its candidate providers
-/// `N^{(c)}(d)` (neighbors caching chunk `c`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RequestSpec {
+/// One download request `(I_d, c)` and its candidate row `N^{(c)}(d)`
+/// (neighbors caching chunk `c`), borrowed from its instance.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RequestView<'a> {
     /// The request identity.
     pub id: RequestId,
-    /// Candidate edges, one per neighbor that caches the chunk.
-    pub edges: Vec<EdgeSpec>,
+    providers: &'a [u32],
+    utilities: &'a [f64],
+    valuations: &'a [Valuation],
+    costs: &'a [Cost],
+}
+
+impl<'a> RequestView<'a> {
+    /// Number of candidate edges.
+    pub fn edge_count(&self) -> usize {
+        self.providers.len()
+    }
+
+    /// The request's `k`-th candidate edge.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is out of range.
+    pub fn edge(&self, k: usize) -> EdgeSpec {
+        EdgeSpec {
+            provider: self.providers[k] as usize,
+            valuation: self.valuations[k],
+            cost: self.costs[k],
+        }
+    }
+
+    /// The candidate edges in row order.
+    pub fn edges(&self) -> impl ExactSizeIterator<Item = EdgeSpec> + 'a {
+        let row = *self;
+        (0..row.edge_count()).map(move |k| row.edge(k))
+    }
+
+    /// Per edge: the provider index.
+    pub fn providers(&self) -> &'a [u32] {
+        self.providers
+    }
+
+    /// Per edge: the welfare weight `v − w`.
+    pub fn utilities(&self) -> &'a [f64] {
+        self.utilities
+    }
+}
+
+/// The flat arrays of one instance. All per-edge arrays are index-aligned,
+/// and request `r` owns edges `row_offsets[r] .. row_offsets[r + 1]`.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct CsrData {
+    /// Per provider: its peer id.
+    pub(crate) peer: Vec<PeerId>,
+    /// Per provider: upload capacity `B(u)` in chunks per slot.
+    pub(crate) capacity: Vec<u32>,
+    /// Per request: its identity.
+    pub(crate) request_id: Vec<RequestId>,
+    /// CSR row bounds; `request_count + 1` entries once built.
+    pub(crate) row_offsets: Vec<u32>,
+    /// Per edge: the provider index.
+    pub(crate) edge_provider: Vec<u32>,
+    /// Per edge: the welfare weight `v − w`.
+    pub(crate) edge_utility: Vec<f64>,
+    /// Per edge: the valuation `v`.
+    pub(crate) edge_valuation: Vec<Valuation>,
+    /// Per edge: the network cost `w`.
+    pub(crate) edge_cost: Vec<Cost>,
+}
+
+impl CsrData {
+    /// Number of requests (rows).
+    pub fn request_count(&self) -> usize {
+        self.request_id.len()
+    }
+
+    /// Number of providers.
+    pub fn provider_count(&self) -> usize {
+        self.capacity.len()
+    }
+
+    /// Number of candidate edges.
+    pub fn edge_count(&self) -> usize {
+        self.edge_provider.len()
+    }
+
+    /// The bounds of request `r`'s edges in the per-edge arrays.
+    pub(crate) fn row_range(&self, r: usize) -> std::ops::Range<usize> {
+        self.row_offsets[r] as usize..self.row_offsets[r + 1] as usize
+    }
+
+    /// One request's edges as parallel `(providers, utilities)` slices.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` is out of range.
+    pub fn row(&self, r: usize) -> (&[u32], &[f64]) {
+        let range = self.row_range(r);
+        (&self.edge_provider[range.clone()], &self.edge_utility[range])
+    }
 }
 
 /// A complete single-slot instance of the social welfare maximization
@@ -66,11 +171,12 @@ pub struct RequestSpec {
 /// let inst = b.build().unwrap();
 /// assert_eq!(inst.provider_count(), 1);
 /// assert_eq!(inst.request_count(), 1);
+/// assert_eq!(inst.request(r).edge(0).provider, u);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WelfareInstance {
-    providers: Vec<ProviderSpec>,
-    requests: Vec<RequestSpec>,
+    /// The flat arrays, shared with the flat engine's handles and workers.
+    pub(crate) data: Arc<CsrData>,
 }
 
 impl WelfareInstance {
@@ -81,17 +187,17 @@ impl WelfareInstance {
 
     /// Number of providers.
     pub fn provider_count(&self) -> usize {
-        self.providers.len()
+        self.data.provider_count()
     }
 
     /// Number of requests.
     pub fn request_count(&self) -> usize {
-        self.requests.len()
+        self.data.request_count()
     }
 
     /// Total number of candidate edges.
     pub fn edge_count(&self) -> usize {
-        self.requests.iter().map(|r| r.edges.len()).sum()
+        self.data.edge_count()
     }
 
     /// One provider by index.
@@ -99,44 +205,55 @@ impl WelfareInstance {
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
-    pub fn provider(&self, idx: ProviderIdx) -> &ProviderSpec {
-        &self.providers[idx]
+    pub fn provider(&self, idx: ProviderIdx) -> ProviderSpec {
+        ProviderSpec {
+            peer: self.data.peer[idx],
+            capacity: Bandwidth::new(self.data.capacity[idx]),
+        }
     }
 
-    /// One request by index.
+    /// One request's row by index.
     ///
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
-    pub fn request(&self, idx: RequestIdx) -> &RequestSpec {
-        &self.requests[idx]
+    pub fn request(&self, idx: RequestIdx) -> RequestView<'_> {
+        let d = &*self.data;
+        let range = d.row_range(idx);
+        RequestView {
+            id: d.request_id[idx],
+            providers: &d.edge_provider[range.clone()],
+            utilities: &d.edge_utility[range.clone()],
+            valuations: &d.edge_valuation[range.clone()],
+            costs: &d.edge_cost[range],
+        }
     }
 
-    /// All providers.
-    pub fn providers(&self) -> &[ProviderSpec] {
-        &self.providers
+    /// All providers, in index order.
+    pub fn providers(&self) -> impl ExactSizeIterator<Item = ProviderSpec> + '_ {
+        (0..self.provider_count()).map(|u| self.provider(u))
     }
 
-    /// All requests.
-    pub fn requests(&self) -> &[RequestSpec] {
-        &self.requests
+    /// All requests' rows, in index order.
+    pub fn requests(&self) -> impl ExactSizeIterator<Item = RequestView<'_>> + '_ {
+        (0..self.request_count()).map(|r| self.request(r))
     }
 
     /// Total upload capacity across providers.
     pub fn total_capacity(&self) -> Bandwidth {
-        self.providers.iter().map(|p| p.capacity).sum()
+        self.providers().map(|p| p.capacity).sum()
     }
 
     /// Converts to the equivalent transportation problem (profits
     /// `v − w`), for exact solving via [`p2p_netflow`].
     pub fn to_transportation(&self) -> TransportationProblem {
-        let caps = self.providers.iter().map(|p| p.capacity.chunks_per_slot()).collect();
         let edges = self
-            .requests
-            .iter()
-            .map(|r| r.edges.iter().map(|e| (e.provider, e.utility().get())).collect::<Vec<_>>())
+            .requests()
+            .map(|r| {
+                r.providers().iter().zip(r.utilities()).map(|(&u, &w)| (u as usize, w)).collect()
+            })
             .collect();
-        TransportationProblem::new(caps, edges)
+        TransportationProblem::new(self.data.capacity.clone(), edges)
             .expect("builder-validated instance cannot produce out-of-range edges")
     }
 
@@ -151,18 +268,27 @@ impl WelfareInstance {
     }
 }
 
-/// Incremental builder for [`WelfareInstance`].
+/// Incremental builder for [`WelfareInstance`]: appends straight to the
+/// instance's flat arrays.
+///
+/// Rows are appended in request order, so an edge may be added to request
+/// `r` only while no later request has an edge (requests without edges
+/// may be added ahead of time). [`InstanceBuilder::add_edge`] rejects an
+/// edge that breaks this order.
 #[derive(Debug, Clone, Default)]
 pub struct InstanceBuilder {
-    providers: Vec<ProviderSpec>,
-    requests: Vec<RequestSpec>,
+    /// The arrays under construction. `row_offsets` holds the start of
+    /// every request up to the last one with an edge; the rows after it
+    /// are empty and get their offsets in [`InstanceBuilder::build`].
+    data: CsrData,
 }
 
 impl InstanceBuilder {
     /// Adds a provider with `capacity` chunks-per-slot; returns its index.
     pub fn add_provider(&mut self, peer: PeerId, capacity: u32) -> ProviderIdx {
-        self.providers.push(ProviderSpec { peer, capacity: Bandwidth::new(capacity) });
-        self.providers.len() - 1
+        self.data.peer.push(peer);
+        self.data.capacity.push(capacity);
+        self.data.capacity.len() - 1
     }
 
     /// Adds a request with no edges yet; returns its index.
@@ -170,11 +296,26 @@ impl InstanceBuilder {
         self.add_request_with_capacity(id, 0)
     }
 
-    /// Adds a request with no edges yet but room for `edges` of them, for
-    /// callers that know the request's candidate count; returns its index.
+    /// Adds a request with no edges yet, reserving room in the edge arrays
+    /// for `edges` more edges, for callers that know the request's
+    /// candidate count; returns its index.
     pub fn add_request_with_capacity(&mut self, id: RequestId, edges: usize) -> RequestIdx {
-        self.requests.push(RequestSpec { id, edges: Vec::with_capacity(edges) });
-        self.requests.len() - 1
+        self.data.request_id.push(id);
+        self.reserve(0, edges);
+        self.data.request_id.len() - 1
+    }
+
+    /// Reserves room for `requests` more requests and `edges` more edges,
+    /// so a caller that can estimate the instance's size grows each array
+    /// once instead of doubling it from empty.
+    pub fn reserve(&mut self, requests: usize, edges: usize) {
+        let d = &mut self.data;
+        d.request_id.reserve(requests);
+        d.row_offsets.reserve(requests);
+        d.edge_provider.reserve(edges);
+        d.edge_utility.reserve(edges);
+        d.edge_valuation.reserve(edges);
+        d.edge_cost.reserve(edges);
     }
 
     /// Adds a candidate edge from `request` to `provider`.
@@ -182,10 +323,11 @@ impl InstanceBuilder {
     /// # Errors
     ///
     /// Returns [`P2pError::MalformedInstance`] if either index is out of
-    /// range or the edge duplicates an existing (request, provider) pair —
-    /// a request has at most one edge per neighbor — and
-    /// [`P2pError::NonFiniteUtility`] if the welfare weight `v − w`
-    /// overflows to infinity (finite `valuation` and `cost` do not
+    /// range, if a later request already has an edge (the builder appends
+    /// rows in request order), or if the edge duplicates an existing
+    /// (request, provider) pair — a request has at most one edge per
+    /// neighbor — and [`P2pError::NonFiniteUtility`] if the welfare weight
+    /// `v − w` overflows to infinity (finite `valuation` and `cost` do not
     /// guarantee a finite difference): a non-finite utility would flow
     /// into the bidders' `φ` comparisons and the kernel's max-reduction
     /// with an undefined winner, so it is rejected at build time.
@@ -196,26 +338,38 @@ impl InstanceBuilder {
         valuation: Valuation,
         cost: Cost,
     ) -> Result<(), P2pError> {
-        if provider >= self.providers.len() {
+        let d = &mut self.data;
+        if provider >= d.capacity.len() {
             return Err(P2pError::MalformedInstance(format!(
                 "provider index {provider} out of range ({} providers)",
-                self.providers.len()
+                d.capacity.len()
             )));
         }
-        let Some(req) = self.requests.get_mut(request) else {
+        if request >= d.request_id.len() {
             return Err(P2pError::MalformedInstance(format!(
                 "request index {request} out of range ({} requests)",
-                self.requests.len()
+                d.request_id.len()
             )));
-        };
-        if req.edges.iter().any(|e| e.provider == provider) {
+        }
+        let started = d.row_offsets.len();
+        if request + 1 < started {
+            return Err(P2pError::MalformedInstance(format!(
+                "edge for request {request} added after request {} has edges; \
+                 add a request's edges before any later request's",
+                started - 1
+            )));
+        }
+        let row_start =
+            if request + 1 == started { d.row_offsets[request] as usize } else { d.edge_count() };
+        if d.edge_provider[row_start..].contains(&(provider as u32)) {
             return Err(P2pError::MalformedInstance(format!(
                 "duplicate edge request {request} -> provider {provider}"
             )));
         }
         // Raw difference, not `EdgeSpec::utility` — the unit type's
         // constructor asserts finiteness, and this must be an error, not a
-        // panic.
+        // panic. It is the same single subtraction, so the stored weight is
+        // bit-identical to `EdgeSpec::utility`.
         let utility = valuation.get() - cost.get();
         if !utility.is_finite() {
             return Err(P2pError::NonFiniteUtility {
@@ -224,7 +378,14 @@ impl InstanceBuilder {
                 utility,
             });
         }
-        req.edges.push(EdgeSpec { provider, valuation, cost });
+        // Open the rows up to `request`; any skipped ones stay empty.
+        while d.row_offsets.len() <= request {
+            d.row_offsets.push(d.edge_provider.len() as u32);
+        }
+        d.edge_provider.push(provider as u32);
+        d.edge_utility.push(utility);
+        d.edge_valuation.push(valuation);
+        d.edge_cost.push(cost);
         Ok(())
     }
 
@@ -234,8 +395,12 @@ impl InstanceBuilder {
     ///
     /// Currently infallible for builder-constructed data, but returns
     /// `Result` to allow future invariants without a breaking change.
-    pub fn build(self) -> Result<WelfareInstance, P2pError> {
-        Ok(WelfareInstance { providers: self.providers, requests: self.requests })
+    pub fn build(mut self) -> Result<WelfareInstance, P2pError> {
+        let d = &mut self.data;
+        while d.row_offsets.len() <= d.request_id.len() {
+            d.row_offsets.push(d.edge_provider.len() as u32);
+        }
+        Ok(WelfareInstance { data: Arc::new(self.data) })
     }
 }
 
@@ -293,6 +458,29 @@ mod tests {
     }
 
     #[test]
+    fn edges_out_of_request_order_rejected() {
+        let mut b = WelfareInstance::builder();
+        let u0 = b.add_provider(PeerId::new(1), 1);
+        let u1 = b.add_provider(PeerId::new(2), 1);
+        let r0 = b.add_request(rid(0, 0));
+        let r1 = b.add_request(rid(1, 0));
+        let r2 = b.add_request(rid(2, 0));
+        b.add_edge(r1, u0, Valuation::new(2.0), Cost::new(0.0)).unwrap();
+        let err = b.add_edge(r0, u1, Valuation::new(2.0), Cost::new(0.0)).unwrap_err();
+        let P2pError::MalformedInstance(msg) = &err else { panic!("{err}") };
+        assert!(msg.contains("request 0") && msg.contains("request 1"), "{msg}");
+        // The rejected edge was not recorded; the open row and later rows
+        // still take edges, and the skipped request stays empty.
+        b.add_edge(r1, u1, Valuation::new(3.0), Cost::new(0.0)).unwrap();
+        b.add_edge(r2, u1, Valuation::new(4.0), Cost::new(0.0)).unwrap();
+        let inst = b.build().unwrap();
+        assert_eq!(inst.edge_count(), 3);
+        assert_eq!(inst.request(r0).edge_count(), 0);
+        assert_eq!(inst.request(r1).providers(), &[u0 as u32, u1 as u32]);
+        assert_eq!(inst.request(r2).edge(0).valuation, Valuation::new(4.0));
+    }
+
+    #[test]
     fn non_finite_utilities_rejected() {
         // Finite valuation and cost whose difference overflows to +∞ — the
         // one non-finite `v − w` the unit types cannot catch at
@@ -306,7 +494,7 @@ mod tests {
         b.add_edge(r, u, Valuation::new(1.0), Cost::new(0.25)).unwrap();
         let inst = b.build().unwrap();
         assert_eq!(inst.edge_count(), 1);
-        assert_eq!(inst.request(0).edges[0].utility(), Utility::new(0.75));
+        assert_eq!(inst.request(0).edge(0).utility(), Utility::new(0.75));
     }
 
     #[test]

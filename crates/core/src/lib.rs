@@ -7,7 +7,9 @@
 //! peer `d` downloads which chunk `c` from which neighbor `u` — to maximize
 //! social welfare `Σ a·(v^{(c)}(d) − w_{u→d})` subject to upload capacities
 //! `B(u)` and at most one source per request (problem (1) of the paper).
-//! This crate models one slot's problem as a [`WelfareInstance`].
+//! This crate models one slot's problem as a [`WelfareInstance`], which
+//! stores each candidate edge once in flat row-major arrays that every
+//! engine reads in place.
 //!
 //! # The algorithm
 //!
@@ -25,8 +27,8 @@
 //!   updates and price-delta worklists, for 10³–10⁴-request slots (parallel
 //!   across cores when the machine has them);
 //! * [`csr::FlatAuction`] — the same sequential and sharded schedules over
-//!   a flat CSR compilation of the instance ([`csr::CsrInstance`]) with
-//!   reusable scratch: zero heap allocations in the hot loop after
+//!   the instance's own flat CSR rows ([`csr::CsrInstance`], a handle on
+//!   them) with reusable scratch: zero heap allocations in the hot loop after
 //!   warm-up, bit-identical outcomes to the two engines above — the fast
 //!   path used by schedulers and benchmarks;
 //! * [`swarm::SwarmAuction`] — the transport-agnostic [`protocol`] state
@@ -94,7 +96,7 @@ pub use bidder::{BidDecision, EdgeView};
 pub use codec::{decode_msg, encode_msg, MAX_FRAME_LEN, WIRE_VERSION};
 pub use csr::{CsrInstance, FlatAuction, FlatOutcome};
 pub use engine::{AuctionConfig, AuctionOutcome, EpsilonScaling, SyncAuction};
-pub use instance::{EdgeSpec, InstanceBuilder, ProviderSpec, RequestSpec, WelfareInstance};
+pub use instance::{EdgeSpec, InstanceBuilder, ProviderSpec, RequestView, WelfareInstance};
 pub use p2p_metrics::{
     AuctionProbe, CountingProbe, EngineReport, NoProbe, PricePoint, PriceRecorder,
 };

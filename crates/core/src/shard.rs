@@ -83,9 +83,12 @@
 //! ```
 
 use crate::auctioneer::{Auctioneer, BidOutcome};
-use crate::bidder::{decide_bid, BidDecision, EdgeView};
+use crate::bidder::{decide_row_bid, BidDecision};
 use crate::engine::SyncAuction;
-use crate::engine::{edge_views, final_prices, run_warm_with, AuctionConfig, AuctionOutcome};
+use crate::engine::{
+    final_prices_from, report_complete, run_warm_with, seeded_auctioneers, AuctionConfig,
+    AuctionOutcome,
+};
 use crate::instance::WelfareInstance;
 use crate::solution::{Assignment, DualSolution};
 use p2p_metrics::{AuctionProbe, NoProbe};
@@ -390,14 +393,13 @@ impl ShardedAuction {
         let shards = shards.max(2);
         let workers =
             self.workers.unwrap_or_else(|| shards.min(available_cores())).max(1).min(shards);
-        let views = edge_views(instance);
         if workers <= 1 {
             // Single worker: compute each slice on the calling thread. The
             // outcome is identical to the threaded path because a slice's
             // bids are a pure function of (slice, snapshot) and the merge
             // sorts them into a total order.
             let mut exec = |slice: &[usize], prices: &[f64], out: &mut SliceResult| {
-                compute_slice(&views, slice, prices, epsilon, out);
+                compute_slice(instance, slice, prices, epsilon, out);
             };
             return self.rounds_loop(instance, initial_prices, shards, &mut exec, probe);
         }
@@ -409,13 +411,12 @@ impl ShardedAuction {
             type Cmd = (usize, Vec<usize>, Arc<Vec<f64>>);
             let (res_tx, res_rx) = mpsc::channel::<(usize, SliceResult)>();
             let mut cmd_txs: Vec<mpsc::Sender<Cmd>> = Vec::new();
-            let views = &views;
             let mut exec = |slice: &[usize], prices: &[f64], out: &mut SliceResult| {
                 // Small slices are not worth a round-trip through the
                 // workers; the threshold only affects wall-time, never the
                 // result (bids are a pure function of the snapshot).
                 if slice.len() < 2 * workers {
-                    compute_slice(views, slice, prices, epsilon, out);
+                    compute_slice(instance, slice, prices, epsilon, out);
                     return;
                 }
                 if cmd_txs.is_empty() {
@@ -426,7 +427,7 @@ impl ShardedAuction {
                         scope.spawn(move || {
                             while let Ok((idx, chunk, prices)) = rx.recv() {
                                 let mut out = SliceResult::default();
-                                compute_slice(views, &chunk, &prices, epsilon, &mut out);
+                                compute_slice(instance, &chunk, &prices, epsilon, &mut out);
                                 if res_tx.send((idx, out)).is_err() {
                                     break;
                                 }
@@ -475,28 +476,7 @@ impl ShardedAuction {
         probe: &mut P,
     ) -> Result<AuctionOutcome, P2pError> {
         let request_count = instance.request_count();
-        let mut auctioneers: Vec<Auctioneer> = instance
-            .providers()
-            .iter()
-            .enumerate()
-            .map(|(u, p)| {
-                let warm = initial_prices
-                    .and_then(|ps| ps.get(u).copied())
-                    .filter(|w| w.is_finite() && *w >= 0.0)
-                    .unwrap_or(0.0);
-                if p.capacity.is_zero() {
-                    Auctioneer::new(0)
-                } else {
-                    Auctioneer::with_price(p.capacity.chunks_per_slot(), warm)
-                }
-            })
-            .collect();
-        let mut eff_price: Vec<f64> = instance
-            .providers()
-            .iter()
-            .enumerate()
-            .map(|(u, p)| if p.capacity.is_zero() { f64::INFINITY } else { auctioneers[u].price() })
-            .collect();
+        let (mut auctioneers, mut eff_price) = seeded_auctioneers(instance, initial_prices);
         let mut assigned: Vec<Option<usize>> = vec![None; request_count];
         let mut retired: Vec<bool> = vec![false; request_count];
         let mut worklist: Vec<usize> = (0..request_count).collect();
@@ -643,7 +623,8 @@ impl ShardedAuction {
             }
         }
 
-        let lambda = final_prices(instance, &auctioneers);
+        let lambda =
+            final_prices_from(instance, auctioneers.iter().map(Auctioneer::price).collect());
         let outcome = AuctionOutcome {
             assignment: Assignment::new(assigned),
             duals: DualSolution::from_prices(instance, lambda),
@@ -651,18 +632,7 @@ impl ShardedAuction {
             bids_submitted,
             converged: true,
         };
-        if probe.enabled() {
-            // Theorem 1's certificate (dual − primal); only computed when
-            // someone is listening.
-            let slack =
-                outcome.duals.objective(instance) - outcome.assignment.welfare(instance).get();
-            probe.run_complete(
-                outcome.rounds,
-                outcome.bids_submitted,
-                outcome.assignment.assigned_count() as u64,
-                slack,
-            );
-        }
+        report_complete(instance, &outcome, probe);
         Ok(outcome)
     }
 }
@@ -671,14 +641,14 @@ impl ShardedAuction {
 /// function at the heart of the sharded schedule (safe to fan out across
 /// worker threads in any chunking).
 fn compute_slice(
-    views: &[Vec<EdgeView>],
+    instance: &WelfareInstance,
     slice: &[usize],
     prices: &[f64],
     epsilon: f64,
     out: &mut SliceResult,
 ) {
     for &r in slice {
-        match decide_bid(&views[r], |p| prices[p], epsilon) {
+        match decide_row_bid(instance.request(r), |p| prices[p], epsilon) {
             BidDecision::Bid { edge, provider, amount } => {
                 out.bids.push(ShardBid { amount, request: r, edge, provider });
             }

@@ -1,6 +1,6 @@
 //! Primal (assignment) and dual (price) solutions.
 
-use crate::instance::{ProviderIdx, RequestIdx, WelfareInstance};
+use crate::instance::{CsrData, ProviderIdx, RequestIdx, WelfareInstance};
 use p2p_types::{P2pError, Utility};
 use serde::{Deserialize, Serialize};
 
@@ -25,7 +25,8 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Assignment {
-    /// Per request: index into that request's `edges` vector, or `None`.
+    /// Per request: index of the chosen edge within that request's row, or
+    /// `None`.
     choices: Vec<Option<usize>>,
 }
 
@@ -56,7 +57,7 @@ impl Assignment {
         instance: &WelfareInstance,
         request: RequestIdx,
     ) -> Option<ProviderIdx> {
-        self.choice(request).map(|e| instance.request(request).edges[e].provider)
+        self.choice(request).map(|e| instance.request(request).edge(e).provider)
     }
 
     /// Number of served requests.
@@ -74,7 +75,7 @@ impl Assignment {
         let mut total = Utility::ZERO;
         for (r, choice) in self.choices.iter().enumerate() {
             if let Some(e) = choice {
-                total += instance.request(r).edges[*e].utility();
+                total += instance.request(r).edge(*e).utility();
             }
         }
         total
@@ -98,14 +99,14 @@ impl Assignment {
         let mut load = vec![0u32; instance.provider_count()];
         for (r, choice) in self.choices.iter().enumerate() {
             if let Some(e) = choice {
-                let edges = &instance.request(r).edges;
-                if *e >= edges.len() {
+                let row = instance.request(r);
+                if *e >= row.edge_count() {
                     return Err(P2pError::MalformedInstance(format!(
                         "request {r} chose edge {e} but has {} edges",
-                        edges.len()
+                        row.edge_count()
                     )));
                 }
-                load[edges[*e].provider] += 1;
+                load[row.edge(*e).provider] += 1;
             }
         }
         for (p, l) in load.iter().enumerate() {
@@ -124,7 +125,7 @@ impl Assignment {
         let mut load = vec![0u32; instance.provider_count()];
         for (r, choice) in self.choices.iter().enumerate() {
             if let Some(e) = choice {
-                load[instance.request(r).edges[*e].provider] += 1;
+                load[instance.request(r).edge(*e).provider] += 1;
             }
         }
         load
@@ -148,53 +149,8 @@ impl DualSolution {
     /// constraint (8) when every edge is unprofitable).
     pub fn from_prices(instance: &WelfareInstance, lambda: Vec<f64>) -> Self {
         assert_eq!(lambda.len(), instance.provider_count(), "one price per provider");
-        let eta = instance
-            .requests()
-            .iter()
-            .map(|r| {
-                r.edges
-                    .iter()
-                    .map(|e| e.utility().get() - lambda[e.provider])
-                    .fold(0.0_f64, f64::max)
-            })
-            .collect();
-        DualSolution { lambda, eta }
-    }
-
-    /// [`DualSolution::from_prices`] over a flat CSR compilation: derives
-    /// the same `η = max(0, max_u {v − w − λ_u})` from the CSR rows, so the
-    /// result is bit-identical to deriving it from the nested instance.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use p2p_core::csr::CsrInstance;
-    /// use p2p_core::{DualSolution, WelfareInstance};
-    /// use p2p_types::{ChunkId, Cost, PeerId, RequestId, Valuation, VideoId};
-    ///
-    /// let mut b = WelfareInstance::builder();
-    /// let u = b.add_provider(PeerId::new(9), 1);
-    /// let r = b.add_request(RequestId::new(PeerId::new(0), ChunkId::new(VideoId::new(0), 0)));
-    /// b.add_edge(r, u, Valuation::new(4.0), Cost::new(1.0)).unwrap();
-    /// let inst = b.build().unwrap();
-    /// let csr = CsrInstance::compile(&inst);
-    /// let nested = DualSolution::from_prices(&inst, vec![1.0]);
-    /// let flat = DualSolution::from_csr_prices(&csr, vec![1.0]);
-    /// assert_eq!(nested, flat);
-    /// ```
-    pub fn from_csr_prices(csr: &crate::csr::CsrInstance, lambda: Vec<f64>) -> Self {
-        assert_eq!(lambda.len(), csr.provider_count(), "one price per provider");
-        let data = csr.data();
-        let eta = (0..data.request_count())
-            .map(|r| {
-                let (providers, utilities) = data.row(r);
-                providers
-                    .iter()
-                    .zip(utilities)
-                    .map(|(&u, &util)| util - lambda[u as usize])
-                    .fold(0.0_f64, f64::max)
-            })
-            .collect();
+        let mut eta = Vec::new();
+        eta_into(&instance.data, &lambda, &mut eta);
         DualSolution { lambda, eta }
     }
 
@@ -235,8 +191,8 @@ impl DualSolution {
                 )));
             }
         }
-        for (r, req) in instance.requests().iter().enumerate() {
-            for edge in &req.edges {
+        for (r, req) in instance.requests().enumerate() {
+            for edge in req.edges() {
                 let slack = self.lambda[edge.provider] + self.eta[r] - edge.utility().get();
                 if slack < -tol {
                     return Err(P2pError::MalformedInstance(format!(
@@ -251,6 +207,21 @@ impl DualSolution {
         }
         Ok(())
     }
+}
+
+/// Writes `η = max(0, max_u {v − w − λ_u})` per request into `eta`, the
+/// one derivation [`DualSolution::from_prices`] and the flat engine share
+/// (allocation-free once `eta` has grown to the request count).
+pub(crate) fn eta_into(data: &CsrData, lambda: &[f64], eta: &mut Vec<f64>) {
+    eta.clear();
+    eta.extend((0..data.request_count()).map(|r| {
+        let (providers, utilities) = data.row(r);
+        providers
+            .iter()
+            .zip(utilities)
+            .map(|(&u, &utility)| utility - lambda[u as usize])
+            .fold(0.0_f64, f64::max)
+    }));
 }
 
 #[cfg(test)]

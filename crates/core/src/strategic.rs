@@ -120,11 +120,11 @@ pub fn misreport_instance(
     for p in instance.providers() {
         b.add_provider(p.peer, p.capacity.chunks_per_slot());
     }
-    for (r, req) in instance.requests().iter().enumerate() {
+    for (r, req) in instance.requests().enumerate() {
         let idx = b.add_request(req.id);
         debug_assert_eq!(idx, r);
         let lying = manipulators.contains(&r);
-        for e in &req.edges {
+        for e in req.edges() {
             let v = if lying { misreport.apply(e.valuation) } else { e.valuation };
             b.add_edge(idx, e.provider, v, e.cost)?;
         }
@@ -155,9 +155,9 @@ pub fn evaluate_manipulation(
         let mut manip = 0.0;
         let mut honest = 0.0;
         let mut manip_chunks = 0usize;
-        for (r, req) in instance.requests().iter().enumerate() {
+        for (r, req) in instance.requests().enumerate() {
             if let Some(e) = assignment.choice(r) {
-                let true_utility = req.edges[e].utility().get();
+                let true_utility = req.edge(e).utility().get();
                 if manipulators.contains(&r) {
                     manip += true_utility;
                     manip_chunks += 1;
@@ -259,10 +259,10 @@ mod tests {
     fn misreport_transforms_only_manipulators() {
         let inst = contested();
         let rep = misreport_instance(&inst, &[1], Misreport::Inflate(2.0)).unwrap();
-        assert_eq!(rep.request(0).edges[0].valuation, Valuation::new(6.0));
-        assert_eq!(rep.request(1).edges[0].valuation, Valuation::new(8.0));
+        assert_eq!(rep.request(0).edge(0).valuation, Valuation::new(6.0));
+        assert_eq!(rep.request(1).edge(0).valuation, Valuation::new(8.0));
         // Costs and capacities untouched.
-        assert_eq!(rep.request(1).edges[0].cost, Cost::new(1.0));
+        assert_eq!(rep.request(1).edge(0).cost, Cost::new(1.0));
         assert_eq!(rep.provider(0).capacity, inst.provider(0).capacity);
     }
 }

@@ -51,8 +51,10 @@
 //! bench gate), while flash-crowd fan-in shrinks the queue by the
 //! fan-out factor.
 
-use crate::bidder::BidDecision;
-use crate::engine::{edge_views, final_prices_from, run_warm_with, AuctionOutcome};
+use crate::bidder::{AbstainReason, BidDecision, EdgeView};
+use crate::engine::{
+    final_prices_from, initial_price, report_complete, run_warm_with, AuctionOutcome,
+};
 use crate::instance::{ProviderIdx, RequestIdx, WelfareInstance};
 use crate::messages::AuctionMsg;
 use crate::protocol::{AuctioneerNode, BidderNode, BidderPhase, LearnPolicy};
@@ -505,6 +507,13 @@ impl SwarmAuction {
 
     /// [`run`](SwarmAuction::run) with an observer probe.
     ///
+    /// The ideal mode reports the synchronous sweep's per-round counters
+    /// (bids, conflicts and retirements, each bidder's first unprofitable
+    /// or candidate-less abstention counting as one), equal to
+    /// [`crate::SyncAuction`]'s. The reactive mode has no rounds, so it
+    /// reports no round counters; both report price changes and the run's
+    /// completion.
+    ///
     /// # Errors
     ///
     /// As for [`run`](SwarmAuction::run).
@@ -601,7 +610,9 @@ impl SwarmAuction {
     /// polls every idle bidder each round where `SyncAuction` retires
     /// priced-out requests: such a bidder can only abstain, and an
     /// abstention sends no message, so assignment, duals, rounds, bids,
-    /// messages and trace hash all agree.
+    /// messages and trace hash all agree. The world still counts each
+    /// bidder's first such abstention, so the probe's retirement counts
+    /// match `SyncAuction`'s too.
     fn ideal_once<P: AuctionProbe>(
         &self,
         instance: &WelfareInstance,
@@ -620,10 +631,12 @@ impl SwarmAuction {
             bidders,
             auctioneers,
             assigned_edge: vec![None; n],
+            retired: vec![false; n],
             round: 1,
             round_start: SimTime::ZERO,
             bids_this_round: 0,
             conflicts_this_round: 0,
+            retired_this_round: 0,
             bids_total: 0,
             max_rounds: self.config.max_rounds,
             diverged: false,
@@ -681,34 +694,24 @@ impl SwarmAuction {
             if departures.is_empty() { LearnPolicy::Monotone } else { LearnPolicy::Latest };
         let (bidders, auctioneers) = build_nodes(instance, warm, self.config.epsilon, policy);
 
-        let bidder_peer: Vec<PeerId> =
-            instance.requests().iter().map(|r| r.id.downstream()).collect();
-        let provider_peer: Vec<PeerId> = instance.providers().iter().map(|p| p.peer).collect();
+        let data = &*instance.data;
+        let bidder_peer: Vec<PeerId> = data.request_id.iter().map(|id| id.downstream()).collect();
 
-        // Flattened edge slots: link 2e is the bid direction of edge slot
-        // e, link 2e+1 the reply/announce direction.
-        let mut row_start = Vec::with_capacity(n);
-        let mut edge_total: u32 = 0;
-        for r in instance.requests() {
-            row_start.push(edge_total);
-            edge_total += r.edges.len() as u32;
-        }
-        let links = (0..2 * edge_total as usize)
+        // Flattened edge slots are the instance's edge indices: link 2e is
+        // the bid direction of edge e, link 2e+1 the reply/announce
+        // direction.
+        let links = (0..2 * instance.edge_count())
             .map(|_| LinkState { sent: 0, delivered: 0, buffer: Vec::new() })
             .collect();
         let edge_delay = match self.net.cost_latency {
-            Some(c) => instance
-                .requests()
-                .iter()
-                .flat_map(|r| r.edges.iter().map(move |e| c.one_way(e.cost.get())))
-                .collect(),
+            Some(c) => data.edge_cost.iter().map(|w| c.one_way(w.get())).collect(),
             None => Vec::new(),
         };
 
         let mut listeners: Vec<Vec<(RequestIdx, u32)>> = vec![Vec::new(); provider_count];
-        for (r, req) in instance.requests().iter().enumerate() {
-            for (k, e) in req.edges.iter().enumerate() {
-                listeners[e.provider].push((r, k as u32));
+        for r in 0..n {
+            for (k, &u) in instance.request(r).providers().iter().enumerate() {
+                listeners[u as usize].push((r, k as u32));
             }
         }
 
@@ -720,8 +723,8 @@ impl SwarmAuction {
             auctioneers,
             assigned_edge: vec![None; n],
             bidder_peer,
-            provider_peer,
-            row_start,
+            provider_peer: &data.peer,
+            row_start: &data.row_offsets,
             listeners,
             links,
             edge_delay,
@@ -790,59 +793,37 @@ fn build_nodes(
     epsilon: f64,
     policy: LearnPolicy,
 ) -> (Vec<BidderNode>, Vec<AuctioneerNode>) {
-    let views = edge_views(instance);
-    let bidders = views
-        .into_iter()
+    let bidders = instance
+        .requests()
         .enumerate()
-        .map(|(r, vs)| {
-            BidderNode::new(r, vs, epsilon, policy, |u| {
-                let warm_price = warm
-                    .and_then(|ps| ps.get(u).copied())
-                    .filter(|w| w.is_finite() && *w >= 0.0)
-                    .unwrap_or(0.0);
+        .map(|(r, row)| {
+            let views = row
+                .providers()
+                .iter()
+                .zip(row.utilities())
+                .map(|(&u, &utility)| EdgeView { provider: u as usize, utility })
+                .collect();
+            BidderNode::new(r, views, epsilon, policy, |u| {
                 if instance.provider(u).capacity.is_zero() {
                     f64::INFINITY
                 } else {
-                    warm_price
+                    initial_price(warm, u)
                 }
             })
         })
         .collect();
     let auctioneers = instance
         .providers()
-        .iter()
         .enumerate()
         .map(|(u, p)| {
-            let warm_price = warm
-                .and_then(|ps| ps.get(u).copied())
-                .filter(|w| w.is_finite() && *w >= 0.0)
-                .unwrap_or(0.0);
             if p.capacity.is_zero() {
                 AuctioneerNode::new(u, 0)
             } else {
-                AuctioneerNode::with_price(u, p.capacity.chunks_per_slot(), warm_price)
+                AuctioneerNode::with_price(u, p.capacity.chunks_per_slot(), initial_price(warm, u))
             }
         })
         .collect();
     (bidders, auctioneers)
-}
-
-/// Emits the Theorem 1 certificate to the probe, as the synchronous
-/// engine does after each pass.
-fn report_complete<P: AuctionProbe>(
-    instance: &WelfareInstance,
-    outcome: &AuctionOutcome,
-    probe: &mut P,
-) {
-    if probe.enabled() {
-        let slack = outcome.duals.objective(instance) - outcome.assignment.welfare(instance).get();
-        probe.run_complete(
-            outcome.rounds,
-            outcome.bids_submitted,
-            outcome.assignment.assigned_count() as u64,
-            slack,
-        );
-    }
 }
 
 fn assemble(outcome: AuctionOutcome, side: &SideStats) -> SwarmOutcome {
@@ -877,10 +858,14 @@ struct IdealWorld<'a, P: AuctionProbe> {
     bidders: Vec<BidderNode>,
     auctioneers: Vec<AuctioneerNode>,
     assigned_edge: Vec<Option<usize>>,
+    /// Per bidder: whether its first unprofitable or candidate-less
+    /// abstention was counted (a counter only; such bidders stay polled).
+    retired: Vec<bool>,
     round: u64,
     round_start: SimTime,
     bids_this_round: u64,
     conflicts_this_round: u64,
+    retired_this_round: u64,
     bids_total: u64,
     max_rounds: u64,
     diverged: bool,
@@ -916,8 +901,17 @@ impl<P: AuctionProbe> World for IdealWorld<'_, P> {
                 match self.bidders[r].decide() {
                     // An abstention sends no message, so polling a bidder
                     // that can only abstain again is invisible in every
-                    // outcome, count and trace hash.
-                    BidDecision::Abstain { .. } => {}
+                    // outcome, count and trace hash. The synchronous sweep
+                    // retires it here, so the round counts it once.
+                    BidDecision::Abstain {
+                        reason: AbstainReason::Unprofitable | AbstainReason::NoCandidates,
+                    } => {
+                        if !self.retired[r] {
+                            self.retired[r] = true;
+                            self.retired_this_round += 1;
+                        }
+                    }
+                    BidDecision::Abstain { reason: AbstainReason::ZeroMargin } => {}
                     BidDecision::Bid { edge, provider, amount } => {
                         self.bids_this_round += 1;
                         let now = ctx.now();
@@ -962,7 +956,13 @@ impl<P: AuctionProbe> World for IdealWorld<'_, P> {
             }
             IdealEv::RoundEnd => {
                 self.bids_total += self.bids_this_round;
-                self.probe.round(self.round, self.bids_this_round, self.conflicts_this_round, 0, 0);
+                self.probe.round(
+                    self.round,
+                    self.bids_this_round,
+                    self.conflicts_this_round,
+                    0,
+                    self.retired_this_round,
+                );
                 if self.bids_this_round == 0 {
                     ctx.stop();
                     return;
@@ -976,6 +976,7 @@ impl<P: AuctionProbe> World for IdealWorld<'_, P> {
                 self.round_start = ctx.now();
                 self.bids_this_round = 0;
                 self.conflicts_this_round = 0;
+                self.retired_this_round = 0;
                 let n = self.bidders.len();
                 for r in 0..n {
                     if self.bidders[r].phase() == BidderPhase::Idle {
@@ -1031,8 +1032,9 @@ struct NetWorld<'a, P: AuctionProbe> {
     auctioneers: Vec<AuctioneerNode>,
     assigned_edge: Vec<Option<usize>>,
     bidder_peer: Vec<PeerId>,
-    provider_peer: Vec<PeerId>,
-    row_start: Vec<u32>,
+    provider_peer: &'a [PeerId],
+    /// Per request: its first edge index (the instance's row offsets).
+    row_start: &'a [u32],
     listeners: Vec<Vec<(RequestIdx, u32)>>,
     links: Vec<LinkState>,
     /// Cost-derived delay per edge slot (empty without a cost latency).

@@ -120,7 +120,7 @@ pub fn verify_optimality(
 
     // CS 1: λ_u > 0 ⇒ provider fully allocated.
     let loads = assignment.provider_loads(instance);
-    for (u, spec) in instance.providers().iter().enumerate() {
+    for (u, spec) in instance.providers().enumerate() {
         let lambda = duals.lambda.get(u).copied().unwrap_or(0.0);
         let capacity = spec.capacity.chunks_per_slot();
         if lambda > tol && loads[u] < capacity {
@@ -135,15 +135,14 @@ pub fn verify_optimality(
 
     // CS 2: winners are served at an argmax edge; CS 3: requests with
     // positive achievable utility are served.
-    for (r, req) in instance.requests().iter().enumerate() {
+    for (r, req) in instance.requests().enumerate() {
         let best = req
-            .edges
-            .iter()
+            .edges()
             .map(|e| e.utility().get() - duals.lambda[e.provider])
             .fold(f64::NEG_INFINITY, f64::max);
         match assignment.choice(r) {
             Some(e) => {
-                let edge = &req.edges[e];
+                let edge = req.edge(e);
                 let chosen = edge.utility().get() - duals.lambda[edge.provider];
                 if chosen < best - tol {
                     violations.push(Violation::AssignedBelowBest { request: r, chosen, best });

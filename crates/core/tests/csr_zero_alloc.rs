@@ -1,7 +1,10 @@
 //! The flat engine's zero-allocation guarantee, asserted with a counting
 //! global allocator: after the first (warm-up) slot, the CSR hot loop —
 //! cold and warm runs into a reusable [`FlatOutcome`] — performs **zero**
-//! heap allocations on same-shaped slots.
+//! heap allocations on same-shaped slots. The instance layout is pinned
+//! too: building an instance grows a fixed set of flat arrays (no
+//! allocation per request), and [`CsrInstance::compile`] is a handle on
+//! those arrays that allocates nothing.
 //!
 //! This file holds exactly one `#[test]` so no sibling test can allocate
 //! concurrently inside the measured windows.
@@ -110,6 +113,18 @@ fn slot_instance(salt: u64, requests: u64) -> WelfareInstance {
 #[test]
 fn hot_loop_allocates_nothing_after_the_first_slot() {
     MEASURED.with(|m| m.set(true));
+    // The builder appends to the instance's flat arrays: a few dozen
+    // growth steps for 2,400 requests, not one allocation per request.
+    let before = allocations();
+    let big = slot_instance(3, 2_400);
+    let built = allocations() - before;
+    assert!(built < 256, "building 2,400 requests took {built} allocations");
+    // Compiling copies nothing: the handle shares the instance's arrays.
+    let before = allocations();
+    let big_csr = CsrInstance::compile(&big);
+    assert_eq!(allocations() - before, 0, "CsrInstance::compile allocated");
+    assert_eq!(big_csr.edge_count(), big.edge_count());
+
     // Two same-shaped slots (different values — slot 2 is NOT a replay of
     // slot 1) for each engine schedule under test.
     let slot1 = slot_instance(1, 240);

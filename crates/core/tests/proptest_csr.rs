@@ -1,7 +1,7 @@
 //! Property-based certification of the flat CSR engines: on arbitrary
 //! instances — and arbitrary warm-started *slot chains*, the engine-level
 //! image of scenario event sequences — [`FlatAuction`] is **bit-identical**
-//! to the nested-layout engines (prices, assignments, rounds, bids,
+//! to the nested engines (prices, assignments, rounds, bids,
 //! welfare, and hence the Theorem 1 `n·ε` certificate) at shard counts
 //! 1/2/8.
 //! The cold, ε = 0 and warm-chain properties run twice: on small instances

@@ -143,9 +143,9 @@ proptest! {
         for l in &out.duals.lambda {
             prop_assert!(*l >= 0.0);
         }
-        for (r, req) in inst.requests().iter().enumerate() {
+        for (r, req) in inst.requests().enumerate() {
             if let Some(e) = out.assignment.choice(r) {
-                prop_assert!(req.edges[e].utility().get() >= 0.0,
+                prop_assert!(req.edge(e).utility().get() >= 0.0,
                     "assigned a negative-utility edge");
             }
         }

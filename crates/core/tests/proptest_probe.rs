@@ -3,16 +3,21 @@
 //! engine, and the flat CSR engine at shard counts 1/2/8 — produces
 //! **bit-identical** outcomes (assignments, duals, rounds, bids) whether
 //! it runs bare, probed with the no-op [`NoProbe`], or probed with a
-//! [`CountingProbe`]; and the counting probe's report agrees with the
-//! outcome's own counters and the Theorem 1 `n·ε` slack bound.
+//! [`CountingProbe`]; the counting probe's report agrees with the
+//! outcome's own counters and the Theorem 1 `n·ε` slack bound; and the
+//! ideal swarm reports the synchronous sweep's round counters.
 
 use p2p_core::csr::{CsrInstance, FlatAuction, FlatOutcome};
 use p2p_core::{
-    AuctionConfig, AuctionOutcome, CountingProbe, NoProbe, ShardCount, ShardedAuction, SyncAuction,
-    WelfareInstance,
+    AuctionConfig, AuctionOutcome, CountingProbe, NetworkModel, NoProbe, ShardCount,
+    ShardedAuction, SwarmAuction, SwarmConfig, SyncAuction, WelfareInstance,
 };
 use p2p_types::{ChunkId, Cost, PeerId, RequestId, Valuation, VideoId};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Cases of `ideal_swarm_cases` whose sweep retired at least one request.
+static RETIRING_CASES: AtomicU64 = AtomicU64::new(0);
 
 /// A randomly generated welfare instance with continuous utilities (ties
 /// have probability zero, the regime of the paper's Theorem 1).
@@ -170,4 +175,37 @@ proptest! {
         prop_assert_eq!(report.bids, bare.bids_submitted * 2);
         prop_assert!(probe.take_report().is_empty());
     }
+
+    /// The ideal swarm replays the synchronous sweep, so its probe sees
+    /// the same rounds, bids, conflicts and retirements as `SyncAuction`'s
+    /// on the same instance and ε. Run (and its retirements checked) by
+    /// [`ideal_swarm_round_counters_match_sync`].
+    fn ideal_swarm_cases(inst in arb_instance(), eps in 0.001f64..0.5) {
+        let mut sync_probe = CountingProbe::new();
+        let sync = SyncAuction::new(AuctionConfig::with_epsilon(eps))
+            .run_probed(&inst, &mut sync_probe)
+            .unwrap();
+        let mut swarm_probe = CountingProbe::new();
+        let swarm = SwarmAuction::new(SwarmConfig::with_epsilon(eps), NetworkModel::ideal())
+            .run_probed(&inst, 7, &mut swarm_probe)
+            .unwrap();
+        prop_assert_eq!(swarm.assignment, sync.assignment);
+        let (s, w) = (sync_probe.take_report(), swarm_probe.take_report());
+        prop_assert_eq!(w.rounds, s.rounds, "rounds");
+        prop_assert_eq!(w.bids, s.bids, "bids");
+        prop_assert_eq!(w.conflicts, s.conflicts, "conflicts");
+        prop_assert_eq!(w.retired, s.retired, "retired");
+        if s.retired > 0 {
+            RETIRING_CASES.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
+#[test]
+fn ideal_swarm_round_counters_match_sync() {
+    ideal_swarm_cases();
+    assert!(
+        RETIRING_CASES.load(Ordering::Relaxed) > 0,
+        "no case retired a request, so the retirement count went unchecked"
+    );
 }

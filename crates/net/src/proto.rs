@@ -323,8 +323,8 @@ pub fn encode_instance(instance: &WelfareInstance) -> Vec<u8> {
         w.put_u32(req.id.downstream().get());
         w.put_u32(req.id.chunk().video().get());
         w.put_u32(req.id.chunk().index_in_video());
-        w.put_u64(req.edges.len() as u64);
-        for e in &req.edges {
+        w.put_u64(req.edge_count() as u64);
+        for e in req.edges() {
             w.put_index(e.provider);
             w.put_f64(e.valuation.get());
             w.put_f64(e.cost.get());
@@ -522,6 +522,18 @@ mod tests {
         assert_eq!(decoded.edge_count(), instance.edge_count());
         // Bit-exact weights: re-encoding reproduces the byte stream.
         assert_eq!(encode_instance(&decoded), encode_instance(&instance));
+    }
+
+    #[test]
+    fn instance_wire_bytes_are_pinned() {
+        // FNV-1a over `encode_instance`'s bytes: the wire format does not
+        // follow the in-memory layout, so this digest stays put whenever
+        // that layout changes.
+        let digest =
+            encode_instance(&sample_instance()).iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+            });
+        assert_eq!(digest, 0x12b9_1e8b_1118_3584, "{digest:#018x}");
     }
 
     #[test]

@@ -49,12 +49,12 @@
 
 use crate::frame::FrameConn;
 use crate::proto::{decode_net, encode_net, NetMsg, WireBidder};
-use p2p_core::bidder::{decide_bid, AbstainReason};
-use p2p_core::engine::{edge_views, final_prices_from, run_warm_with};
+use p2p_core::bidder::{decide_row_bid, AbstainReason};
+use p2p_core::engine::{final_prices_from, initial_price, report_complete, run_warm_with};
 use p2p_core::messages::AuctionMsg;
 use p2p_core::protocol::AuctioneerNode;
 use p2p_core::{
-    Assignment, AuctionOutcome, AuctionProbe, BidDecision, DualSolution, EdgeView, WelfareInstance,
+    Assignment, AuctionOutcome, AuctionProbe, BidDecision, DualSolution, WelfareInstance,
 };
 use p2p_types::{P2pError, Result, SimTime};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -314,26 +314,20 @@ impl Tracker {
         initial_prices: Option<&[f64]>,
         probe: &mut P,
     ) -> Result<AuctionOutcome> {
-        let views = edge_views(instance);
         let mut auctioneers: Vec<AuctioneerNode> = instance
             .providers()
-            .iter()
             .enumerate()
             .map(|(u, p)| {
-                let warm = initial_prices
-                    .and_then(|ps| ps.get(u).copied())
-                    .filter(|w| w.is_finite() && *w >= 0.0)
-                    .unwrap_or(0.0);
                 if p.capacity.is_zero() {
                     AuctioneerNode::new(u, 0)
                 } else {
+                    let warm = initial_price(initial_prices, u);
                     AuctioneerNode::with_price(u, p.capacity.chunks_per_slot(), warm)
                 }
             })
             .collect();
         let mut eff_price: Vec<f64> = instance
             .providers()
-            .iter()
             .enumerate()
             .map(|(u, p)| if p.capacity.is_zero() { f64::INFINITY } else { auctioneers[u].price() })
             .collect();
@@ -343,12 +337,15 @@ impl Tracker {
         for (idx, link) in self.links.iter().enumerate() {
             let bidders: Vec<WireBidder> = (idx..n)
                 .step_by(self.peer_count)
-                .map(|r| WireBidder {
-                    request: r,
-                    edges: views[r]
+                .map(|r| {
+                    let row = instance.request(r);
+                    let edges = row
+                        .providers()
                         .iter()
-                        .map(|v| (v.provider, v.utility, eff_price[v.provider]))
-                        .collect(),
+                        .zip(row.utilities())
+                        .map(|(&u, &utility)| (u as usize, utility, eff_price[u as usize]))
+                        .collect();
+                    WireBidder { request: r, edges }
                 })
                 .collect();
             send_to(link, &NetMsg::Init { epsilon: self.config.epsilon, bidders })?;
@@ -367,7 +364,7 @@ impl Tracker {
                 return Err(P2pError::AuctionDiverged { iterations: rounds - 1 });
             }
             let mut sweep = Sweep {
-                views: &views,
+                instance,
                 auctioneers: &mut auctioneers,
                 eff_price: &mut eff_price,
                 assigned: &mut assigned,
@@ -410,16 +407,7 @@ impl Tracker {
             bids_submitted,
             converged: true,
         };
-        if probe.enabled() {
-            let slack =
-                outcome.duals.objective(instance) - outcome.assignment.welfare(instance).get();
-            probe.run_complete(
-                outcome.rounds,
-                outcome.bids_submitted,
-                outcome.assignment.assigned_count() as u64,
-                slack,
-            );
-        }
+        report_complete(instance, &outcome, probe);
         Ok(outcome)
     }
 
@@ -437,12 +425,11 @@ impl Tracker {
                 continue;
             }
             let owner = r % self.peer_count;
-            let prices: Vec<f64> =
-                sweep.views[r].iter().map(|v| sweep.eff_price[v.provider]).collect();
+            let prices = sweep.live_prices(r);
             self.send_counted(owner, &NetMsg::Poll { request: r, prices })?;
             let decision = self.await_reply(owner, r)?;
             if let BidDecision::Bid { edge, provider, .. } = decision {
-                check_bid_shape(sweep.views, r, edge, provider)?;
+                check_bid_shape(sweep.instance, r, edge, provider)?;
             }
             let notices = sweep.apply(r, decision, probe);
             for (target, msg) in notices {
@@ -478,8 +465,7 @@ impl Tracker {
                 if sweep.is_closed(r) {
                     continue;
                 }
-                let prices: Vec<f64> =
-                    sweep.views[r].iter().map(|v| sweep.eff_price[v.provider]).collect();
+                let prices = sweep.live_prices(r);
                 snapshots[r] = Some(prices.clone());
                 polls.push((r, prices));
             }
@@ -517,7 +503,7 @@ impl Tracker {
             let decision = match spec[r].take() {
                 Some(d) => {
                     if let BidDecision::Bid { edge, provider, .. } = d {
-                        check_bid_shape(sweep.views, r, edge, provider)?;
+                        check_bid_shape(sweep.instance, r, edge, provider)?;
                     }
                     let snap = snapshots[r]
                         .as_ref()
@@ -600,7 +586,7 @@ impl Tracker {
 /// batched drivers so the two wire protocols cannot drift: both funnel
 /// every authoritative decision through [`Sweep::apply`].
 struct Sweep<'a> {
-    views: &'a [Vec<EdgeView>],
+    instance: &'a WelfareInstance,
     auctioneers: &'a mut [AuctioneerNode],
     eff_price: &'a mut [f64],
     assigned: &'a mut [Option<usize>],
@@ -624,13 +610,19 @@ impl Sweep<'_> {
         self.assigned[r].is_some() || self.retired[r]
     }
 
+    /// The live prices of `r`'s candidates, in row order — what a poll
+    /// carries.
+    fn live_prices(&self, r: usize) -> Vec<f64> {
+        self.instance.request(r).providers().iter().map(|&u| self.eff_price[u as usize]).collect()
+    }
+
     /// Whether a batch entry's price snapshot still bitwise-matches the
     /// live prices of `r`'s candidates — the condition under which the
     /// peer's speculative decision equals the one it would make now.
     fn snapshot_is_live(&self, r: usize, snap: &[f64]) -> bool {
         snap.iter()
-            .zip(&self.views[r])
-            .all(|(s, v)| s.to_bits() == self.eff_price[v.provider].to_bits())
+            .zip(self.instance.request(r).providers())
+            .all(|(s, &u)| s.to_bits() == self.eff_price[u as usize].to_bits())
     }
 
     /// The decision the peer's bidder would return for a poll of `r` at
@@ -639,7 +631,7 @@ impl Sweep<'_> {
     /// function — which lets the tracker repair stale batch entries
     /// without a second round-trip.
     fn decide_locally(&self, r: usize, epsilon: f64) -> BidDecision {
-        decide_bid(&self.views[r], |u| self.eff_price[u], epsilon)
+        decide_row_bid(self.instance.request(r), |u| self.eff_price[u], epsilon)
     }
 
     /// Applies one authoritative decision at sweep position `r` — the
@@ -703,8 +695,13 @@ pub(crate) fn epsilon_is_valid(epsilon: f64) -> bool {
 
 /// Validates that a wire bid's `(edge, provider)` pair is consistent with
 /// the request's edge list before it can index anything.
-fn check_bid_shape(views: &[Vec<EdgeView>], r: usize, edge: usize, provider: usize) -> Result<()> {
-    if views[r].get(edge).map(|v| v.provider) != Some(provider) {
+fn check_bid_shape(
+    instance: &WelfareInstance,
+    r: usize,
+    edge: usize,
+    provider: usize,
+) -> Result<()> {
+    if instance.request(r).providers().get(edge).map(|&u| u as usize) != Some(provider) {
         return Err(P2pError::WireMalformed {
             reason: format!(
                 "request {r} bid on edge {edge} which does not point at provider {provider}"

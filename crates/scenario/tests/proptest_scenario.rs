@@ -179,7 +179,6 @@ proptest! {
             let prices: Vec<f64> = problem
                 .instance
                 .providers()
-                .iter()
                 .map(|p| prior.get(&p.peer).copied().unwrap_or(0.0))
                 .collect();
             let outcome = engine.run_warm(&problem.instance, &prices).unwrap();
@@ -194,7 +193,6 @@ proptest! {
             prior = problem
                 .instance
                 .providers()
-                .iter()
                 .zip(&outcome.duals.lambda)
                 .map(|(p, &l)| (p.peer, l))
                 .collect();

@@ -43,7 +43,6 @@ impl PriceCarry {
         problem
             .instance
             .providers()
-            .iter()
             .map(|p| self.by_peer.get(&p.peer).copied().unwrap_or(0.0))
             .collect()
     }
@@ -58,7 +57,7 @@ impl PriceCarry {
     /// scheduler's reusable outcome exposes).
     pub(crate) fn absorb_prices(&mut self, problem: &SlotProblem, lambda: &[f64]) {
         self.by_peer =
-            problem.instance.providers().iter().zip(lambda).map(|(p, &l)| (p.peer, l)).collect();
+            problem.instance.providers().zip(lambda).map(|(p, &l)| (p.peer, l)).collect();
     }
 
     /// Number of peers with a carried price (test observability).
@@ -301,11 +300,11 @@ impl ChunkScheduler for ShardedAuctionScheduler {
 }
 
 /// Schedules each slot with the flat CSR engine
-/// ([`p2p_core::csr::FlatAuction`]): the instance's CSR compilation, made
-/// at the start of every slot, drives the same auction schedules as
+/// ([`p2p_core::csr::FlatAuction`]): the engine reads the instance's own
+/// CSR rows and drives the same auction schedules as
 /// [`AuctionScheduler`] / [`ShardedAuctionScheduler`] with reusable scratch
 /// — zero engine allocations in the hot loop after the first slot.
-/// Outcomes are **bit-identical** to the nested-layout schedulers at every
+/// Outcomes are **bit-identical** to the nested-engine schedulers at every
 /// shard count (`shards = 1` ≙ `auction`, ≥ 2 ≙ `auction_sharded`,
 /// `auto` adapts to the live slot size).
 ///

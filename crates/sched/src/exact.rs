@@ -32,13 +32,12 @@ impl ChunkScheduler for ExactScheduler {
             .map_err(|e| P2pError::MalformedInstance(e.to_string()))?;
         let choices = instance
             .requests()
-            .iter()
             .zip(&sol.assignment)
             .map(|(req, provider)| {
                 provider.map(|u| {
-                    req.edges
+                    req.providers()
                         .iter()
-                        .position(|e| e.provider == u)
+                        .position(|&p| p as usize == u)
                         .expect("solver only uses instance edges")
                 })
             })

@@ -30,9 +30,8 @@ impl ChunkScheduler for GreedyScheduler {
     fn schedule(&mut self, problem: &SlotProblem) -> Result<Schedule> {
         let instance = &problem.instance;
         let mut edges: Vec<(usize, usize, f64)> = Vec::new(); // (request, edge, utility)
-        for (r, req) in instance.requests().iter().enumerate() {
-            for (e, edge) in req.edges.iter().enumerate() {
-                let u = edge.utility().get();
+        for (r, req) in instance.requests().enumerate() {
+            for (e, &u) in req.utilities().iter().enumerate() {
                 if u > 0.0 {
                     edges.push((r, e, u));
                 }
@@ -41,14 +40,14 @@ impl ChunkScheduler for GreedyScheduler {
         edges.sort_by(|a, b| b.2.total_cmp(&a.2).then_with(|| (a.0, a.1).cmp(&(b.0, b.1))));
 
         let mut remaining: Vec<u32> =
-            instance.providers().iter().map(|p| p.capacity.chunks_per_slot()).collect();
+            instance.providers().map(|p| p.capacity.chunks_per_slot()).collect();
         let mut assigned = vec![None; instance.request_count()];
         let mut taken = 0u64;
         for (r, e, _) in edges {
             if assigned[r].is_some() {
                 continue;
             }
-            let provider = instance.request(r).edges[e].provider;
+            let provider = instance.request(r).edge(e).provider;
             if remaining[provider] == 0 {
                 continue;
             }

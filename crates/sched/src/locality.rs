@@ -68,14 +68,11 @@ impl ChunkScheduler for SimpleLocalityScheduler {
         // many of them have been tried so far.
         let preference: Vec<Vec<usize>> = instance
             .requests()
-            .iter()
             .map(|r| {
-                let mut order: Vec<usize> = (0..r.edges.len()).collect();
+                let mut order: Vec<usize> = (0..r.edge_count()).collect();
                 order.sort_by(|&a, &b| {
-                    r.edges[a]
-                        .cost
-                        .cmp(&r.edges[b].cost)
-                        .then_with(|| r.edges[a].provider.cmp(&r.edges[b].provider))
+                    let (ea, eb) = (r.edge(a), r.edge(b));
+                    ea.cost.cmp(&eb.cost).then_with(|| ea.provider.cmp(&eb.provider))
                 });
                 order
             })
@@ -83,7 +80,7 @@ impl ChunkScheduler for SimpleLocalityScheduler {
         let mut next_try = vec![0usize; n];
         let mut assigned: Vec<Option<usize>> = vec![None; n];
         let mut remaining: Vec<u32> =
-            instance.providers().iter().map(|p| p.capacity.chunks_per_slot()).collect();
+            instance.providers().map(|p| p.capacity.chunks_per_slot()).collect();
 
         let mut rounds = 0u64;
         let mut proposals_total = 0u64;
@@ -102,7 +99,7 @@ impl ChunkScheduler for SimpleLocalityScheduler {
                 }
                 let edge = order[next_try[r]];
                 next_try[r] += 1;
-                let provider = instance.request(r).edges[edge].provider;
+                let provider = instance.request(r).edge(edge).provider;
                 proposals[provider].push(r);
                 any = true;
                 proposals_total += 1;

@@ -5,9 +5,8 @@ use p2p_types::{P2pError, SimDuration, Utility};
 
 /// One slot's scheduling problem: the welfare instance plus the per-request
 /// urgency information the locality baseline needs (the auction uses only
-/// the valuations already embedded in the instance). The flat engine's CSR
-/// layout is compiled from the instance on demand
-/// ([`SlotProblem::csr_instance`]).
+/// the valuations already embedded in the instance). The flat engine reads
+/// the instance's own arrays through [`SlotProblem::csr_instance`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlotProblem {
     /// The welfare-maximization instance (problem (1)).
@@ -34,7 +33,7 @@ impl SlotProblem {
         Ok(SlotProblem { instance, urgency })
     }
 
-    /// The instance's flat CSR compilation, compiled on each call.
+    /// A handle on the instance's flat CSR arrays: nothing is copied.
     pub fn csr_instance(&self) -> CsrInstance {
         CsrInstance::compile(&self.instance)
     }

@@ -31,7 +31,7 @@ impl ChunkScheduler for RandomScheduler {
     fn schedule(&mut self, problem: &SlotProblem) -> Result<Schedule> {
         let instance = &problem.instance;
         let mut remaining: Vec<u32> =
-            instance.providers().iter().map(|p| p.capacity.chunks_per_slot()).collect();
+            instance.providers().map(|p| p.capacity.chunks_per_slot()).collect();
         // Randomize request processing order too, so early ids get no
         // systematic advantage.
         let mut order: Vec<usize> = (0..instance.request_count()).collect();
@@ -39,14 +39,14 @@ impl ChunkScheduler for RandomScheduler {
         let mut assigned = vec![None; instance.request_count()];
         let mut proposals = 0u64;
         for r in order {
-            let edges = &instance.request(r).edges;
+            let providers = instance.request(r).providers();
             let mut candidates: Vec<usize> =
-                (0..edges.len()).filter(|&e| remaining[edges[e].provider] > 0).collect();
+                (0..providers.len()).filter(|&e| remaining[providers[e] as usize] > 0).collect();
             candidates.shuffle(&mut self.rng);
             if let Some(&e) = candidates.first() {
                 proposals += 1;
                 assigned[r] = Some(e);
-                remaining[edges[e].provider] -= 1;
+                remaining[providers[e] as usize] -= 1;
             }
         }
         Ok(Schedule {

@@ -86,7 +86,7 @@ proptest! {
         let out = AuctionScheduler::paper().schedule(&problem).unwrap();
         for (r, choice) in out.assignment.choices().iter().enumerate() {
             if let Some(e) = choice {
-                prop_assert!(problem.instance.request(r).edges[*e].utility().get() >= 0.0);
+                prop_assert!(problem.instance.request(r).edge(*e).utility().get() >= 0.0);
             }
         }
     }

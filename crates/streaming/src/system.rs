@@ -46,6 +46,11 @@ pub struct System {
     /// Run-report accumulation (`None` unless [`System::enable_probes`]
     /// was called; the bare slot loop carries zero observability cost).
     obs: Option<ObsState>,
+    /// The last built slot's request and edge counts: the next slot's
+    /// instance reserves its arrays from them (plus an eighth), so a slot
+    /// about the size of the last one grows no array by doubling, which
+    /// would leave every outgrown block resident.
+    last_shape: (usize, usize),
 }
 
 /// Bounded-memory observability accumulation: one [`SlotReport`] per
@@ -172,6 +177,7 @@ impl System {
             isp_throttles: HashMap::new(),
             workload: WorkloadMode::Live,
             obs: None,
+            last_shape: (0, 0),
             config,
         };
         sys.spawn_seeds()?;
@@ -716,7 +722,9 @@ impl System {
         self.admit_pending(now)?;
         self.remove_gone(now);
         self.refresh_neighbors(now);
-        self.build_slot_problem(now)
+        let problem = self.build_slot_problem(now)?;
+        self.last_shape = (problem.request_count(), problem.instance.edge_count());
+        Ok(problem)
     }
 
     /// When this slot's scheduled chunks arrive: `delivery_fraction` of
@@ -743,6 +751,8 @@ impl System {
     fn build_slot_problem(&self, now: SimTime) -> Result<SlotProblem> {
         let delivery_time = self.delivery_time(now);
         let mut b = WelfareInstance::builder();
+        let (requests, edges) = self.last_shape;
+        b.reserve(requests + requests / 8, edges + edges / 8);
         // Peer index → provider index; only online peers' entries are read.
         let mut provider_of = vec![usize::MAX; self.peers.len()];
         for p in self.peers.iter().flatten() {
@@ -849,7 +859,7 @@ impl System {
         for (r, choice) in schedule.assignment.choices().iter().enumerate() {
             let Some(e) = choice else { continue };
             let req = instance.request(r);
-            let edge = &req.edges[*e];
+            let edge = req.edge(*e);
             let downstream = req.id.downstream();
             let upstream = instance.provider(edge.provider).peer;
             let inter = self.topology.is_inter_isp(upstream, downstream)?;
@@ -943,8 +953,8 @@ impl System {
         for req in instance.requests() {
             let downstream = u64::from(req.id.downstream().get());
             obs.requesters.insert_u64(downstream);
-            for e in &req.edges {
-                let upstream = u64::from(instance.provider(e.provider).peer.get());
+            for &u in req.providers() {
+                let upstream = u64::from(instance.provider(u as usize).peer.get());
                 obs.edges.insert_pair(upstream, downstream);
             }
         }
@@ -1134,7 +1144,7 @@ mod tests {
             for (r, choice) in schedule.assignment.choices().iter().enumerate() {
                 let Some(e) = choice else { continue };
                 let req = instance.request(r);
-                let edge = &req.edges[*e];
+                let edge = req.edge(*e);
                 let downstream = req.id.downstream();
                 let upstream = instance.provider(edge.provider).peer;
                 let inter = self.topology.is_inter_isp(upstream, downstream)?;

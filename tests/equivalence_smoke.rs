@@ -78,7 +78,7 @@ fn the_auction_picks_the_hand_computed_assignment() {
     // r0 must win provider A (edge 0), r1 and r2 land on B.
     let choices = out.assignment.choices();
     assert_eq!(choices.len(), 3);
-    let provider_of = |r: usize| choices[r].map(|e| inst.request(r).edges[e].provider);
+    let provider_of = |r: usize| choices[r].map(|e| inst.request(r).edge(e).provider);
     assert_eq!(provider_of(0), Some(0), "r0 should buy from A");
     assert_eq!(provider_of(1), Some(1), "r1 should buy from B");
     assert_eq!(provider_of(2), Some(1), "r2 should buy from B");

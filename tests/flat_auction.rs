@@ -1,6 +1,6 @@
 //! Integration test: the flat CSR auction end to end through the facade —
 //! every built-in scenario scheduled by `auction_flat` produces slot
-//! metrics **bit-identical** to its nested-layout counterpart (`auction`
+//! metrics **bit-identical** to its nested-engine counterpart (`auction`
 //! at shards = 1, `auction_sharded` at shards ≥ 2; warm variants
 //! included).
 
