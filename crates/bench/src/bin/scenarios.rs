@@ -67,7 +67,7 @@ fn run(args: &Args) -> Result<()> {
             println!("  {:<16} {:>3} slots  {}", s.name, s.slots, s.description);
         }
         println!("\nbackends (--backend):");
-        println!("  flat     in-process engines (default; alias: process)");
+        println!("  flat     in-process engines (default)");
         println!("  sim      virtual-time DES swarm; --net picks the fault preset");
         println!("  net      tracker + peer actors over loopback TCP sockets");
         println!("\nnetwork presets for --backend sim (--net): ideal, lan, lossy");
@@ -95,11 +95,8 @@ fn run(args: &Args) -> Result<()> {
     if let Some(shards) = args.get_opt_str("shards") {
         scenario = scenario.with_shards(p2p_streaming::ShardCount::from_name(&shards)?);
     }
-    let backend = args.get_str("backend", "process");
-    // `flat` is the honest name for the in-process default; `process` stays
-    // accepted for compatibility with existing invocations.
-    let backend = if backend == "flat" { "process".to_string() } else { backend };
-    if !matches!(backend.as_str(), "process" | "sim" | "net") {
+    let backend = args.get_str("backend", "flat");
+    if !matches!(backend.as_str(), "flat" | "sim" | "net") {
         return Err(P2pError::invalid_config(
             "backend",
             format!("unknown backend `{backend}` (known: flat, sim, net)"),

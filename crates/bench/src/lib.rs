@@ -1,10 +1,13 @@
-//! Shared harness code for the figure-regeneration and bench binaries.
+//! Shared harness code for the figure-regeneration binaries and the engine
+//! gates.
 //!
 //! Every figure of the paper's evaluation has a binary in `src/bin/`
 //! (`fig2` … `fig6`), plus verification and ablation binaries
 //! (`optimality`, `ablation_epsilon`, `ablation_neighbors`, `ablation_isp`).
 //! Each binary prints the series it regenerates, renders a quick ASCII
-//! plot, and writes CSV files under `results/`.
+//! plot, and writes CSV files under `results/`. `tests/engine_gates.rs`
+//! holds the equivalence, certificate and timing gates of the auction's
+//! executions on [`random_instance`] slots.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,7 +1,7 @@
 //! The `scenarios` CLI rejects malformed command lines: an unknown
-//! scenario name, an unknown flag (misspelt or retired), a value after a
-//! switch and a stray positional argument each exit non-zero and name the
-//! argument on stderr, instead of running a default.
+//! scenario name or backend, an unknown flag (misspelt or retired), a
+//! value after a switch and a stray positional argument each exit non-zero
+//! and name the argument on stderr, instead of running a default.
 
 use std::process::{Command, Output};
 
@@ -15,6 +15,7 @@ fn malformed_command_lines_fail_naming_the_argument() {
         (&["--show", "--scenario", "nope"][..], "`nope`"),
         (&["--scenario", "flash_crowd", "--quick", "--slot-build", "cold"][..], "`--slot-build`"),
         (&["--scenario", "flash_crowd", "--quick", "--sedd", "3"][..], "`--sedd`"),
+        (&["--scenario", "flash_crowd", "--quick", "--backend", "process"][..], "`process`"),
         (&["--quick", "--scenario", "seed_starvation", "flash_crowd"][..], "`flash_crowd`"),
         // A switch takes no value: the value is refused, not dropped.
         (&["--list", "5"][..], "`--list`"),

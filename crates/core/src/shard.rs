@@ -33,8 +33,8 @@
 //!    — it is dropped from all future rounds, by the same rule the
 //!    synchronous sweep applies. On contended slots (where a large share of
 //!    demand ends up priced out, e.g. a flash crowd over scarce seeds) this
-//!    pruning shrinks every later round's worklist. `BENCH_parallel.json`
-//!    records the measured per-slot latencies.
+//!    pruning shrinks every later round's worklist. The engine gates in
+//!    `p2p-bench` certify every shard count against the sequential sweep.
 //!
 //! # Optimality
 //!
@@ -201,7 +201,7 @@ impl ShardCount {
 /// observe a different machine than the pool it fans out to.
 ///
 /// Pinnable for reproducible bench and CI runs: set `P2P_CORES` to a
-/// positive integer and every engine, scheduler and bench binary resolves
+/// positive integer and every engine, scheduler and binary resolves
 /// against that count instead of the machine's. Unset (or invalid), it
 /// falls back to [`std::thread::available_parallelism`] (1 if unknown).
 pub fn available_cores() -> usize {

@@ -47,9 +47,9 @@
 //! pushing new events. Because same-time events pop in push order, an
 //! appended message is processed at exactly the position it would have
 //! popped on its own — delivery order, `trace_hash`, fault counters and
-//! outcomes are byte-identical to the uncoalesced run (a proptest and
-//! bench gate), while flash-crowd fan-in shrinks the queue by the
-//! fan-out factor.
+//! outcomes are byte-identical to the uncoalesced run (gated by
+//! `proptest_coalesce` and by `p2p-bench`'s engine gates), while
+//! flash-crowd fan-in shrinks the queue by the fan-out factor.
 
 use crate::bidder::{AbstainReason, BidDecision, EdgeView};
 use crate::engine::{

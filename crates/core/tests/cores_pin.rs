@@ -1,9 +1,9 @@
 //! `P2P_CORES` pinning and shard-resolution parity.
 //!
 //! Every core-count consumer in the workspace (both engines' `Auto` shard
-//! resolution and worker fan-out, plus the bench binaries) routes through
-//! the single [`available_cores`] entry point, pinnable via the
-//! `P2P_CORES` environment variable. These tests mutate that variable, so
+//! resolution and worker fan-out) routes through the single
+//! [`available_cores`] entry point, pinnable via the `P2P_CORES`
+//! environment variable. These tests mutate that variable, so
 //! they live in their own integration-test binary: each test binary is its
 //! own process, and the tests below run under a process-wide lock so
 //! parallel test threads never observe each other's pins.

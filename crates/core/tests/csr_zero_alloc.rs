@@ -98,13 +98,18 @@ fn slot_instance(salt: u64, requests: u64) -> WelfareInstance {
             PeerId::new(d as u32),
             ChunkId::new(VideoId::new(0), d as u32),
         ));
+        // A repeated provider is skipped before `add_edge`, whose rejection
+        // would format an error message inside the measured window.
+        let mut seen = [usize::MAX; 6];
         for k in 0..6u64 {
             let u = us[((unit(salt + d * 13 + k) * providers as f64) as usize).min(us.len() - 1)];
             let v = 2.0 + 6.0 * unit(salt + d * 31 + k * 7 + 1);
             let w = 0.2 + 3.0 * unit(salt + d * 17 + k * 11 + 2);
-            if b.add_edge(r, u, Valuation::new(v), Cost::new(w)).is_err() {
-                continue; // duplicate (request, provider) pair — skip
+            if seen.contains(&u) {
+                continue;
             }
+            seen[k as usize] = u;
+            b.add_edge(r, u, Valuation::new(v), Cost::new(w)).unwrap();
         }
     }
     b.build().unwrap()
@@ -118,7 +123,7 @@ fn hot_loop_allocates_nothing_after_the_first_slot() {
     let before = allocations();
     let big = slot_instance(3, 2_400);
     let built = allocations() - before;
-    assert!(built < 256, "building 2,400 requests took {built} allocations");
+    assert!(built < 128, "building 2,400 requests took {built} allocations");
     // Compiling copies nothing: the handle shares the instance's arrays.
     let before = allocations();
     let big_csr = CsrInstance::compile(&big);

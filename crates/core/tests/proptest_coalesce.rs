@@ -171,7 +171,7 @@ proptest! {
         prop_assert!(report.is_optimal(), "violations: {:?}", report.violations);
     }
 
-    /// The `lossy` preset itself — the model the bench gates on.
+    /// The `lossy` preset itself — a model the engine gates run.
     #[test]
     fn coalescing_is_invisible_under_the_lossy_preset(
         inst in arb_instance(),

@@ -1,5 +1,5 @@
 //! Strict `--flag value` argument parsing, shared by every binary in the
-//! workspace (the figure and bench binaries, `tracker` and `peer`): an
+//! workspace (the `p2p-bench` binaries, `tracker` and `peer`): an
 //! unknown flag, a repeated flag, a valued flag without its value, a value
 //! after a switch or a value with no flag before it is an error that names
 //! the argument, never a silent default.
