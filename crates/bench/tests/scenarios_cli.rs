@@ -16,6 +16,11 @@ fn malformed_command_lines_fail_naming_the_argument() {
         (&["--scenario", "flash_crowd", "--quick", "--slot-build", "cold"][..], "`--slot-build`"),
         (&["--scenario", "flash_crowd", "--quick", "--sedd", "3"][..], "`--sedd`"),
         (&["--scenario", "flash_crowd", "--quick", "--backend", "process"][..], "`process`"),
+        (
+            &["--scenario", "flash_crowd", "--quick", "--schedulers", "auction,auction_flat_warm"]
+                [..],
+            "`auction_flat_warm`",
+        ),
         (&["--quick", "--scenario", "seed_starvation", "flash_crowd"][..], "`flash_crowd`"),
         // A switch takes no value: the value is refused, not dropped.
         (&["--list", "5"][..], "`--list`"),
@@ -32,5 +37,8 @@ fn malformed_command_lines_fail_naming_the_argument() {
 fn list_succeeds() {
     let out = scenarios(&["--list"]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("paper_flash_crowd"));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("paper_flash_crowd"));
+    assert!(stdout.contains("auction_flat"), "--list must print the scheduler names");
+    assert!(!stdout.contains("_warm"), "--list prints a `_warm` scheduler:\n{stdout}");
 }

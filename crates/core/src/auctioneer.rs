@@ -62,18 +62,6 @@ impl Auctioneer {
         Auctioneer { capacity, price: 0.0, set: BinaryHeap::new(), seq: 0 }
     }
 
-    /// Creates an auctioneer warm-started at `price` with an empty set —
-    /// used by ε-scaling phases, which carry prices (not assignments)
-    /// across phases.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `price` is negative or not finite.
-    pub fn with_price(capacity: u32, price: f64) -> Self {
-        assert!(price.is_finite() && price >= 0.0, "price must be finite and non-negative");
-        Auctioneer { capacity, price, set: BinaryHeap::new(), seq: 0 }
-    }
-
     /// The capacity `B(u)`.
     pub fn capacity(&self) -> u32 {
         self.capacity

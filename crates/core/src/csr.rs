@@ -43,7 +43,7 @@
 //! rounds, bids, welfare, the Theorem 1 `n·ε` certificate — are
 //! **bit-identical** to [`SyncAuction`](crate::SyncAuction) (shards = 1)
 //! and [`ShardedAuction`](crate::ShardedAuction) (shards ≥ 2), at any
-//! shard count, warm or cold. The property suite
+//! shard count. The property suite
 //! (`crates/core/tests/proptest_csr.rs`) enforces this.
 //!
 //! # Worker threads
@@ -80,10 +80,7 @@
 //! ```
 
 use crate::bidder::{AbstainReason, BidDecision};
-use crate::engine::{
-    clamp_warm_prices, initial_price, standalone_prices, AuctionConfig, AuctionOutcome,
-    EpsilonScaling,
-};
+use crate::engine::{standalone_prices, AuctionConfig, AuctionOutcome};
 use crate::instance::{CsrData, WelfareInstance};
 use crate::shard::ShardCount;
 use crate::solution::{eta_into, Assignment, DualSolution};
@@ -263,17 +260,13 @@ pub struct AuctionScratch {
     slice_retired: Vec<u32>,
     /// Slice-generation marks for the merge collision check.
     collision_mark: Vec<u64>,
-    // ---- warm-start buffers ----
-    warm_prices: Vec<f64>,
-    potential: Vec<u32>,
 }
 
 impl AuctionScratch {
-    /// Resets the arena and request state for a run over `csr`, seeding
-    /// prices from `initial` exactly as the nested engines do (non-finite
-    /// or negative entries become 0; zero-capacity providers price at 0
+    /// Resets the arena and request state for a run over `csr`, every
+    /// price at 0 as the nested engines start (zero-capacity providers
     /// with an infinite effective price).
-    fn reset(&mut self, csr: &CsrData, initial: Option<&[f64]>) {
+    fn reset(&mut self, csr: &CsrData) {
         let providers = csr.provider_count();
         let requests = csr.request_count();
         // Count in-degrees into `segment_offsets[u + 1]`; the loop below
@@ -289,14 +282,8 @@ impl AuctionScratch {
         for (u, &cap) in csr.capacity.iter().enumerate() {
             let in_degree = self.segment_offsets[u + 1];
             self.segment_offsets[u + 1] = self.segment_offsets[u] + cap.min(in_degree);
-            let warm = initial_price(initial, u);
-            if cap == 0 {
-                self.price.push(0.0);
-                self.eff_price.push(f64::INFINITY);
-            } else {
-                self.price.push(warm);
-                self.eff_price.push(warm);
-            }
+            self.price.push(0.0);
+            self.eff_price.push(if cap == 0 { f64::INFINITY } else { 0.0 });
         }
         let slots = self.segment_offsets[providers] as usize;
         if self.entry_bid.len() < slots {
@@ -631,7 +618,7 @@ impl FlatAuction {
     /// Returns [`P2pError::AuctionDiverged`] if quiescence is not reached
     /// within `max_rounds`.
     pub fn run_into(&mut self, csr: &CsrInstance, out: &mut FlatOutcome) -> Result<(), P2pError> {
-        self.run_from(csr, None, self.config.epsilon, out, &mut NoProbe)
+        self.run_into_probed(csr, out, &mut NoProbe)
     }
 
     /// [`FlatAuction::run_into`] with an observation probe. The engine is
@@ -644,149 +631,11 @@ impl FlatAuction {
         out: &mut FlatOutcome,
         probe: &mut impl AuctionProbe,
     ) -> Result<(), P2pError> {
-        self.run_from(csr, None, self.config.epsilon, out, probe)
-    }
-
-    /// Runs warm-started from `prior_prices`, with exactly the price
-    /// clamping and CS 1 repair-loop semantics of
-    /// [`crate::SyncAuction::run_warm`] — outcomes are bit-identical to the
-    /// nested engines' warm runs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`P2pError::AuctionDiverged`] if any pass exceeds
-    /// `max_rounds`.
-    pub fn run_warm(
-        &mut self,
-        csr: &CsrInstance,
-        prior_prices: &[f64],
-    ) -> Result<AuctionOutcome, P2pError> {
-        let mut out = FlatOutcome::default();
-        self.run_warm_into(csr, prior_prices, &mut out)?;
-        Ok(out.to_outcome())
-    }
-
-    /// [`FlatAuction::run_warm`] into a reusable [`FlatOutcome`]
-    /// (zero-allocation after warm-up, like [`FlatAuction::run_into`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`P2pError::AuctionDiverged`] if any pass exceeds
-    /// `max_rounds`.
-    pub fn run_warm_into(
-        &mut self,
-        csr: &CsrInstance,
-        prior_prices: &[f64],
-        out: &mut FlatOutcome,
-    ) -> Result<(), P2pError> {
-        self.run_warm_into_probed(csr, prior_prices, out, &mut NoProbe)
-    }
-
-    /// [`FlatAuction::run_warm_into`] with an observation probe (every
-    /// CS 1 repair pass reports into the same probe).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`P2pError::AuctionDiverged`] if any pass exceeds
-    /// `max_rounds`.
-    pub fn run_warm_into_probed(
-        &mut self,
-        csr: &CsrInstance,
-        prior_prices: &[f64],
-        out: &mut FlatOutcome,
-        probe: &mut impl AuctionProbe,
-    ) -> Result<(), P2pError> {
-        let eps = self.config.epsilon;
-        // Take the warm buffers out of the scratch so the repair loop can
-        // hold them across `run_from` calls (no allocation: `take` swaps in
-        // empty vectors, and the buffers go back below).
-        let mut prices = std::mem::take(&mut self.scratch.warm_prices);
-        let mut potential = std::mem::take(&mut self.scratch.potential);
-        clamp_warm_prices(csr.data(), prior_prices, eps, &mut prices, &mut potential);
-        let mut rounds = 0;
-        let mut bids = 0;
-        let result = loop {
-            if let Err(e) = self.run_from(csr, Some(&prices), eps, out, &mut *probe) {
-                break Err(e);
-            }
-            rounds += out.rounds;
-            bids += out.bids_submitted;
-            // CS 1 support check, identical to the nested repair loop: a
-            // provider with spare capacity at λ > 0 kept an unsupported
-            // warm price; zero it (never re-warming a repaired one) and
-            // rerun. Each pass permanently clears at least one provider.
-            let data = csr.data();
-            let mut repaired = false;
-            for (u, &cap) in data.capacity.iter().enumerate() {
-                if cap > 0 && self.scratch.filled[u] < cap && prices[u] > 0.0 && out.lambda[u] > 0.0
-                {
-                    prices[u] = 0.0;
-                    repaired = true;
-                }
-            }
-            if !repaired {
-                out.rounds = rounds;
-                out.bids_submitted = bids;
-                break Ok(());
-            }
-        };
-        self.scratch.warm_prices = prices;
-        self.scratch.potential = potential;
-        result
-    }
-
-    /// Runs with ε-scaling, mirroring [`crate::SyncAuction::run_scaled`]'s
-    /// phase schedule and inter-phase price relaxation over the flat
-    /// layout (bit-identical at shards = 1).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`P2pError::AuctionDiverged`] if any phase exceeds
-    /// `max_rounds`, or [`P2pError::InvalidConfig`] for invalid scaling
-    /// parameters.
-    pub fn run_scaled(
-        &mut self,
-        csr: &CsrInstance,
-        scaling: EpsilonScaling,
-    ) -> Result<AuctionOutcome, P2pError> {
-        scaling.validate()?;
-        let mut out = FlatOutcome::default();
-        let mut epsilon = scaling.initial;
-        let mut prices: Option<Vec<f64>> = None;
-        let mut rounds = 0;
-        let mut bids = 0;
-        loop {
-            let last_phase = epsilon <= scaling.final_epsilon;
-            let eps = epsilon.max(scaling.final_epsilon);
-            self.run_from(csr, prices.as_deref(), eps, &mut out, &mut NoProbe)?;
-            rounds += out.rounds;
-            bids += out.bids_submitted;
-            if last_phase {
-                out.rounds = rounds;
-                out.bids_submitted = bids;
-                return Ok(out.to_outcome());
-            }
-            // Carry prices relaxed by the phase's ε (see the nested
-            // engine's rationale).
-            prices = Some(out.lambda.iter().map(|l| (l - eps).max(0.0)).collect());
-            epsilon /= scaling.decay;
-        }
-    }
-
-    /// Core dispatch: optional warm prices, explicit ε, generic probe.
-    fn run_from<P: AuctionProbe>(
-        &mut self,
-        csr: &CsrInstance,
-        initial: Option<&[f64]>,
-        epsilon: f64,
-        out: &mut FlatOutcome,
-        probe: &mut P,
-    ) -> Result<(), P2pError> {
         let shards = self.shards.resolve_for(csr.request_count());
         if shards <= 1 {
-            self.run_sweep(csr, initial, epsilon, out, probe)
+            self.run_sweep(csr, out, probe)
         } else {
-            self.run_sharded(csr, initial, epsilon, shards.max(2), out, probe)
+            self.run_sharded(csr, shards.max(2), out, probe)
         }
     }
 
@@ -795,14 +644,13 @@ impl FlatAuction {
     fn run_sweep<P: AuctionProbe>(
         &mut self,
         csr: &CsrInstance,
-        initial: Option<&[f64]>,
-        epsilon: f64,
         out: &mut FlatOutcome,
         probe: &mut P,
     ) -> Result<(), P2pError> {
+        let epsilon = self.config.epsilon;
         let data = csr.data();
         let s = &mut self.scratch;
-        s.reset(data, initial);
+        s.reset(data);
         let requests = data.request_count();
         let mut rounds = 0u64;
         let mut bids_submitted = 0u64;
@@ -882,16 +730,14 @@ impl FlatAuction {
     /// slices bid against price snapshots, merges apply in a total order,
     /// same-round retry passes resolve eviction chains, and priced-out
     /// requests retire permanently.
-    #[allow(clippy::too_many_arguments)]
     fn run_sharded<P: AuctionProbe>(
         &mut self,
         csr: &CsrInstance,
-        initial: Option<&[f64]>,
-        epsilon: f64,
         shards: usize,
         out: &mut FlatOutcome,
         probe: &mut P,
     ) -> Result<(), P2pError> {
+        let epsilon = self.config.epsilon;
         let workers = self
             .workers
             .unwrap_or_else(|| shards.min(crate::shard::available_cores()))
@@ -902,7 +748,7 @@ impl FlatAuction {
         }
         let data = csr.data();
         let s = &mut self.scratch;
-        s.reset(data, initial);
+        s.reset(data);
         let requests = data.request_count();
         // Loop-local state taken out of the scratch so the merge below can
         // borrow the arena mutably while iterating these (swapped back at
@@ -1310,53 +1156,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_runs_match_the_nested_engines() {
-        let inst = contended_instance(16);
-        let csr = CsrInstance::compile(&inst);
-        let cfg = AuctionConfig::with_epsilon(0.01);
-        let sync_cold = SyncAuction::new(cfg).run(&inst).unwrap();
-        // Warm from converged, scaled, and garbage carried prices.
-        for carried in [
-            sync_cold.duals.lambda.clone(),
-            sync_cold.duals.lambda.iter().map(|l| l * 2.5).collect(),
-            vec![1e6; 4],
-            vec![f64::NAN, -3.0],
-            vec![],
-        ] {
-            let sync = SyncAuction::new(cfg).run_warm(&inst, &carried).unwrap();
-            let mut flat = FlatAuction::new(cfg, ShardCount::Fixed(1));
-            let out = flat.run_warm(&csr, &carried).unwrap();
-            assert_eq!(out.assignment, sync.assignment);
-            assert_eq!(out.duals, sync.duals);
-            assert_eq!(out.rounds, sync.rounds);
-            assert_eq!(out.bids_submitted, sync.bids_submitted);
-
-            let nested =
-                ShardedAuction::new(cfg, ShardCount::Fixed(4)).run_warm(&inst, &carried).unwrap();
-            let mut flat4 = FlatAuction::new(cfg, ShardCount::Fixed(4));
-            let out4 = flat4.run_warm(&csr, &carried).unwrap();
-            assert_eq!(out4.assignment, nested.assignment);
-            assert_eq!(out4.duals, nested.duals);
-        }
-    }
-
-    #[test]
-    fn scaled_runs_match_the_sync_engine() {
-        let inst = contended_instance(10);
-        let csr = CsrInstance::compile(&inst);
-        let scaling = EpsilonScaling { initial: 4.0, decay: 4.0, final_epsilon: 0.01 };
-        let sync = SyncAuction::default().run_scaled(&inst, scaling).unwrap();
-        let mut flat = FlatAuction::new(AuctionConfig::paper(), ShardCount::Fixed(1));
-        let out = flat.run_scaled(&csr, scaling).unwrap();
-        assert_eq!(out.assignment, sync.assignment);
-        assert_eq!(out.duals, sync.duals);
-        assert_eq!(out.bids_submitted, sync.bids_submitted);
-        assert!(FlatAuction::default()
-            .run_scaled(&csr, EpsilonScaling { initial: 0.0, decay: 4.0, final_epsilon: 1e-6 })
-            .is_err());
-    }
-
-    #[test]
     fn forced_worker_threads_match_the_inline_path() {
         let inst = contended_instance(64);
         let csr = CsrInstance::compile(&inst);
@@ -1465,7 +1264,7 @@ mod tests {
     }
 
     /// The lane kernel (flat engine) against the scalar scan (the nested
-    /// engine of the same schedule), price traces and warm starts included.
+    /// engine of the same schedule), price traces included.
     #[test]
     fn kernel_and_scalar_paths_are_bit_identical_end_to_end() {
         for (shards, eps) in [(1usize, 0.0), (1, 0.01), (4, 0.0), (4, 0.01)] {
@@ -1475,28 +1274,18 @@ mod tests {
             let mut lanes = FlatAuction::new(cfg, ShardCount::Fixed(shards));
             let (a, a_trace) = traced(&mut lanes, &csr);
             let mut b_trace = PriceRecorder::new();
-            let (b, bw) = if shards == 1 {
-                let sync = SyncAuction::new(cfg);
-                let b = sync.run_probed(&inst, &mut b_trace).unwrap();
-                let bw = sync.run_warm(&inst, &b.duals.lambda).unwrap();
-                (b, bw)
+            let b = if shards == 1 {
+                SyncAuction::new(cfg).run_probed(&inst, &mut b_trace).unwrap()
             } else {
-                let sharded = ShardedAuction::new(cfg, ShardCount::Fixed(shards));
-                let b = sharded.run_probed(&inst, &mut b_trace).unwrap();
-                let bw = sharded.run_warm(&inst, &b.duals.lambda).unwrap();
-                (b, bw)
+                ShardedAuction::new(cfg, ShardCount::Fixed(shards))
+                    .run_probed(&inst, &mut b_trace)
+                    .unwrap()
             };
             assert_eq!(a.assignment, b.assignment, "shards={shards} eps={eps}");
             assert_eq!(a.duals, b.duals, "shards={shards} eps={eps}");
             assert_eq!(a.rounds, b.rounds, "shards={shards} eps={eps}");
             assert_eq!(a.bids_submitted, b.bids_submitted, "shards={shards} eps={eps}");
             assert_eq!(a_trace, b_trace.points, "shards={shards} eps={eps}");
-            // Warm starts agree too.
-            let aw = lanes.run_warm(&csr, &a.duals.lambda).unwrap();
-            assert_eq!(aw.assignment, bw.assignment, "warm shards={shards} eps={eps}");
-            assert_eq!(aw.duals, bw.duals, "warm shards={shards} eps={eps}");
-            assert_eq!(aw.rounds, bw.rounds, "warm shards={shards} eps={eps}");
-            assert_eq!(aw.bids_submitted, bw.bids_submitted, "warm shards={shards} eps={eps}");
         }
     }
 

@@ -51,45 +51,6 @@ impl Default for AuctionConfig {
     }
 }
 
-/// ε-scaling schedule for [`SyncAuction::run_scaled`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct EpsilonScaling {
-    /// First-phase ε (scaled to the instance's value range; the paper's
-    /// valuations cap at 8, so 1.0 is a good default).
-    pub initial: f64,
-    /// Geometric decay per phase (> 1).
-    pub decay: f64,
-    /// ε of the final phase — the accuracy actually guaranteed
-    /// (`n · final_epsilon`).
-    pub final_epsilon: f64,
-}
-
-impl EpsilonScaling {
-    /// Defaults suited to the paper's valuation range: 1.0 → ×¼ → 10⁻⁶.
-    pub fn paper_range() -> Self {
-        EpsilonScaling { initial: 1.0, decay: 4.0, final_epsilon: 1e-6 }
-    }
-
-    pub(crate) fn validate(&self) -> Result<(), P2pError> {
-        if !(self.initial.is_finite() && self.initial > 0.0) {
-            return Err(P2pError::invalid_config("scaling.initial", "must be positive"));
-        }
-        if !(self.decay.is_finite() && self.decay > 1.0) {
-            return Err(P2pError::invalid_config("scaling.decay", "must exceed 1"));
-        }
-        if !(self.final_epsilon.is_finite() && self.final_epsilon > 0.0) {
-            return Err(P2pError::invalid_config("scaling.final_epsilon", "must be positive"));
-        }
-        if self.final_epsilon > self.initial {
-            return Err(P2pError::invalid_config(
-                "scaling.final_epsilon",
-                "must not exceed the initial epsilon",
-            ));
-        }
-        Ok(())
-    }
-}
-
 /// Result of a converged auction.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AuctionOutcome {
@@ -138,7 +99,7 @@ impl SyncAuction {
     /// patterns; the paper's Theorem 1 guarantees termination under its
     /// sufficiency assumption).
     pub fn run(&self, instance: &WelfareInstance) -> Result<AuctionOutcome, P2pError> {
-        self.run_from(instance, None, self.config.epsilon, &mut NoProbe)
+        self.run_probed(instance, &mut NoProbe)
     }
 
     /// [`SyncAuction::run`] with an observation probe. The engine is generic
@@ -150,150 +111,8 @@ impl SyncAuction {
         instance: &WelfareInstance,
         probe: &mut impl AuctionProbe,
     ) -> Result<AuctionOutcome, P2pError> {
-        self.run_from(instance, None, self.config.epsilon, probe)
-    }
-
-    /// Runs the auction warm-started from `prior_prices` — typically the
-    /// previous slot's final `λ` vector, mapped by the caller onto this
-    /// instance's provider order (missing entries default to 0). On
-    /// slot-to-slot reoptimization most prices are already near their new
-    /// equilibrium, so the auction converges in a fraction of the bids a
-    /// cold start needs (Bertsekas-style auction reoptimization).
-    ///
-    /// # Price clamping
-    ///
-    /// Carried prices are clamped to stay ε-valid: non-finite or negative
-    /// entries become 0, and every price is relaxed by the engine's ε
-    /// (`max(p − ε, 0)`), mirroring the inter-phase relaxation of
-    /// [`SyncAuction::run_scaled`] — a winner may have overbid its value by
-    /// up to ε last slot, and carrying that price verbatim would price the
-    /// winner out of its own slot.
-    ///
-    /// # Certificate preservation
-    ///
-    /// A carried price can be *unsupported* by this slot's demand: the
-    /// provider ends with unsold capacity at `λ > 0`, violating CS 1 of
-    /// Theorem 1 (prices raised by actual bids never do — a price only
-    /// rises when the provider is full, and eviction keeps it full). After
-    /// each converged run the engine therefore zeroes every unsupported
-    /// warm price and reruns; each pass permanently clears at least one
-    /// provider, so at most `provider_count` extra runs occur (zero in the
-    /// common little-changed-slot case), and the final outcome satisfies
-    /// the same `n·ε` certificate as a cold run.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`P2pError::AuctionDiverged`] if any pass exceeds
-    /// `max_rounds`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use p2p_core::{WelfareInstance, SyncAuction, AuctionConfig, verify_optimality};
-    /// use p2p_types::{PeerId, RequestId, ChunkId, VideoId, Valuation, Cost};
-    ///
-    /// let mut b = WelfareInstance::builder();
-    /// let u = b.add_provider(PeerId::new(9), 1);
-    /// let r0 = b.add_request(RequestId::new(PeerId::new(0), ChunkId::new(VideoId::new(0), 0)));
-    /// let r1 = b.add_request(RequestId::new(PeerId::new(1), ChunkId::new(VideoId::new(0), 0)));
-    /// b.add_edge(r0, u, Valuation::new(5.0), Cost::new(1.0)).unwrap();
-    /// b.add_edge(r1, u, Valuation::new(4.0), Cost::new(1.0)).unwrap();
-    /// let inst = b.build().unwrap();
-    ///
-    /// let engine = SyncAuction::new(AuctionConfig::paper());
-    /// let cold = engine.run(&inst).unwrap();
-    /// // Re-run the same slot from the converged prices: quiescent at once.
-    /// let warm = engine.run_warm(&inst, &cold.duals.lambda).unwrap();
-    /// assert_eq!(warm.assignment.welfare(&inst), cold.assignment.welfare(&inst));
-    /// let report = verify_optimality(&inst, &warm.assignment, &warm.duals, 1e-9);
-    /// assert!(report.is_optimal());
-    /// ```
-    pub fn run_warm(
-        &self,
-        instance: &WelfareInstance,
-        prior_prices: &[f64],
-    ) -> Result<AuctionOutcome, P2pError> {
-        self.run_warm_probed(instance, prior_prices, &mut NoProbe)
-    }
-
-    /// [`SyncAuction::run_warm`] with an observation probe (every repair
-    /// pass reports into the same probe).
-    pub fn run_warm_probed(
-        &self,
-        instance: &WelfareInstance,
-        prior_prices: &[f64],
-        probe: &mut impl AuctionProbe,
-    ) -> Result<AuctionOutcome, P2pError> {
-        let eps = self.config.epsilon;
-        run_warm_with(instance, prior_prices, eps, |prices| {
-            self.run_from(instance, prices, eps, &mut *probe)
-        })
-    }
-
-    /// Runs the auction with ε-scaling (Bertsekas 1988): phases with
-    /// geometrically shrinking ε, each warm-starting from the previous
-    /// phase's (ε-relaxed) prices. Large early ε moves prices in big steps,
-    /// ending any price war in few bids where a flat small ε needs
-    /// `value range / ε` of them — see the twin-values test below for the
-    /// order-of-magnitude difference.
-    ///
-    /// # Guarantee
-    ///
-    /// The welfare is within `n · initial` of optimal, and on generic
-    /// (tie-free) instances within `n · final_epsilon`. The stronger bound
-    /// does not hold universally: carried prices can preserve exact
-    /// cross-provider ties created by earlier phases, and a request parked
-    /// on the wrong side of such a tie never moves (assigned bidders only
-    /// move when evicted). Certifying the tight bound in general requires
-    /// forward-*reverse* auction phases (Bertsekas & Castañon 1989), which
-    /// are out of scope; use a flat-ε [`SyncAuction::run`] when the
-    /// `n·ε` certificate matters more than speed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`P2pError::AuctionDiverged`] if any phase exceeds
-    /// `max_rounds`, or [`P2pError::InvalidConfig`] for invalid scaling
-    /// parameters.
-    pub fn run_scaled(
-        &self,
-        instance: &WelfareInstance,
-        scaling: EpsilonScaling,
-    ) -> Result<AuctionOutcome, P2pError> {
-        scaling.validate()?;
-        let mut epsilon = scaling.initial;
-        let mut prices: Option<Vec<f64>> = None;
-        let mut rounds = 0;
-        let mut bids = 0;
-        loop {
-            let last_phase = epsilon <= scaling.final_epsilon;
-            let eps = epsilon.max(scaling.final_epsilon);
-            let outcome = self.run_from(instance, prices.as_deref(), eps, &mut NoProbe)?;
-            rounds += outcome.rounds;
-            bids += outcome.bids_submitted;
-            if last_phase {
-                return Ok(AuctionOutcome { rounds, bids_submitted: bids, ..outcome });
-            }
-            // Carry prices relaxed by the phase's ε: a winner can overbid
-            // its value by up to ε, and carrying that price verbatim would
-            // price the winner itself out of the next phase (free disposal
-            // makes overbid prices sticky, unlike the symmetric assignment
-            // problem). Subtracting ε restores ε-complementary slackness
-            // for the next phase.
-            prices = Some(outcome.duals.lambda.iter().map(|l| (l - eps).max(0.0)).collect());
-            epsilon /= scaling.decay;
-        }
-    }
-
-    /// Core engine: optional warm-start prices, explicit ε. Generic over
-    /// the probe so the [`NoProbe`] instantiation compiles to the bare loop.
-    pub(crate) fn run_from<P: AuctionProbe>(
-        &self,
-        instance: &WelfareInstance,
-        initial_prices: Option<&[f64]>,
-        epsilon: f64,
-        probe: &mut P,
-    ) -> Result<AuctionOutcome, P2pError> {
-        let (mut auctioneers, mut eff_price) = seeded_auctioneers(instance, initial_prices);
+        let epsilon = self.config.epsilon;
+        let (mut auctioneers, mut eff_price) = zero_price_auctioneers(instance);
 
         let mut assigned: Vec<Option<usize>> = vec![None; instance.request_count()];
         let mut retired: Vec<bool> = vec![false; instance.request_count()];
@@ -373,112 +192,14 @@ impl SyncAuction {
     }
 }
 
-/// Shared warm-start driver: clamps and pre-filters the carried prices,
-/// then repeatedly runs `run_from` until no unsupported warm price is left
-/// (the CS 1 repair loop documented on [`SyncAuction::run_warm`]). Each
-/// pass permanently clears at least one provider, so at most
-/// `provider_count` extra runs occur. Used by the synchronous, sharded and
-/// networked engines so their warm-start semantics cannot drift apart.
-pub fn run_warm_with(
-    instance: &WelfareInstance,
-    prior_prices: &[f64],
-    epsilon: f64,
-    mut run_from: impl FnMut(Option<&[f64]>) -> Result<AuctionOutcome, P2pError>,
-) -> Result<AuctionOutcome, P2pError> {
-    let mut prices = Vec::new();
-    clamp_warm_prices(&instance.data, prior_prices, epsilon, &mut prices, &mut Vec::new());
-    let mut rounds = 0;
-    let mut bids = 0;
-    loop {
-        let outcome = run_from(Some(&prices))?;
-        rounds += outcome.rounds;
-        bids += outcome.bids_submitted;
-        if !zero_unsupported_prices(instance, &outcome, &mut prices) {
-            return Ok(AuctionOutcome { rounds, bids_submitted: bids, ..outcome });
-        }
-    }
-}
-
-/// Carried prices made ε-valid for a warm start, written into `prices`
-/// without allocating: non-finite or negative entries become 0, every
-/// price is relaxed by ε, and the support pre-filter zeroes prices the
-/// slot's demand cannot sustain. `potential` is scratch.
-pub(crate) fn clamp_warm_prices(
-    data: &CsrData,
-    prior: &[f64],
-    eps: f64,
-    prices: &mut Vec<f64>,
-    potential: &mut Vec<u32>,
-) {
-    prices.clear();
-    for u in 0..data.provider_count() {
-        let p = prior.get(u).copied().unwrap_or(0.0);
-        prices.push(if p.is_finite() { (p - eps).max(0.0) } else { 0.0 });
-    }
-    // Cheap support pre-filter: a positive price survives only if the
-    // provider can sell out at it, and a request only bids where
-    // `v − w > λ` — so a carried price with fewer than `capacity`
-    // profitable incident edges is doomed. Zeroing those up front
-    // avoids a full repair rerun whenever last slot's demand moved
-    // away (delivered chunks leaving the instance is the common case).
-    potential.clear();
-    potential.resize(data.provider_count(), 0);
-    for (&u, &utility) in data.edge_provider.iter().zip(&data.edge_utility) {
-        let u = u as usize;
-        if prices[u] > 0.0 && utility > prices[u] {
-            potential[u] += 1;
-        }
-    }
-    for (u, &cap) in data.capacity.iter().enumerate() {
-        if prices[u] > 0.0 && potential[u] < cap {
-            prices[u] = 0.0;
-        }
-    }
-}
-
-/// CS 1 support check: a provider with spare capacity and λ > 0 kept an
-/// unsupported warm price (bid-raised prices imply a full provider). Zeroes
-/// those — never re-warming a repaired one — and reports whether a rerun is
-/// needed.
-fn zero_unsupported_prices(
-    instance: &WelfareInstance,
-    outcome: &AuctionOutcome,
-    prices: &mut [f64],
-) -> bool {
-    let loads = outcome.assignment.provider_loads(instance);
-    let mut repaired = false;
-    for (u, spec) in instance.providers().enumerate() {
-        let cap = spec.capacity.chunks_per_slot();
-        if cap > 0 && loads[u] < cap && prices[u] > 0.0 && outcome.duals.lambda[u] > 0.0 {
-            prices[u] = 0.0;
-            repaired = true;
-        }
-    }
-    repaired
-}
-
-/// A run's starting price for provider `u`: its carried warm price when
-/// there is a finite, non-negative one, else 0.
-pub fn initial_price(initial: Option<&[f64]>, u: usize) -> f64 {
-    initial.and_then(|ps| ps.get(u).copied()).filter(|w| w.is_finite() && *w >= 0.0).unwrap_or(0.0)
-}
-
-/// The auctioneers of a run seeded from `initial` prices, with the
-/// bidder-visible prices: +∞ for zero-capacity providers so nobody
-/// targets them.
-pub(crate) fn seeded_auctioneers(
-    instance: &WelfareInstance,
-    initial: Option<&[f64]>,
-) -> (Vec<Auctioneer>, Vec<f64>) {
+/// The auctioneers of a run, every one at λ = 0, with the bidder-visible
+/// prices: +∞ for zero-capacity providers so nobody targets them.
+pub(crate) fn zero_price_auctioneers(instance: &WelfareInstance) -> (Vec<Auctioneer>, Vec<f64>) {
     instance
         .providers()
-        .enumerate()
-        .map(|(u, p)| match p.capacity.chunks_per_slot() {
+        .map(|p| match p.capacity.chunks_per_slot() {
             0 => (Auctioneer::new(0), f64::INFINITY),
-            cap => {
-                let price = initial_price(initial, u);
-                (Auctioneer::with_price(cap, price), price)
-            }
+            cap => (Auctioneer::new(cap), 0.0),
         })
         .unzip()
 }
@@ -668,137 +389,5 @@ mod tests {
         let cfg = AuctionConfig { max_rounds: 0, ..AuctionConfig::paper() };
         let err = SyncAuction::new(cfg).run(&inst).unwrap_err();
         assert!(matches!(err, P2pError::AuctionDiverged { .. }));
-    }
-
-    #[test]
-    fn scaled_auction_matches_exact_within_final_epsilon() {
-        let inst = competitive_instance();
-        let scaling = EpsilonScaling::paper_range();
-        let out = SyncAuction::default().run_scaled(&inst, scaling).unwrap();
-        let exact = inst.optimal_welfare().get();
-        let bound = inst.request_count() as f64 * scaling.final_epsilon + 1e-9;
-        assert!(out.assignment.welfare(&inst).get() >= exact - bound);
-        assert!(out.assignment.validate(&inst).is_ok());
-    }
-
-    #[test]
-    fn scaling_crushes_price_wars_on_twin_values() {
-        // Three identical high-value requests over two single-unit
-        // providers: a flat small ε fights a `value/ε`-bid war; scaling
-        // finishes in a handful of phases.
-        let value = 50.0;
-        let build = || {
-            let mut b = WelfareInstance::builder();
-            let u0 = b.add_provider(PeerId::new(100), 1);
-            let u1 = b.add_provider(PeerId::new(101), 1);
-            for d in 0..3 {
-                let r = b.add_request(rid(d, 0));
-                b.add_edge(r, u0, Valuation::new(value), Cost::new(0.0)).unwrap();
-                b.add_edge(r, u1, Valuation::new(value), Cost::new(0.0)).unwrap();
-            }
-            b.build().unwrap()
-        };
-        let inst = build();
-        let flat = SyncAuction::new(AuctionConfig::with_epsilon(0.01)).run(&inst).unwrap();
-        let scaling = EpsilonScaling { initial: 16.0, decay: 4.0, final_epsilon: 0.01 };
-        let scaled = SyncAuction::default().run_scaled(&inst, scaling).unwrap();
-        assert_eq!(scaled.assignment.assigned_count(), 2);
-        assert!(
-            scaled.bids_submitted * 10 < flat.bids_submitted,
-            "scaling ({}) must need far fewer bids than flat ε ({})",
-            scaled.bids_submitted,
-            flat.bids_submitted
-        );
-        // Both reach the optimum (two of three twins served).
-        let exact = inst.optimal_welfare().get();
-        assert!(scaled.assignment.welfare(&inst).get() >= exact - 3.0 * 0.01 - 1e-9);
-        assert!(flat.assignment.welfare(&inst).get() >= exact - 3.0 * 0.01 - 1e-9);
-    }
-
-    #[test]
-    fn scaled_single_bidder_is_not_priced_out_by_early_overbids() {
-        // With a huge initial ε the lone bidder overbids its own value;
-        // the inter-phase price relaxation must keep it assigned.
-        let mut b = WelfareInstance::builder();
-        let u = b.add_provider(PeerId::new(100), 1);
-        let r = b.add_request(rid(0, 0));
-        b.add_edge(r, u, Valuation::new(5.0), Cost::new(1.0)).unwrap();
-        let inst = b.build().unwrap();
-        let scaling = EpsilonScaling { initial: 64.0, decay: 4.0, final_epsilon: 1e-6 };
-        let out = SyncAuction::default().run_scaled(&inst, scaling).unwrap();
-        assert_eq!(out.assignment.assigned_count(), 1);
-        assert!((out.assignment.welfare(&inst).get() - 4.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn warm_start_from_converged_prices_is_cheap_and_certified() {
-        let eps = 0.01;
-        let inst = competitive_instance();
-        let engine = SyncAuction::new(AuctionConfig::with_epsilon(eps));
-        let cold = engine.run(&inst).unwrap();
-        let warm = engine.run_warm(&inst, &cold.duals.lambda).unwrap();
-        // Same welfare, and the reoptimization needs no more bids.
-        assert_eq!(warm.assignment.welfare(&inst), cold.assignment.welfare(&inst));
-        assert!(warm.bids_submitted <= cold.bids_submitted);
-        let tol = eps * (inst.request_count() as f64 + 1.0);
-        let report = crate::verify_optimality(&inst, &warm.assignment, &warm.duals, tol);
-        assert!(report.is_optimal(), "{:?}", report.violations);
-    }
-
-    #[test]
-    fn warm_start_repairs_unsupported_prices() {
-        // Absurd carried prices would leave every provider unsold at λ > 0;
-        // the repair loop must recover the cold outcome and its certificate.
-        let inst = competitive_instance();
-        let engine = SyncAuction::new(AuctionConfig::paper());
-        let warm = engine.run_warm(&inst, &[1e6, 1e6]).unwrap();
-        let cold = engine.run(&inst).unwrap();
-        assert_eq!(warm.assignment.welfare(&inst), cold.assignment.welfare(&inst));
-        let report = crate::verify_optimality(&inst, &warm.assignment, &warm.duals, 1e-9);
-        assert!(report.is_optimal(), "{:?}", report.violations);
-    }
-
-    #[test]
-    fn warm_start_tolerates_garbage_and_short_price_vectors() {
-        let inst = competitive_instance();
-        let engine = SyncAuction::new(AuctionConfig::with_epsilon(0.01));
-        // NaN/negative entries clamp to 0; missing entries default to 0.
-        for prices in [vec![f64::NAN, -3.0], vec![0.5], vec![]] {
-            let warm = engine.run_warm(&inst, &prices).unwrap();
-            assert!(warm.converged);
-            let tol = 0.01 * (inst.request_count() as f64 + 1.0);
-            let report = crate::verify_optimality(&inst, &warm.assignment, &warm.duals, tol);
-            assert!(report.is_optimal(), "{:?}", report.violations);
-        }
-    }
-
-    #[test]
-    fn warm_start_keeps_certificate_when_demand_collapses() {
-        // Last slot: two rich requests saturated the provider at high λ.
-        // This slot: a single modest request. The carried price would leave
-        // capacity unsold at λ > 0 (CS 1 violation) without repair.
-        let mut b = WelfareInstance::builder();
-        let u = b.add_provider(PeerId::new(7), 2);
-        let r = b.add_request(rid(0, 0));
-        b.add_edge(r, u, Valuation::new(2.0), Cost::new(0.5)).unwrap();
-        let inst = b.build().unwrap();
-        let engine = SyncAuction::new(AuctionConfig::paper());
-        let warm = engine.run_warm(&inst, &[5.0]).unwrap();
-        assert_eq!(warm.assignment.assigned_count(), 1);
-        let report = crate::verify_optimality(&inst, &warm.assignment, &warm.duals, 1e-9);
-        assert!(report.is_optimal(), "{:?}", report.violations);
-    }
-
-    #[test]
-    fn invalid_scaling_rejected() {
-        let inst = competitive_instance();
-        for bad in [
-            EpsilonScaling { initial: 0.0, decay: 4.0, final_epsilon: 1e-6 },
-            EpsilonScaling { initial: 1.0, decay: 1.0, final_epsilon: 1e-6 },
-            EpsilonScaling { initial: 1.0, decay: 4.0, final_epsilon: 0.0 },
-            EpsilonScaling { initial: 1e-9, decay: 4.0, final_epsilon: 1.0 },
-        ] {
-            assert!(SyncAuction::default().run_scaled(&inst, bad).is_err());
-        }
     }
 }

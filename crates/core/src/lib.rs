@@ -95,7 +95,7 @@ mod ordf64;
 pub use bidder::{BidDecision, EdgeView};
 pub use codec::{decode_msg, encode_msg, MAX_FRAME_LEN, WIRE_VERSION};
 pub use csr::{CsrInstance, FlatAuction, FlatOutcome};
-pub use engine::{AuctionConfig, AuctionOutcome, EpsilonScaling, SyncAuction};
+pub use engine::{AuctionConfig, AuctionOutcome, SyncAuction};
 pub use instance::{EdgeSpec, InstanceBuilder, ProviderSpec, RequestView, WelfareInstance};
 pub use p2p_metrics::{
     AuctionProbe, CountingProbe, EngineReport, NoProbe, PricePoint, PriceRecorder,

@@ -74,9 +74,9 @@ pub struct BidderNode {
 
 impl BidderNode {
     /// Creates the node with initial price knowledge drawn from
-    /// `price_of` (`0` for cold starts, the carried λ for warm starts;
-    /// pass `+∞` for zero-capacity providers so the bidder never targets
-    /// them — the convention every engine shares).
+    /// `price_of`: `0` for every provider with capacity, since every run
+    /// starts from λ = 0, and `+∞` for zero-capacity providers so the
+    /// bidder never targets them — the convention every engine shares.
     pub fn new(
         request: RequestIdx,
         views: Vec<EdgeView>,
@@ -271,12 +271,6 @@ impl AuctioneerNode {
     /// Creates the node for `provider` with `capacity` units at price 0.
     pub fn new(provider: ProviderIdx, capacity: u32) -> Self {
         AuctioneerNode { provider, state: Auctioneer::new(capacity), offline: false }
-    }
-
-    /// Creates the node with a warm-start price (see
-    /// [`Auctioneer::with_price`]).
-    pub fn with_price(provider: ProviderIdx, capacity: u32, price: f64) -> Self {
-        AuctioneerNode { provider, state: Auctioneer::with_price(capacity, price), offline: false }
     }
 
     /// The provider this node auctions for.

@@ -45,9 +45,7 @@
 //! `n·ε` certificate as the synchronous engine — exact optimality at ε = 0
 //! on tie-free instances, welfare within `n·ε` for ε > 0. Debug builds
 //! re-verify the certificate with [`crate::verify_optimality`] after every
-//! converged ε > 0 run. Warm starts compose: [`ShardedAuction::run_warm`]
-//! reuses the synchronous engine's price clamping and CS 1 repair loop, so
-//! slot-to-slot carried prices keep the certificate too.
+//! converged ε > 0 run.
 //!
 //! # Determinism
 //!
@@ -86,8 +84,7 @@ use crate::auctioneer::{Auctioneer, BidOutcome};
 use crate::bidder::{decide_row_bid, BidDecision};
 use crate::engine::SyncAuction;
 use crate::engine::{
-    final_prices_from, report_complete, run_warm_with, seeded_auctioneers, AuctionConfig,
-    AuctionOutcome,
+    final_prices_from, report_complete, zero_price_auctioneers, AuctionConfig, AuctionOutcome,
 };
 use crate::instance::WelfareInstance;
 use crate::solution::{Assignment, DualSolution};
@@ -312,49 +309,7 @@ impl ShardedAuction {
         if shards <= 1 {
             return SyncAuction::new(self.config).run_probed(instance, probe);
         }
-        let outcome = self.run_from(instance, None, self.config.epsilon, shards, probe)?;
-        self.debug_verify(instance, &outcome);
-        Ok(outcome)
-    }
-
-    /// Runs the auction warm-started from `prior_prices`, with exactly the
-    /// price clamping and CS 1 repair-loop semantics of
-    /// [`SyncAuction::run_warm`] (the two engines share the implementation),
-    /// so slot-to-slot carried prices preserve the `n·ε` certificate.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`P2pError::AuctionDiverged`] if any pass exceeds
-    /// `max_rounds`.
-    pub fn run_warm(
-        &self,
-        instance: &WelfareInstance,
-        prior_prices: &[f64],
-    ) -> Result<AuctionOutcome, P2pError> {
-        self.run_warm_probed(instance, prior_prices, &mut NoProbe)
-    }
-
-    /// [`ShardedAuction::run_warm`] with an observation probe (every CS 1
-    /// repair pass reports into the same probe).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`P2pError::AuctionDiverged`] if any pass exceeds
-    /// `max_rounds`.
-    pub fn run_warm_probed(
-        &self,
-        instance: &WelfareInstance,
-        prior_prices: &[f64],
-        probe: &mut impl AuctionProbe,
-    ) -> Result<AuctionOutcome, P2pError> {
-        let shards = self.shards.resolve_for(instance.request_count());
-        if shards <= 1 {
-            return SyncAuction::new(self.config).run_warm_probed(instance, prior_prices, probe);
-        }
-        let eps = self.config.epsilon;
-        let outcome = run_warm_with(instance, prior_prices, eps, |prices| {
-            self.run_from(instance, prices, eps, shards, &mut *probe)
-        })?;
+        let outcome = self.run_from(instance, shards, probe)?;
         self.debug_verify(instance, &outcome);
         Ok(outcome)
     }
@@ -380,16 +335,15 @@ impl ShardedAuction {
         }
     }
 
-    /// Core Jacobi engine: optional warm-start prices, explicit ε. Only
-    /// called with an effective (slot-resolved) shard count ≥ 2.
+    /// Core Jacobi engine. Only called with an effective (slot-resolved)
+    /// shard count ≥ 2.
     fn run_from<P: AuctionProbe>(
         &self,
         instance: &WelfareInstance,
-        initial_prices: Option<&[f64]>,
-        epsilon: f64,
         shards: usize,
         probe: &mut P,
     ) -> Result<AuctionOutcome, P2pError> {
+        let epsilon = self.config.epsilon;
         let shards = shards.max(2);
         let workers =
             self.workers.unwrap_or_else(|| shards.min(available_cores())).max(1).min(shards);
@@ -401,7 +355,7 @@ impl ShardedAuction {
             let mut exec = |slice: &[usize], prices: &[f64], out: &mut SliceResult| {
                 compute_slice(instance, slice, prices, epsilon, out);
             };
-            return self.rounds_loop(instance, initial_prices, shards, &mut exec, probe);
+            return self.rounds_loop(instance, shards, &mut exec, probe);
         }
         // Per-run worker threads: spawned lazily on the first slice large
         // enough to fan out (small runs never pay a spawn), parked on a
@@ -457,7 +411,7 @@ impl ShardedAuction {
                     out.retired.extend_from_slice(&part.retired);
                 }
             };
-            self.rounds_loop(instance, initial_prices, shards, &mut exec, probe)
+            self.rounds_loop(instance, shards, &mut exec, probe)
             // Dropping `cmd_txs` here ends the worker loops; the scope joins
             // them before returning.
         })
@@ -470,13 +424,12 @@ impl ShardedAuction {
     fn rounds_loop<P: AuctionProbe>(
         &self,
         instance: &WelfareInstance,
-        initial_prices: Option<&[f64]>,
         shards: usize,
         exec: &mut RoundExec<'_>,
         probe: &mut P,
     ) -> Result<AuctionOutcome, P2pError> {
         let request_count = instance.request_count();
-        let (mut auctioneers, mut eff_price) = seeded_auctioneers(instance, initial_prices);
+        let (mut auctioneers, mut eff_price) = zero_price_auctioneers(instance);
         let mut assigned: Vec<Option<usize>> = vec![None; request_count];
         let mut retired: Vec<bool> = vec![false; request_count];
         let mut worklist: Vec<usize> = (0..request_count).collect();
@@ -779,29 +732,6 @@ mod tests {
         // on thread timing even for batches whose sort is skipped.
         assert!(!seq_trace.points.is_empty());
         assert_eq!(seq_trace, thr_trace);
-    }
-
-    #[test]
-    fn warm_start_composes_with_sharding() {
-        let eps = 0.01;
-        let inst = contended_instance();
-        let engine = ShardedAuction::new(AuctionConfig::with_epsilon(eps), ShardCount::Fixed(4));
-        let cold = engine.run(&inst).unwrap();
-        let warm = engine.run_warm(&inst, &cold.duals.lambda).unwrap();
-        assert_eq!(warm.assignment.welfare(&inst), cold.assignment.welfare(&inst));
-        assert!(warm.bids_submitted <= cold.bids_submitted);
-        let tol = eps * (inst.request_count() as f64 + 1.0);
-        let report = verify_optimality(&inst, &warm.assignment, &warm.duals, tol);
-        assert!(report.is_optimal(), "{:?}", report.violations);
-    }
-
-    #[test]
-    fn warm_start_repairs_unsupported_prices_like_sync() {
-        let inst = contended_instance();
-        let engine = ShardedAuction::new(AuctionConfig::paper(), ShardCount::Fixed(4));
-        let warm = engine.run_warm(&inst, &[1e6, 1e6, 1e6]).unwrap();
-        let report = verify_optimality(&inst, &warm.assignment, &warm.duals, 1e-7);
-        assert!(report.is_optimal(), "{:?}", report.violations);
     }
 
     #[test]

@@ -52,9 +52,7 @@
 //! flash-crowd fan-in shrinks the queue by the fan-out factor.
 
 use crate::bidder::{AbstainReason, BidDecision, EdgeView};
-use crate::engine::{
-    final_prices_from, initial_price, report_complete, run_warm_with, AuctionOutcome,
-};
+use crate::engine::{final_prices_from, report_complete, AuctionOutcome};
 use crate::instance::{ProviderIdx, RequestIdx, WelfareInstance};
 use crate::messages::AuctionMsg;
 use crate::protocol::{AuctioneerNode, BidderNode, BidderPhase, LearnPolicy};
@@ -336,7 +334,7 @@ pub struct SwarmOutcome {
     /// mailbox wake-up instead of their own queue event (reactive mode
     /// with [`SwarmConfig::coalesce`]; 0 otherwise).
     pub coalesced_events: u64,
-    /// High-water mark of the pending-event queue across all passes.
+    /// High-water mark of the pending-event queue.
     pub peak_queue: u64,
 }
 
@@ -412,6 +410,14 @@ impl TraceHash {
     fn finish(self) -> u64 {
         self.0
     }
+
+    /// The run's trace hash: this hash folded as one word into a fresh
+    /// one, the word order every recorded trace hash was taken with.
+    fn run_hash(self) -> u64 {
+        let mut run = TraceHash::new();
+        run.word(self.finish());
+        run.finish()
+    }
 }
 
 /// Uniform `[0, 1)` from 64 random bits.
@@ -424,32 +430,16 @@ fn scaled(d: SimDuration, bits: u64) -> SimDuration {
     SimDuration::from_micros((unit(bits) * d.as_micros() as f64) as u64)
 }
 
-/// Side stats accumulated across warm-start repair passes.
+/// A run's transport-side counters, next to its [`AuctionOutcome`].
 #[derive(Debug)]
 struct SideStats {
     messages: u64,
     events: u64,
     converged_at: SimTime,
     faults: FaultStats,
-    hash: TraceHash,
-    passes: u64,
+    trace_hash: u64,
     coalesced: u64,
     peak_queue: u64,
-}
-
-impl SideStats {
-    fn new() -> Self {
-        SideStats {
-            messages: 0,
-            events: 0,
-            converged_at: SimTime::ZERO,
-            faults: FaultStats::default(),
-            hash: TraceHash::new(),
-            passes: 0,
-            coalesced: 0,
-            peak_queue: 0,
-        }
-    }
 }
 
 /// The swarm auction engine: one logical actor per peer on the event
@@ -495,7 +485,7 @@ impl SwarmAuction {
         &self.net
     }
 
-    /// Runs the auction cold.
+    /// Runs the auction.
     ///
     /// # Errors
     ///
@@ -526,7 +516,7 @@ impl SwarmAuction {
         self.run_with_departures(instance, &[], seed, probe)
     }
 
-    /// Runs the auction cold while peers leave mid-auction (Sec. IV-C):
+    /// Runs the auction while peers leave mid-auction (Sec. IV-C):
     /// "the algorithm can handle it smoothly and converge to the maximum
     /// social welfare where the departed peer is excluded". A departed
     /// auctioneer evicts its winners and announces an infinite price; a
@@ -546,63 +536,14 @@ impl SwarmAuction {
         seed: u64,
         probe: &mut P,
     ) -> Result<SwarmOutcome, P2pError> {
-        let mut side = SideStats::new();
-        let outcome = self.once(instance, None, departures, seed, probe, &mut side)?;
-        Ok(assemble(outcome, &side))
-    }
-
-    /// Runs with carried prices from the previous slot, including the
-    /// CS 1 repair loop shared with the synchronous engine (so warm-start
-    /// semantics cannot drift between transports).
-    ///
-    /// # Errors
-    ///
-    /// As for [`run`](SwarmAuction::run).
-    pub fn run_warm(
-        &self,
-        instance: &WelfareInstance,
-        prior_prices: &[f64],
-        seed: u64,
-    ) -> Result<SwarmOutcome, P2pError> {
-        self.run_warm_probed(instance, prior_prices, seed, &mut NoProbe)
-    }
-
-    /// [`run_warm`](SwarmAuction::run_warm) with an observer probe.
-    ///
-    /// # Errors
-    ///
-    /// As for [`run`](SwarmAuction::run).
-    pub fn run_warm_probed<P: AuctionProbe>(
-        &self,
-        instance: &WelfareInstance,
-        prior_prices: &[f64],
-        seed: u64,
-        probe: &mut P,
-    ) -> Result<SwarmOutcome, P2pError> {
-        let mut side = SideStats::new();
-        let outcome = run_warm_with(instance, prior_prices, self.config.epsilon, |prices| {
-            self.once(instance, prices, &[], seed, probe, &mut side)
-        })?;
-        Ok(assemble(outcome, &side))
-    }
-
-    /// One auction pass: ideal replay or reactive network execution.
-    fn once<P: AuctionProbe>(
-        &self,
-        instance: &WelfareInstance,
-        warm: Option<&[f64]>,
-        departures: &[DepartureEvent],
-        seed: u64,
-        probe: &mut P,
-        side: &mut SideStats,
-    ) -> Result<AuctionOutcome, P2pError> {
-        let pass_seed = derive_seed(seed, side.passes);
-        side.passes += 1;
-        if self.net.is_ideal() && departures.is_empty() {
-            self.ideal_once(instance, warm, probe, side)
+        let (outcome, side) = if self.net.is_ideal() && departures.is_empty() {
+            self.run_ideal(instance, probe)?
         } else {
-            self.reactive_once(instance, warm, departures, pass_seed, probe, side)
-        }
+            // Fault schedules draw from this derived seed; pinned trace
+            // hashes depend on it.
+            self.run_reactive(instance, departures, derive_seed(seed, 0), probe)?
+        };
+        Ok(assemble(outcome, &side))
     }
 
     /// Ideal mode: the synchronous sweep replayed as `Poll` events on
@@ -613,19 +554,17 @@ impl SwarmAuction {
     /// messages and trace hash all agree. The world still counts each
     /// bidder's first such abstention, so the probe's retirement counts
     /// match `SyncAuction`'s too.
-    fn ideal_once<P: AuctionProbe>(
+    fn run_ideal<P: AuctionProbe>(
         &self,
         instance: &WelfareInstance,
-        warm: Option<&[f64]>,
         probe: &mut P,
-        side: &mut SideStats,
-    ) -> Result<AuctionOutcome, P2pError> {
+    ) -> Result<(AuctionOutcome, SideStats), P2pError> {
         if self.config.max_rounds == 0 {
             return Err(P2pError::AuctionDiverged { iterations: 0 });
         }
         let n = instance.request_count();
         let (bidders, auctioneers) =
-            build_nodes(instance, warm, self.config.epsilon, LearnPolicy::Monotone);
+            build_nodes(instance, self.config.epsilon, LearnPolicy::Monotone);
         let world = IdealWorld {
             probe,
             bidders,
@@ -655,12 +594,15 @@ impl SwarmAuction {
             return Err(P2pError::AuctionDiverged { iterations: world.round });
         }
 
-        side.messages += world.messages;
-        side.events += stats.events_processed;
-        side.converged_at = side.converged_at.max(world.converged_at);
-        side.peak_queue = side.peak_queue.max(stats.peak_pending as u64);
-        side.hash.word(world.hash.finish());
-
+        let side = SideStats {
+            messages: world.messages,
+            events: stats.events_processed,
+            converged_at: world.converged_at,
+            faults: FaultStats::default(),
+            trace_hash: world.hash.run_hash(),
+            coalesced: 0,
+            peak_queue: stats.peak_pending as u64,
+        };
         let lambda = final_prices_from(
             instance,
             world.auctioneers.iter().map(AuctioneerNode::price).collect(),
@@ -673,26 +615,24 @@ impl SwarmAuction {
             converged: true,
         };
         report_complete(instance, &outcome, world.probe);
-        Ok(outcome)
+        Ok((outcome, side))
     }
 
     /// Reactive mode: per-link channels with seeded latency and faults.
-    fn reactive_once<P: AuctionProbe>(
+    fn run_reactive<P: AuctionProbe>(
         &self,
         instance: &WelfareInstance,
-        warm: Option<&[f64]>,
         departures: &[DepartureEvent],
         seed: u64,
         probe: &mut P,
-        side: &mut SideStats,
-    ) -> Result<AuctionOutcome, P2pError> {
+    ) -> Result<(AuctionOutcome, SideStats), P2pError> {
         let n = instance.request_count();
         let provider_count = instance.provider_count();
         // A release lowers λ, so only runs with departures may believe a
         // decrease; per-link FIFO keeps each link's observations ordered.
         let policy =
             if departures.is_empty() { LearnPolicy::Monotone } else { LearnPolicy::Latest };
-        let (bidders, auctioneers) = build_nodes(instance, warm, self.config.epsilon, policy);
+        let (bidders, auctioneers) = build_nodes(instance, self.config.epsilon, policy);
 
         let data = &*instance.data;
         let bidder_peer: Vec<PeerId> = data.request_id.iter().map(|id| id.downstream()).collect();
@@ -756,19 +696,15 @@ impl SwarmAuction {
             return Err(P2pError::AuctionDiverged { iterations: stats.events_processed });
         }
 
-        side.messages += world.messages;
-        side.events += stats.events_processed;
-        side.converged_at = side.converged_at.max(world.last_activity);
-        side.peak_queue = side.peak_queue.max(stats.peak_pending as u64);
-        side.coalesced += world.coalesced;
-        side.faults.dropped += world.faults.dropped;
-        side.faults.duplicated += world.faults.duplicated;
-        side.faults.duplicates_discarded += world.faults.duplicates_discarded;
-        side.faults.reordered += world.faults.reordered;
-        side.faults.resequenced += world.faults.resequenced;
-        side.faults.deferred += world.faults.deferred;
-        side.hash.word(world.hash.finish());
-
+        let side = SideStats {
+            messages: world.messages,
+            events: stats.events_processed,
+            converged_at: world.last_activity,
+            faults: world.faults,
+            trace_hash: world.hash.run_hash(),
+            coalesced: world.coalesced,
+            peak_queue: stats.peak_pending as u64,
+        };
         let lambda = final_prices_from(
             instance,
             world.auctioneers.iter().map(AuctioneerNode::price).collect(),
@@ -781,15 +717,14 @@ impl SwarmAuction {
             converged: true,
         };
         report_complete(instance, &outcome, world.probe);
-        Ok(outcome)
+        Ok((outcome, side))
     }
 }
 
-/// Builds the protocol nodes shared by both modes, mirroring the
-/// synchronous engine's warm-start initialization exactly.
+/// Builds the protocol nodes shared by both modes, every price at 0 as the
+/// synchronous engine starts.
 fn build_nodes(
     instance: &WelfareInstance,
-    warm: Option<&[f64]>,
     epsilon: f64,
     policy: LearnPolicy,
 ) -> (Vec<BidderNode>, Vec<AuctioneerNode>) {
@@ -807,7 +742,7 @@ fn build_nodes(
                 if instance.provider(u).capacity.is_zero() {
                     f64::INFINITY
                 } else {
-                    initial_price(warm, u)
+                    0.0
                 }
             })
         })
@@ -815,13 +750,7 @@ fn build_nodes(
     let auctioneers = instance
         .providers()
         .enumerate()
-        .map(|(u, p)| {
-            if p.capacity.is_zero() {
-                AuctioneerNode::new(u, 0)
-            } else {
-                AuctioneerNode::with_price(u, p.capacity.chunks_per_slot(), initial_price(warm, u))
-            }
-        })
+        .map(|(u, p)| AuctioneerNode::new(u, p.capacity.chunks_per_slot()))
         .collect();
     (bidders, auctioneers)
 }
@@ -837,7 +766,7 @@ fn assemble(outcome: AuctionOutcome, side: &SideStats) -> SwarmOutcome {
         converged_at: side.converged_at,
         converged: outcome.converged,
         faults: side.faults,
-        trace_hash: side.hash.finish(),
+        trace_hash: side.trace_hash,
         coalesced_events: side.coalesced,
         peak_queue: side.peak_queue,
     }
@@ -1419,21 +1348,6 @@ mod tests {
             assert_bit_identical(&sync, &swarm);
             assert!(swarm.converged);
             assert_eq!(swarm.faults, FaultStats::default(), "ideal mode injects no faults");
-        }
-    }
-
-    #[test]
-    fn ideal_warm_start_matches_sync_warm_start() {
-        for seed in 0..4u64 {
-            let inst = random_instance(200 + seed, 4, 20);
-            let cold = SyncAuction::new(AuctionConfig::paper()).run(&inst).unwrap();
-            let prior = cold.duals.lambda.clone();
-            let shifted = random_instance(300 + seed, 4, 20);
-            let sync = SyncAuction::new(AuctionConfig::paper()).run_warm(&shifted, &prior).unwrap();
-            let swarm = SwarmAuction::new(SwarmConfig::paper(), NetworkModel::ideal())
-                .run_warm(&shifted, &prior, seed)
-                .unwrap();
-            assert_bit_identical(&sync, &swarm);
         }
     }
 

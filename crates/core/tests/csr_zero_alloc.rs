@@ -1,7 +1,7 @@
 //! The flat engine's zero-allocation guarantee, asserted with a counting
 //! global allocator: after the first (warm-up) slot, the CSR hot loop —
-//! cold and warm runs into a reusable [`FlatOutcome`] — performs **zero**
-//! heap allocations on same-shaped slots. The instance layout is pinned
+//! runs into a reusable [`FlatOutcome`] — performs **zero** heap
+//! allocations on same-shaped slots. The instance layout is pinned
 //! too: building an instance grows a fixed set of flat arrays (no
 //! allocation per request), and [`CsrInstance::compile`] is a handle on
 //! those arrays that allocates nothing.
@@ -145,28 +145,22 @@ fn hot_loop_allocates_nothing_after_the_first_slot() {
             FlatAuction::new(AuctionConfig::with_epsilon(0.01), ShardCount::Fixed(shards))
                 .with_workers(1);
         let mut out = FlatOutcome::default();
-        let mut carried: Vec<f64> = Vec::new();
 
-        // Warm-up slot: buffers grow to the slot shape here.
+        // Warm-up slots: buffers grow to the slot shape here.
         engine.run_into(&csr1, &mut out).unwrap();
-        carried.extend_from_slice(out.lambda());
-        engine.run_warm_into(&csr2, &carried, &mut out).unwrap();
+        engine.run_into(&csr2, &mut out).unwrap();
         let warmup_welfare = out.welfare();
 
-        // Steady state: cold and warm runs over both slots, zero
-        // allocations.
+        // Steady state: runs over both slots, zero allocations.
         let before = allocations();
         engine.run_into(&csr2, &mut out).unwrap();
         engine.run_into(&csr1, &mut out).unwrap();
-        carried.clear();
-        carried.extend_from_slice(out.lambda());
-        engine.run_warm_into(&csr2, &carried, &mut out).unwrap();
         engine.run_into(&csr2, &mut out).unwrap();
         // Probes compiled in but disabled: the `NoProbe` entry points
         // monomorphize to the bare loop and must stay allocation-free too
         // (the observability layer's zero-overhead-when-off guarantee).
         engine.run_into_probed(&csr1, &mut out, &mut NoProbe).unwrap();
-        engine.run_warm_into_probed(&csr2, &carried, &mut out, &mut NoProbe).unwrap();
+        engine.run_into_probed(&csr2, &mut out, &mut NoProbe).unwrap();
         let after = allocations();
         assert_eq!(
             after - before,

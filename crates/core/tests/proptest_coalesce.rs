@@ -180,27 +180,6 @@ proptest! {
         let (a, b) = run_both(&inst, &NetworkModel::lossy(), seed, 0.05);
         assert_byte_identical(&a, &b);
     }
-
-    /// Warm restarts (multi-pass CS 1 repair loop) coalesce invisibly too:
-    /// per-pass seeds and the cross-pass trace hash fold must line up.
-    #[test]
-    fn warm_start_coalescing_is_invisible(
-        inst in arb_instance(),
-        net in arb_quantized_net(),
-        seed in 0u64..1000,
-    ) {
-        let eps = 0.05;
-        let on = SwarmConfig::with_epsilon(eps);
-        let off = SwarmConfig { coalesce: false, ..on };
-        let cold = SwarmAuction::new(on, net.clone()).run(&inst, seed).unwrap();
-        let a = SwarmAuction::new(on, net.clone())
-            .run_warm(&inst, &cold.duals.lambda, seed + 1)
-            .unwrap();
-        let b = SwarmAuction::new(off, net.clone())
-            .run_warm(&inst, &cold.duals.lambda, seed + 1)
-            .unwrap();
-        assert_byte_identical(&a, &b);
-    }
 }
 
 /// Deterministic anchor outside proptest: a partition-heal burst on a

@@ -1,11 +1,12 @@
 //! Property-based certification of the flat CSR engines: on arbitrary
-//! instances — and arbitrary warm-started *slot chains*, the engine-level
-//! image of scenario event sequences — [`FlatAuction`] is **bit-identical**
-//! to the nested engines (prices, assignments, rounds, bids,
-//! welfare, and hence the Theorem 1 `n·ε` certificate) at shard counts
-//! 1/2/8.
-//! The cold, ε = 0 and warm-chain properties run twice: on small instances
-//! and on paper-sized deep-heap instances with frequent equal bids.
+//! instances — and arbitrary *slot chains* run on one reused engine, the
+//! engine-level image of scenario event sequences — [`FlatAuction`] is
+//! **bit-identical** to the nested engines (prices, assignments, rounds,
+//! bids, welfare, and hence the Theorem 1 `n·ε` certificate) at shard
+//! counts 1/2/8.
+//! The single-run, ε = 0 and chain properties run twice: on small
+//! instances and on paper-sized deep-heap instances with frequent equal
+//! bids.
 
 use p2p_core::csr::{CsrInstance, FlatAuction};
 use p2p_core::{
@@ -103,21 +104,6 @@ fn nested_run(inst: &WelfareInstance, eps: f64, shards: usize) -> AuctionOutcome
     }
 }
 
-fn nested_run_warm(
-    inst: &WelfareInstance,
-    eps: f64,
-    shards: usize,
-    carried: &[f64],
-) -> AuctionOutcome {
-    if shards == 1 {
-        SyncAuction::new(AuctionConfig::with_epsilon(eps)).run_warm(inst, carried).unwrap()
-    } else {
-        ShardedAuction::new(AuctionConfig::with_epsilon(eps), ShardCount::Fixed(shards))
-            .run_warm(inst, carried)
-            .unwrap()
-    }
-}
-
 /// Cold runs are bit-identical to the nested engines at every shard count,
 /// and the flat outcome carries the same Theorem 1 certificate.
 fn check_cold_runs(inst: &WelfareInstance, eps: f64) {
@@ -145,30 +131,21 @@ fn check_paper_rule(inst: &WelfareInstance) {
     }
 }
 
-/// Warm-started slot chains — one engine reused across slots, prices
-/// carried from each slot into the next (arbitrary slot-to-slot changes) —
-/// stay bit-identical to the nested engines and certified at every slot.
-/// This is the engine-level image of running a scenario event sequence
-/// under a warm-starting scheduler.
-fn check_warm_chain(chain: &[WelfareInstance], eps: f64) {
+/// Slot chains — one engine, its scratch reused across slots of
+/// arbitrarily different shapes — stay bit-identical to a fresh nested run
+/// and certified at every slot. This is the engine-level image of a
+/// scheduler running a scenario event sequence.
+fn check_chain(chain: &[WelfareInstance], eps: f64) {
     for shards in SHARDS {
         let mut flat =
             FlatAuction::new(AuctionConfig::with_epsilon(eps), ShardCount::Fixed(shards));
-        let mut carried: Option<Vec<f64>> = None;
         for (slot, inst) in chain.iter().enumerate() {
-            let csr = CsrInstance::compile(inst);
-            let (out, nested) = match &carried {
-                None => (flat.run(&csr).unwrap(), nested_run(inst, eps, shards)),
-                Some(prices) => (
-                    flat.run_warm(&csr, prices).unwrap(),
-                    nested_run_warm(inst, eps, shards, prices),
-                ),
-            };
+            let out = flat.run(&CsrInstance::compile(inst)).unwrap();
+            let nested = nested_run(inst, eps, shards);
             assert_outcomes_identical(&format!("slot {slot} shards={shards}"), &out, &nested);
             let tol = eps * (inst.request_count() as f64 + 1.0);
             let report = verify_optimality(inst, &out.assignment, &out.duals, tol);
             assert!(report.is_optimal(), "slot {slot} shards={shards}: {:?}", report.violations);
-            carried = Some(out.duals.lambda);
         }
     }
 }
@@ -190,11 +167,11 @@ proptest! {
     }
 
     #[test]
-    fn warm_slot_chains_are_bit_identical_and_certified(
+    fn slot_chains_are_bit_identical_and_certified(
         chain in arb_slot_chain(),
         eps in 0.001f64..0.3,
     ) {
-        check_warm_chain(&chain, eps);
+        check_chain(&chain, eps);
     }
 
     /// `shards = auto` resolves identically for both layouts (the adaptive
@@ -247,10 +224,10 @@ proptest! {
     }
 
     #[test]
-    fn deep_heap_warm_chains_are_bit_identical_and_certified(
+    fn deep_heap_chains_are_bit_identical_and_certified(
         chain in prop::collection::vec(arb_deep_instance(), 1..3),
         eps in 0.001f64..0.3,
     ) {
-        check_warm_chain(&chain, eps);
+        check_chain(&chain, eps);
     }
 }

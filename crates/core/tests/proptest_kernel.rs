@@ -149,25 +149,4 @@ proptest! {
         let scalar = run_scalar(1, 0.0, &inst);
         assert_identical("all-ties ε=0", &lanes, &scalar);
     }
-
-    /// Warm starts through the kernel: carried (possibly perturbed) prices
-    /// keep the flat engine bit-identical to `SyncAuction::run_warm`
-    /// through the clamp + CS 1 repair loop.
-    #[test]
-    fn warm_started_kernel_matches_scalar(
-        edges in prop::collection::vec((0.8f64..8.0, 0.0f64..10.0), MAX_ROW),
-        n in 0usize..=MAX_ROW,
-        bump in 0.0f64..2.0,
-        eps_idx in 0usize..2,
-    ) {
-        let eps = [0.0f64, 0.05][eps_idx];
-        let inst = row_instance(&edges, n, &[1, 2]);
-        let csr = CsrInstance::compile(&inst);
-        let cold = run(1, eps, &csr);
-        let warm: Vec<f64> = cold.duals.lambda.iter().map(|l| l + bump).collect();
-        let cfg = AuctionConfig::with_epsilon(eps);
-        let lanes = FlatAuction::new(cfg, ShardCount::Fixed(1)).run_warm(&csr, &warm).unwrap();
-        let scalar = SyncAuction::new(cfg).run_warm(&inst, &warm).unwrap();
-        assert_identical(&format!("warm n={n}"), &lanes, &scalar);
-    }
 }

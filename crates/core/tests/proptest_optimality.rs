@@ -118,23 +118,6 @@ proptest! {
         prop_assert!(a.welfare(&inst).get() >= exact - bound);
     }
 
-    /// ε-scaling is always feasible and respects its provable (coarse)
-    /// bound `n · initial`; the tight `n · final_epsilon` bound holds only
-    /// on tie-free warm starts (see `run_scaled`'s docs) and is asserted by
-    /// unit tests on generic instances.
-    #[test]
-    fn scaled_auction_respects_coarse_bound(inst in arb_instance()) {
-        let scaling = p2p_core::EpsilonScaling { initial: 2.0, decay: 4.0, final_epsilon: 0.001 };
-        let out = SyncAuction::new(AuctionConfig::paper())
-            .run_scaled(&inst, scaling)
-            .unwrap();
-        let exact = inst.optimal_welfare().get();
-        let bound = inst.request_count() as f64 * scaling.initial + 1e-9;
-        prop_assert!(out.assignment.welfare(&inst).get() >= exact - bound,
-            "scaled {} vs exact {exact}", out.assignment.welfare(&inst).get());
-        prop_assert!(out.assignment.validate(&inst).is_ok());
-    }
-
     /// Final prices are non-negative and every unprofitable request stays
     /// unserved (the auction never forces negative-utility downloads).
     #[test]

@@ -1,8 +1,7 @@
 //! Property-based verification of the sharded parallel engine: on arbitrary
 //! instances and shard counts its welfare matches the synchronous engine
-//! within the Bertsekas `n·ε` bound, the Theorem 1 certificate holds, warm
-//! starts compose, and `shards = 1` is bit-identical to the sequential
-//! sweep.
+//! within the Bertsekas `n·ε` bound, the Theorem 1 certificate holds, and
+//! `shards = 1` is bit-identical to the sequential sweep.
 
 use p2p_core::{
     verify_optimality, AuctionConfig, ShardCount, ShardedAuction, SyncAuction, WelfareInstance,
@@ -110,30 +109,6 @@ proptest! {
         prop_assert!((out.assignment.welfare(&inst).get() - exact).abs() < 1e-6);
         let report = verify_optimality(&inst, &out.assignment, &out.duals, 1e-7);
         prop_assert!(report.is_optimal(), "{:?}", report.violations);
-    }
-
-    /// Warm starts compose with sharding: re-running from carried prices
-    /// keeps the certificate (the `run_warm` clamp + CS 1 repair loop), for
-    /// any shard count and any carried-price perturbation.
-    #[test]
-    fn warm_started_sharded_runs_stay_certified(
-        inst in arb_instance(),
-        eps in 0.001f64..0.3,
-        scale in 0.0f64..3.0,
-        shards in 1usize..9,
-    ) {
-        let engine =
-            ShardedAuction::new(AuctionConfig::with_epsilon(eps), ShardCount::Fixed(shards));
-        let cold = engine.run(&inst).unwrap();
-        // Perturbed carried prices model a changed next slot: scaled copies
-        // of the converged vector (0 = cold restart, > 1 = overpriced).
-        let carried: Vec<f64> = cold.duals.lambda.iter().map(|l| l * scale).collect();
-        let warm = engine.run_warm(&inst, &carried).unwrap();
-        prop_assert!(warm.converged);
-        prop_assert!(warm.assignment.validate(&inst).is_ok());
-        let tol = eps * (inst.request_count() as f64 + 1.0);
-        let report = verify_optimality(&inst, &warm.assignment, &warm.duals, tol);
-        prop_assert!(report.is_optimal(), "shards={shards}: {:?}", report.violations);
     }
 
     /// The engine is a pure function of (instance, config, shard count):

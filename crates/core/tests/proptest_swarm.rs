@@ -100,26 +100,6 @@ proptest! {
         prop_assert_eq!(swarm.bids_submitted, sync.bids_submitted);
     }
 
-    /// Warm restarts agree too: priming both engines with the same prior
-    /// prices yields the same repaired outcome.
-    #[test]
-    fn ideal_warm_swarm_matches_sync_warm(
-        inst in arb_instance(),
-        seed in 0u64..1000,
-        eps in arb_epsilon(),
-    ) {
-        let engine = SyncAuction::new(AuctionConfig::with_epsilon(eps));
-        let cold = engine.run(&inst).unwrap();
-        let warm_sync = engine.run_warm(&inst, &cold.duals.lambda).unwrap();
-        let warm_swarm = SwarmAuction::new(SwarmConfig::with_epsilon(eps), NetworkModel::ideal())
-            .run_warm(&inst, &cold.duals.lambda, seed)
-            .unwrap();
-        prop_assert_eq!(&warm_swarm.assignment, &warm_sync.assignment);
-        prop_assert_eq!(&warm_swarm.duals, &warm_sync.duals);
-        prop_assert_eq!(warm_swarm.rounds, warm_sync.rounds);
-        prop_assert_eq!(warm_swarm.bids_submitted, warm_sync.bids_submitted);
-    }
-
     /// Under an arbitrary fault schedule (drops retried to eventual
     /// delivery, duplicates discarded by sequencing, reorders resequenced)
     /// the swarm still converges to a feasible assignment that passes the

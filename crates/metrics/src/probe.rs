@@ -71,7 +71,7 @@ impl AuctionProbe for NoProbe {}
 /// (counter adds + histogram merges, all associative).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EngineReport {
-    /// Engine passes completed (warm runs may take several).
+    /// Auction runs completed.
     pub runs: u64,
     /// Rounds executed.
     pub rounds: u64,
@@ -83,9 +83,9 @@ pub struct EngineReport {
     pub retries: u64,
     /// Requests permanently retired as priced out.
     pub retired: u64,
-    /// Requests assigned at convergence (last pass).
+    /// Requests assigned at convergence (last run).
     pub assigned: u64,
-    /// Summed ε-certificate slack (dual − primal) across passes.
+    /// Summed ε-certificate slack (dual − primal) across runs.
     pub slack: f64,
     /// Distribution of bids per round.
     pub bids_per_round: Histogram,

@@ -45,7 +45,7 @@
 //! b.add_edge(r, u, Valuation::new(4.0), Cost::new(1.0)).unwrap();
 //! let instance = b.build().unwrap();
 //!
-//! let outcome = run_slot_local(&instance, 2, &NetConfig::default(), None, &mut NoProbe).unwrap();
+//! let outcome = run_slot_local(&instance, 2, &NetConfig::default(), &mut NoProbe).unwrap();
 //! assert_eq!(outcome.assignment.assigned_count(), 1);
 //! ```
 
@@ -76,10 +76,9 @@ pub fn run_slot_local<P: AuctionProbe>(
     instance: &WelfareInstance,
     peer_count: usize,
     config: &NetConfig,
-    warm_prices: Option<&[f64]>,
     probe: &mut P,
 ) -> Result<AuctionOutcome> {
-    run_slot_local_stats(instance, peer_count, config, warm_prices, probe).map(|(o, _)| o)
+    run_slot_local_stats(instance, peer_count, config, probe).map(|(o, _)| o)
 }
 
 /// [`run_slot_local`] plus the tracker's wire-frame counters for the slot,
@@ -89,7 +88,6 @@ pub fn run_slot_local_stats<P: AuctionProbe>(
     instance: &WelfareInstance,
     peer_count: usize,
     config: &NetConfig,
-    warm_prices: Option<&[f64]>,
     probe: &mut P,
 ) -> Result<(AuctionOutcome, NetRunStats)> {
     let mut tracker = Tracker::bind("127.0.0.1:0", peer_count, config.clone())?;
@@ -102,10 +100,7 @@ pub fn run_slot_local_stats<P: AuctionProbe>(
             std::thread::spawn(move || Peer::connect(&addr, i as u64, cfg)?.run())
         })
         .collect();
-    let result = match warm_prices {
-        Some(prices) => tracker.run_warm(instance, prices, probe),
-        None => tracker.run(instance, probe),
-    };
+    let result = tracker.run(instance, probe);
     let stats = tracker.frame_stats();
     tracker.shutdown();
     let mut peers_ok: Result<()> = Ok(());

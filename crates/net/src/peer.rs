@@ -121,8 +121,8 @@ impl Peer {
                             ),
                         });
                     }
-                    // A fresh pass (cold start or a warm-repair rerun):
-                    // previous bidders are discarded wholesale.
+                    // A fresh slot: previous bidders are discarded
+                    // wholesale.
                     bidders = wire
                         .into_iter()
                         .map(|b| {

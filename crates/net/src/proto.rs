@@ -54,8 +54,8 @@ pub enum NetMsg {
         /// Total number of peers in the swarm.
         peer_count: u64,
     },
-    /// Tracker → peer: (re)build these bidders for the coming pass.
-    /// Warm-start repair reruns send a fresh `Init` per pass.
+    /// Tracker → peer: (re)build these bidders for the coming slot. Every
+    /// slot sends a fresh `Init`.
     Init {
         /// The bid increment ε every bidder uses.
         epsilon: f64,

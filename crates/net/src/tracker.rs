@@ -50,7 +50,7 @@
 use crate::frame::FrameConn;
 use crate::proto::{decode_net, encode_net, NetMsg, WireBidder};
 use p2p_core::bidder::{decide_row_bid, AbstainReason};
-use p2p_core::engine::{final_prices_from, initial_price, report_complete, run_warm_with};
+use p2p_core::engine::{final_prices_from, report_complete};
 use p2p_core::messages::AuctionMsg;
 use p2p_core::protocol::AuctioneerNode;
 use p2p_core::{
@@ -109,7 +109,7 @@ impl Default for NetConfig {
 }
 
 /// Wire-frame counters for one tracker slot (heartbeats and the
-/// handshake excluded), accumulated across every warm-repair pass.
+/// handshake excluded).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetRunStats {
     /// Frames the tracker sent: `Init`s, polls (batched or not), notices.
@@ -194,8 +194,7 @@ impl Tracker {
         })
     }
 
-    /// Wire-frame counters for the most recent [`run`](Tracker::run) /
-    /// [`run_warm`](Tracker::run_warm) slot.
+    /// Wire-frame counters for the most recent [`run`](Tracker::run) slot.
     pub fn frame_stats(&self) -> NetRunStats {
         NetRunStats { frames_sent: self.frames_sent, frames_recv: self.frames_recv }
     }
@@ -259,7 +258,7 @@ impl Tracker {
         Ok(())
     }
 
-    /// Runs one cold auction slot across the swarm.
+    /// Runs one auction slot across the swarm, from λ = 0.
     pub fn run<P: AuctionProbe>(
         &mut self,
         instance: &WelfareInstance,
@@ -268,25 +267,7 @@ impl Tracker {
         self.accept_peers()?;
         self.frames_sent = 0;
         self.frames_recv = 0;
-        self.run_pass(instance, None, probe)
-    }
-
-    /// Runs one warm-started slot, repairing carried prices with the same
-    /// CS 1 loop as the in-process engines (each repair pass re-`Init`s the
-    /// swarm's bidders with the repaired prices).
-    pub fn run_warm<P: AuctionProbe>(
-        &mut self,
-        instance: &WelfareInstance,
-        prior_prices: &[f64],
-        probe: &mut P,
-    ) -> Result<AuctionOutcome> {
-        self.accept_peers()?;
-        self.frames_sent = 0;
-        self.frames_recv = 0;
-        let epsilon = self.config.epsilon;
-        run_warm_with(instance, prior_prices, epsilon, |prices| {
-            self.run_pass(instance, prices, probe)
-        })
+        self.run_pass(instance, probe)
     }
 
     /// Sends `Shutdown` to every peer and stops the heartbeat thread.
@@ -307,32 +288,23 @@ impl Tracker {
     }
 
     /// One full sweep to quiescence — the networked image of
-    /// `SyncAuction::run_from`, counter for counter.
+    /// `SyncAuction::run_probed`, counter for counter.
     fn run_pass<P: AuctionProbe>(
         &mut self,
         instance: &WelfareInstance,
-        initial_prices: Option<&[f64]>,
         probe: &mut P,
     ) -> Result<AuctionOutcome> {
         let mut auctioneers: Vec<AuctioneerNode> = instance
             .providers()
             .enumerate()
-            .map(|(u, p)| {
-                if p.capacity.is_zero() {
-                    AuctioneerNode::new(u, 0)
-                } else {
-                    let warm = initial_price(initial_prices, u);
-                    AuctioneerNode::with_price(u, p.capacity.chunks_per_slot(), warm)
-                }
-            })
+            .map(|(u, p)| AuctioneerNode::new(u, p.capacity.chunks_per_slot()))
             .collect();
         let mut eff_price: Vec<f64> = instance
             .providers()
-            .enumerate()
-            .map(|(u, p)| if p.capacity.is_zero() { f64::INFINITY } else { auctioneers[u].price() })
+            .map(|p| if p.capacity.is_zero() { f64::INFINITY } else { 0.0 })
             .collect();
 
-        // Hand out this pass's bidders: request r lives on peer r mod N.
+        // Hand out the slot's bidders: request r lives on peer r mod N.
         let n = instance.request_count();
         for (idx, link) in self.links.iter().enumerate() {
             let bidders: Vec<WireBidder> = (idx..n)

@@ -69,8 +69,7 @@ fn networked_slot_is_bit_identical_to_the_sync_engine() {
         let instance = random_instance(seed, 5, 24);
         let sync = SyncAuction::new(AuctionConfig::paper()).run(&instance).unwrap();
         for peers in [1, 3, 5] {
-            let net =
-                run_slot_local(&instance, peers, &quick_config(), None, &mut NoProbe).unwrap();
+            let net = run_slot_local(&instance, peers, &quick_config(), &mut NoProbe).unwrap();
             assert_eq!(net.assignment, sync.assignment, "seed {seed}, {peers} peers");
             assert_eq!(net.duals, sync.duals, "seed {seed}, {peers} peers");
             assert_eq!(net.rounds, sync.rounds, "seed {seed}, {peers} peers");
@@ -84,7 +83,7 @@ fn networked_slot_is_bit_identical_to_the_flat_engine() {
     let instance = random_instance(42, 6, 32);
     let csr = CsrInstance::compile(&instance);
     let flat = FlatAuction::new(AuctionConfig::paper(), ShardCount::Fixed(1)).run(&csr).unwrap();
-    let net = run_slot_local(&instance, 3, &quick_config(), None, &mut NoProbe).unwrap();
+    let net = run_slot_local(&instance, 3, &quick_config(), &mut NoProbe).unwrap();
     assert_eq!(net.assignment.choices(), flat.assignment.choices());
     assert_eq!(net.duals.lambda, flat.duals.lambda);
     assert_eq!(net.rounds, flat.rounds);
@@ -102,9 +101,9 @@ fn batched_polls_match_the_per_request_protocol_and_the_flat_engine() {
             let batched_cfg = NetConfig { batch_polls: true, ..quick_config() };
             let unbatched_cfg = NetConfig { batch_polls: false, ..quick_config() };
             let (batched, bstats) =
-                run_slot_local_stats(&instance, peers, &batched_cfg, None, &mut NoProbe).unwrap();
+                run_slot_local_stats(&instance, peers, &batched_cfg, &mut NoProbe).unwrap();
             let (unbatched, ustats) =
-                run_slot_local_stats(&instance, peers, &unbatched_cfg, None, &mut NoProbe).unwrap();
+                run_slot_local_stats(&instance, peers, &unbatched_cfg, &mut NoProbe).unwrap();
             for (label, got) in [("batched", &batched), ("unbatched", &unbatched)] {
                 assert_eq!(
                     got.assignment.choices(),
@@ -128,31 +127,11 @@ fn batched_polls_match_the_per_request_protocol_and_the_flat_engine() {
 #[test]
 fn networked_outcome_carries_the_optimality_certificate() {
     let instance = random_instance(7, 4, 20);
-    let outcome = run_slot_local(&instance, 3, &quick_config(), None, &mut NoProbe).unwrap();
+    let outcome = run_slot_local(&instance, 3, &quick_config(), &mut NoProbe).unwrap();
     let n = instance.request_count() as f64;
     let report =
         verify_optimality(&instance, &outcome.assignment, &outcome.duals, 1e-9 * (n + 1.0));
     assert!(report.is_optimal(), "{report:?}");
-}
-
-#[test]
-fn warm_start_repair_matches_the_sync_engine() {
-    let epsilon = 0.01;
-    let instance = random_instance(11, 4, 18);
-    let shrunk = random_instance(12, 4, 10);
-    let sync = SyncAuction::new(AuctionConfig::with_epsilon(epsilon));
-    let first = sync.run(&instance).unwrap();
-    let expect = sync.run_warm(&shrunk, &first.duals.lambda).unwrap();
-
-    let config = NetConfig { epsilon, ..quick_config() };
-    let net_first = run_slot_local(&instance, 3, &config, None, &mut NoProbe).unwrap();
-    assert_eq!(net_first.duals, first.duals);
-    let net_warm =
-        run_slot_local(&shrunk, 3, &config, Some(&net_first.duals.lambda), &mut NoProbe).unwrap();
-    assert_eq!(net_warm.assignment, expect.assignment);
-    assert_eq!(net_warm.duals, expect.duals);
-    assert_eq!(net_warm.rounds, expect.rounds);
-    assert_eq!(net_warm.bids_submitted, expect.bids_submitted);
 }
 
 /// The tracker, `SyncAuction` and the one-shard flat sweep count the same
@@ -172,7 +151,7 @@ fn probe_counters_match_the_sync_engine() {
         )
         .unwrap();
     let mut net_probe = CountingProbe::new();
-    run_slot_local(&instance, 2, &quick_config(), None, &mut net_probe).unwrap();
+    run_slot_local(&instance, 2, &quick_config(), &mut net_probe).unwrap();
     let sync_report = sync_probe.take_report();
     assert!(sync_report.retired > 0, "the instance prices no request out");
     for (label, report) in [("net", net_probe.take_report()), ("flat", flat_probe.take_report())] {
@@ -430,7 +409,7 @@ fn batched_polls_cut_frames_fivefold_on_a_thousand_request_slot() {
         for (total, batch_polls) in frames.iter_mut().zip([true, false]) {
             let config = NetConfig { epsilon, batch_polls, ..quick_config() };
             let (out, stats) =
-                run_slot_local_stats(&instance, peers, &config, None, &mut NoProbe).unwrap();
+                run_slot_local_stats(&instance, peers, &config, &mut NoProbe).unwrap();
             let label = format!("batch_polls {batch_polls}, {peers} peers");
             assert_eq!(out.assignment.choices(), flat.assignment.choices(), "{label}");
             assert_eq!(out.duals.lambda, flat.duals.lambda, "{label}");
@@ -458,7 +437,7 @@ fn zero_capacity_providers_survive_the_wire() {
     b.add_edge(r, live, Valuation::new(5.0), Cost::new(1.0)).unwrap();
     let instance = b.build().unwrap();
     let sync = SyncAuction::new(AuctionConfig::paper()).run(&instance).unwrap();
-    let net = run_slot_local(&instance, 2, &quick_config(), None, &mut NoProbe).unwrap();
+    let net = run_slot_local(&instance, 2, &quick_config(), &mut NoProbe).unwrap();
     assert_eq!(net.assignment, sync.assignment);
     assert_eq!(net.duals, sync.duals);
     assert_eq!(net.assignment.provider_of(&instance, r), Some(live));

@@ -11,17 +11,12 @@ use p2p_streaming::{ClockMode, ShardCount, System, WorkloadTrace};
 use p2p_types::{P2pError, Result};
 
 /// Scheduler names accepted by [`scheduler_by_name`].
-pub const SCHEDULER_NAMES: [&str; 14] = [
+pub const SCHEDULER_NAMES: [&str; 9] = [
     "auction",
-    "auction_warm",
     "auction_sharded",
-    "auction_sharded_warm",
     "auction_flat",
-    "auction_flat_warm",
     "auction_sim",
-    "auction_sim_warm",
     "auction_net",
-    "auction_net_warm",
     "locality",
     "random",
     "greedy",
@@ -101,31 +96,19 @@ fn build(
     // `default` is a stable alias: callers that don't care which execution
     // of the auction they get follow the registry's promotion decisions.
     let name = if name == "default" { DEFAULT_SCHEDULER } else { name };
-    let sim = |warm: bool| {
-        let mut s = if net.is_ideal() {
-            SimAuctionScheduler::paper(net.clone())
-        } else {
-            SimAuctionScheduler::with_epsilon(SIM_FAULTY_EPSILON, net.clone())
-        }
-        .with_seed(seed);
-        if warm {
-            s = s.warm_start();
-        }
-        s
-    };
     match name {
         "auction" => Ok(Box::new(AuctionScheduler::paper())),
-        "auction_warm" => Ok(Box::new(AuctionScheduler::paper().warm_start())),
         "auction_sharded" => Ok(Box::new(ShardedAuctionScheduler::paper(shards))),
-        "auction_sharded_warm" => Ok(Box::new(ShardedAuctionScheduler::paper(shards).warm_start())),
         "auction_flat" => Ok(Box::new(FlatAuctionScheduler::paper(shards))),
-        "auction_flat_warm" => Ok(Box::new(FlatAuctionScheduler::paper(shards).warm_start())),
-        "auction_sim" => Ok(Box::new(sim(false))),
-        "auction_sim_warm" => Ok(Box::new(sim(true))),
+        "auction_sim" => Ok(Box::new(
+            if net.is_ideal() {
+                SimAuctionScheduler::paper(net)
+            } else {
+                SimAuctionScheduler::with_epsilon(SIM_FAULTY_EPSILON, net)
+            }
+            .with_seed(seed),
+        )),
         "auction_net" => Ok(Box::new(NetAuctionScheduler::paper(NET_DEFAULT_PEERS))),
-        "auction_net_warm" => {
-            Ok(Box::new(NetAuctionScheduler::paper(NET_DEFAULT_PEERS).warm_start()))
-        }
         "locality" | "simple_locality" => Ok(Box::new(SimpleLocalityScheduler::new())),
         "random" => Ok(Box::new(RandomScheduler::new(seed ^ 0x5EED))),
         "greedy" => Ok(Box::new(GreedyScheduler::new())),
@@ -427,11 +410,23 @@ mod tests {
 
     #[test]
     fn scheduler_registry_resolves_all_names() {
+        assert_eq!(SCHEDULER_NAMES.len(), 9);
         for name in SCHEDULER_NAMES {
             let s = scheduler_by_name(name, 1).unwrap();
             assert!(!s.name().is_empty());
         }
-        assert!(scheduler_by_name("warp", 1).is_err());
+        // Unknown names fail naming themselves, `_warm` names included.
+        for name in [
+            "warp",
+            "auction_warm",
+            "auction_sharded_warm",
+            "auction_flat_warm",
+            "auction_sim_warm",
+            "auction_net_warm",
+        ] {
+            let err = scheduler_by_name(name, 1).err().expect("unknown name must be rejected");
+            assert!(err.to_string().contains(&format!("`{name}`")), "{name}: {err}");
+        }
     }
 
     #[test]
@@ -447,8 +442,6 @@ mod tests {
         let scenario = Scenario::new("x", "d").with_shards(p2p_streaming::ShardCount::Fixed(2));
         let s = scheduler_for(&scenario, "auction_sharded").unwrap();
         assert_eq!(s.name(), "auction_sharded");
-        let s = scheduler_for(&scenario, "auction_sharded_warm").unwrap();
-        assert_eq!(s.name(), "auction_sharded_warm");
         // The sequential schedulers accept (and ignore) the knob.
         assert_eq!(scheduler_for(&scenario, "auction").unwrap().name(), "auction");
         let zero = scenario.with_shards(p2p_streaming::ShardCount::Fixed(0));
@@ -479,14 +472,12 @@ mod tests {
     /// The flat CSR scheduler is the same auction over a different memory
     /// layout: full scenario sweeps are bit-identical to the nested
     /// schedulers at the same shard count (1 ≙ `auction`, ≥ 2 ≙
-    /// `auction_sharded`), warm variants included.
+    /// `auction_sharded`).
     #[test]
     fn flat_scheduler_sweeps_are_bit_identical_to_nested() {
         for (flat, nested, shards) in [
             ("auction_flat", "auction", ShardCount::Fixed(1)),
             ("auction_flat", "auction_sharded", ShardCount::Fixed(4)),
-            ("auction_flat_warm", "auction_warm", ShardCount::Fixed(1)),
-            ("auction_flat_warm", "auction_sharded_warm", ShardCount::Fixed(4)),
         ] {
             let scenario = builtin("flash_crowd").unwrap().with_shards(shards).quick(6);
             let report = run_scenario(
@@ -508,55 +499,36 @@ mod tests {
     /// The engine-equivalence harness: under a zero-fault network the
     /// virtual-time swarm is the *same auction* as the in-process flat
     /// engine — full scenario sweeps (assignments, welfare, transfers,
-    /// misses, per-slot metrics) must be bit-identical at one shard, warm
-    /// variants included.
+    /// misses, per-slot metrics) must be bit-identical at one shard.
     #[test]
     fn sim_scheduler_sweeps_are_bit_identical_to_flat_at_one_shard() {
-        for (sim, flat) in
-            [("auction_sim", "auction_flat"), ("auction_sim_warm", "auction_flat_warm")]
-        {
-            let scenario =
-                builtin("flash_crowd").unwrap().with_shards(ShardCount::Fixed(1)).quick(6);
-            let report = run_scenario(
-                &scenario,
-                vec![
-                    scheduler_for(&scenario, flat).unwrap(),
-                    scheduler_for(&scenario, sim).unwrap(),
-                ],
-            )
-            .unwrap();
-            assert_eq!(
-                report.runs[0].recorder.slots(),
-                report.runs[1].recorder.slots(),
-                "{sim} vs {flat}"
-            );
-        }
+        let scenario = builtin("flash_crowd").unwrap().with_shards(ShardCount::Fixed(1)).quick(6);
+        let report = run_scenario(
+            &scenario,
+            vec![
+                scheduler_for(&scenario, "auction_flat").unwrap(),
+                scheduler_for(&scenario, "auction_sim").unwrap(),
+            ],
+        )
+        .unwrap();
+        assert_eq!(report.runs[0].recorder.slots(), report.runs[1].recorder.slots());
     }
 
     /// The networked runtime is the *same auction* over TCP: full scenario
     /// sweeps are bit-identical to the in-process flat engine at one
-    /// shard, warm variants included.
+    /// shard.
     #[test]
     fn net_scheduler_sweeps_are_bit_identical_to_flat_at_one_shard() {
-        for (net, flat) in
-            [("auction_net", "auction_flat"), ("auction_net_warm", "auction_flat_warm")]
-        {
-            let scenario =
-                builtin("flash_crowd").unwrap().with_shards(ShardCount::Fixed(1)).quick(4);
-            let report = run_scenario(
-                &scenario,
-                vec![
-                    scheduler_for(&scenario, flat).unwrap(),
-                    scheduler_for(&scenario, net).unwrap(),
-                ],
-            )
-            .unwrap();
-            assert_eq!(
-                report.runs[0].recorder.slots(),
-                report.runs[1].recorder.slots(),
-                "{net} vs {flat}"
-            );
-        }
+        let scenario = builtin("flash_crowd").unwrap().with_shards(ShardCount::Fixed(1)).quick(4);
+        let report = run_scenario(
+            &scenario,
+            vec![
+                scheduler_for(&scenario, "auction_flat").unwrap(),
+                scheduler_for(&scenario, "auction_net").unwrap(),
+            ],
+        )
+        .unwrap();
+        assert_eq!(report.runs[0].recorder.slots(), report.runs[1].recorder.slots());
     }
 
     /// Faulty presets run the same scenario to completion and still fill

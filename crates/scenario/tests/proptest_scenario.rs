@@ -149,57 +149,4 @@ proptest! {
         };
         prop_assert_eq!(pop("auction"), pop("locality"));
     }
-
-    /// Warm-started auctions still satisfy the Theorem 1 certificate
-    /// within the ε-auction's `n·ε` tolerance, after ANY event sequence —
-    /// carried prices are clamped/repaired, never trusted.
-    #[test]
-    fn warm_started_slots_stay_certified(scenario in arb_scenario()) {
-        let mut events: Vec<&TimedEvent> = scenario.events.iter().collect();
-        events.sort_by_key(|e| e.at_slot);
-        let mut sys = System::new(
-            scenario.base_config(),
-            Box::new(p2p_sched::AuctionScheduler::paper()),
-        ).unwrap();
-        if scenario.initial_peers > 0 {
-            sys.add_static_peers(scenario.initial_peers).unwrap();
-        }
-        if scenario.churn {
-            sys.enable_poisson_churn().unwrap();
-        }
-        const EPS: f64 = 1e-2;
-        let engine = SyncAuction::new(AuctionConfig::with_epsilon(EPS));
-        let mut prior: std::collections::HashMap<p2p_types::PeerId, f64> =
-            std::collections::HashMap::new();
-        for slot in 0..scenario.slots {
-            for e in events.iter().filter(|e| e.at_slot == slot) {
-                e.event.apply(&mut sys).unwrap();
-            }
-            let problem = sys.prepare_slot().unwrap();
-            let prices: Vec<f64> = problem
-                .instance
-                .providers()
-                .map(|p| prior.get(&p.peer).copied().unwrap_or(0.0))
-                .collect();
-            let outcome = engine.run_warm(&problem.instance, &prices).unwrap();
-            let tol = EPS * (problem.instance.request_count() as f64 + 1.0);
-            let report = verify_optimality(
-                &problem.instance,
-                &outcome.assignment,
-                &outcome.duals,
-                tol,
-            );
-            prop_assert!(report.is_optimal(), "slot {}: {:?}", slot, report.violations);
-            prior = problem
-                .instance
-                .providers()
-                .zip(&outcome.duals.lambda)
-                .map(|(p, &l)| (p.peer, l))
-                .collect();
-            sys.complete_slot(
-                &problem,
-                &Schedule { assignment: outcome.assignment, stats: ScheduleStats::default() },
-            ).unwrap();
-        }
-    }
 }

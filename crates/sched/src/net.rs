@@ -15,7 +15,7 @@
 //! scenario runs: any drift between the wire protocol and the reference
 //! engines shows up as a diverging figure, not a silent regression.
 
-use crate::auction::{schedule_with_carry, PriceCarry};
+use crate::auction::schedule_of;
 use crate::problem::{Schedule, SlotProblem};
 use crate::ChunkScheduler;
 use p2p_core::NoProbe;
@@ -24,11 +24,6 @@ use p2p_net::{run_slot_local, NetConfig};
 use p2p_types::Result;
 
 /// Schedules each slot by running the auction over loopback TCP.
-///
-/// With [`warm_start`](NetAuctionScheduler::warm_start) enabled, carries
-/// the previous slot's final prices across slots exactly like the other
-/// auction schedulers (shared `PriceCarry` protocol, including the CS 1
-/// repair loop), so warm-start semantics cannot drift between transports.
 ///
 /// # Examples
 ///
@@ -51,8 +46,6 @@ use p2p_types::Result;
 pub struct NetAuctionScheduler {
     config: NetConfig,
     peers: usize,
-    warm_start: bool,
-    prior: PriceCarry,
     probe: Option<CountingProbe>,
 }
 
@@ -60,13 +53,7 @@ impl NetAuctionScheduler {
     /// Networked auction with the paper's ε = 0 rule and `peers` peer
     /// actors (clamped to at least one).
     pub fn paper(peers: usize) -> Self {
-        NetAuctionScheduler {
-            config: NetConfig::default(),
-            peers: peers.max(1),
-            warm_start: false,
-            prior: PriceCarry::default(),
-            probe: None,
-        }
+        NetAuctionScheduler { config: NetConfig::default(), peers: peers.max(1), probe: None }
     }
 
     /// Networked auction with a minimum bid increment ε > 0.
@@ -84,18 +71,6 @@ impl NetAuctionScheduler {
         self
     }
 
-    /// Enables cross-slot price carrying (see the type-level docs).
-    #[must_use]
-    pub fn warm_start(mut self) -> Self {
-        self.warm_start = true;
-        self
-    }
-
-    /// Whether warm-starting is enabled.
-    pub fn is_warm_start(&self) -> bool {
-        self.warm_start
-    }
-
     /// The number of peer actors each slot's swarm is partitioned over.
     pub fn peers(&self) -> usize {
         self.peers
@@ -104,29 +79,16 @@ impl NetAuctionScheduler {
 
 impl ChunkScheduler for NetAuctionScheduler {
     fn name(&self) -> &str {
-        if self.warm_start {
-            "auction_net_warm"
-        } else {
-            "auction_net"
-        }
+        "auction_net"
     }
 
     fn schedule(&mut self, problem: &SlotProblem) -> Result<Schedule> {
-        let (config, peers) = (&self.config, self.peers);
-        schedule_with_carry(
-            problem,
-            self.warm_start,
-            &mut self.prior,
-            &mut self.probe,
-            |instance, probe| match probe {
-                Some(p) => run_slot_local(instance, peers, config, None, p),
-                None => run_slot_local(instance, peers, config, None, &mut NoProbe),
-            },
-            |instance, prices, probe| match probe {
-                Some(p) => run_slot_local(instance, peers, config, Some(prices), p),
-                None => run_slot_local(instance, peers, config, Some(prices), &mut NoProbe),
-            },
-        )
+        let instance = &problem.instance;
+        let outcome = match &mut self.probe {
+            Some(p) => run_slot_local(instance, self.peers, &self.config, p),
+            None => run_slot_local(instance, self.peers, &self.config, &mut NoProbe),
+        }?;
+        Ok(schedule_of(outcome))
     }
 
     fn set_probes(&mut self, enabled: bool) {
@@ -141,14 +103,8 @@ impl ChunkScheduler for NetAuctionScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::auction::tests::{problem, single_provider_problem};
+    use crate::auction::tests::problem;
     use crate::AuctionScheduler;
-
-    #[test]
-    fn names_distinguish_warm_start() {
-        assert_eq!(NetAuctionScheduler::paper(3).name(), "auction_net");
-        assert_eq!(NetAuctionScheduler::paper(3).warm_start().name(), "auction_net_warm");
-    }
 
     #[test]
     fn zero_peers_clamps_to_one() {
@@ -166,20 +122,6 @@ mod tests {
             assert_eq!(a.assignment, b.assignment, "slot {slot}");
             assert_eq!(a.stats, b.stats, "slot {slot}");
         }
-    }
-
-    #[test]
-    fn warm_start_carries_prices_like_the_sync_scheduler() {
-        let mut net = NetAuctionScheduler::with_epsilon(0.01, 2).warm_start();
-        let mut sync = AuctionScheduler::with_epsilon(0.01).warm_start();
-        let p = single_provider_problem(1, 2, 5.0);
-        for slot in 0..3 {
-            let a = net.schedule(&p).unwrap();
-            let b = sync.schedule(&p).unwrap();
-            assert_eq!(a.assignment, b.assignment, "slot {slot}");
-            assert_eq!(a.stats, b.stats, "slot {slot}");
-        }
-        assert!(net.is_warm_start());
     }
 
     #[test]

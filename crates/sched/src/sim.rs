@@ -19,7 +19,7 @@
 //! which the streaming system uses to report virtual (not wall-clock)
 //! schedule-phase durations.
 
-use crate::auction::{schedule_with_carry, PriceCarry};
+use crate::auction::schedule_of;
 use crate::problem::{Schedule, SlotProblem};
 use crate::ChunkScheduler;
 use p2p_core::{derive_seed, NetworkModel, SwarmAuction, SwarmConfig};
@@ -27,11 +27,6 @@ use p2p_metrics::{CountingProbe, EngineReport};
 use p2p_types::Result;
 
 /// Schedules each slot by simulating the peer swarm in virtual time.
-///
-/// With [`warm_start`](SimAuctionScheduler::warm_start) enabled, carries
-/// the previous slot's final prices across slots exactly like the other
-/// auction schedulers (shared `PriceCarry` protocol, including the CS 1
-/// repair loop), so warm-start semantics cannot drift between transports.
 ///
 /// # Examples
 ///
@@ -54,8 +49,6 @@ use p2p_types::Result;
 #[derive(Debug, Clone)]
 pub struct SimAuctionScheduler {
     engine: SwarmAuction,
-    warm_start: bool,
-    prior: PriceCarry,
     probe: Option<CountingProbe>,
     seed: u64,
     slots: u64,
@@ -71,8 +64,6 @@ impl SimAuctionScheduler {
     pub fn paper(net: NetworkModel) -> Self {
         SimAuctionScheduler {
             engine: SwarmAuction::new(SwarmConfig::paper(), net),
-            warm_start: false,
-            prior: PriceCarry::default(),
             probe: None,
             seed: 0,
             slots: 0,
@@ -95,18 +86,6 @@ impl SimAuctionScheduler {
         self
     }
 
-    /// Enables cross-slot price carrying (see the type-level docs).
-    #[must_use]
-    pub fn warm_start(mut self) -> Self {
-        self.warm_start = true;
-        self
-    }
-
-    /// Whether warm-starting is enabled.
-    pub fn is_warm_start(&self) -> bool {
-        self.warm_start
-    }
-
     /// The network model the swarm runs on.
     pub fn net(&self) -> &NetworkModel {
         self.engine.net()
@@ -115,11 +94,7 @@ impl SimAuctionScheduler {
 
 impl ChunkScheduler for SimAuctionScheduler {
     fn name(&self) -> &str {
-        if self.warm_start {
-            "auction_sim_warm"
-        } else {
-            "auction_sim"
-        }
+        "auction_sim"
     }
 
     fn schedule(&mut self, problem: &SlotProblem) -> Result<Schedule> {
@@ -128,34 +103,12 @@ impl ChunkScheduler for SimAuctionScheduler {
         // how many events slot k-1 happened to process.
         let slot_seed = derive_seed(self.seed, self.slots);
         self.slots += 1;
-        let engine = &self.engine;
-        // Cell, not `let mut`: both the cold and warm closure need to write
-        // it, and only one of them ever runs.
-        let elapsed = std::cell::Cell::new(0.0_f64);
-        let schedule = schedule_with_carry(
-            problem,
-            self.warm_start,
-            &mut self.prior,
-            &mut self.probe,
-            |instance, probe| {
-                let out = match probe {
-                    Some(p) => engine.run_probed(instance, slot_seed, p)?,
-                    None => engine.run(instance, slot_seed)?,
-                };
-                elapsed.set(out.converged_at.as_secs_f64());
-                Ok(out.to_outcome())
-            },
-            |instance, prices, probe| {
-                let out = match probe {
-                    Some(p) => engine.run_warm_probed(instance, prices, slot_seed, p)?,
-                    None => engine.run_warm(instance, prices, slot_seed)?,
-                };
-                elapsed.set(out.converged_at.as_secs_f64());
-                Ok(out.to_outcome())
-            },
-        )?;
-        self.virtual_elapsed = Some(elapsed.get());
-        Ok(schedule)
+        let out = match &mut self.probe {
+            Some(p) => self.engine.run_probed(&problem.instance, slot_seed, p),
+            None => self.engine.run(&problem.instance, slot_seed),
+        }?;
+        self.virtual_elapsed = Some(out.converged_at.as_secs_f64());
+        Ok(schedule_of(out.to_outcome()))
     }
 
     fn set_probes(&mut self, enabled: bool) {
@@ -174,15 +127,8 @@ impl ChunkScheduler for SimAuctionScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::auction::tests::{problem, single_provider_problem};
+    use crate::auction::tests::problem;
     use crate::AuctionScheduler;
-
-    #[test]
-    fn names_distinguish_warm_start() {
-        let net = NetworkModel::ideal();
-        assert_eq!(SimAuctionScheduler::paper(net.clone()).name(), "auction_sim");
-        assert_eq!(SimAuctionScheduler::paper(net).warm_start().name(), "auction_sim_warm");
-    }
 
     #[test]
     fn ideal_sim_matches_the_sync_scheduler_slot_by_slot() {
@@ -195,23 +141,6 @@ mod tests {
             assert_eq!(a.assignment, b.assignment, "slot {slot}");
             assert_eq!(a.stats, b.stats, "slot {slot}");
         }
-    }
-
-    #[test]
-    fn warm_start_carries_prices_like_the_sync_scheduler() {
-        let mut sim = SimAuctionScheduler::with_epsilon(0.01, NetworkModel::ideal())
-            .warm_start()
-            .with_seed(3);
-        let mut sync = AuctionScheduler::with_epsilon(0.01).warm_start();
-        let p = single_provider_problem(1, 2, 5.0);
-        for slot in 0..3 {
-            let a = sim.schedule(&p).unwrap();
-            let b = sync.schedule(&p).unwrap();
-            assert_eq!(a.assignment, b.assignment, "slot {slot}");
-            assert_eq!(a.stats, b.stats, "slot {slot}");
-        }
-        // The carry kicks in after slot 0: later slots start at equilibrium.
-        assert!(sim.is_warm_start());
     }
 
     #[test]

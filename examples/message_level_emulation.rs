@@ -67,7 +67,7 @@ fn main() -> Result<()> {
 
     // 3. The real transport: a tracker and four peers exchanging wire
     //    frames over loopback TCP.
-    let wired = run_slot_local(&instance, 4, &NetConfig::default(), None, &mut NoProbe)?;
+    let wired = run_slot_local(&instance, 4, &NetConfig::default(), &mut NoProbe)?;
     println!(
         "loopback TCP:       welfare {} in {} rounds",
         wired.assignment.welfare(&instance),

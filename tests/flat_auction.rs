@@ -1,8 +1,7 @@
 //! Integration test: the flat CSR auction end to end through the facade —
 //! every built-in scenario scheduled by `auction_flat` produces slot
 //! metrics **bit-identical** to its nested-engine counterpart (`auction`
-//! at shards = 1, `auction_sharded` at shards ≥ 2; warm variants
-//! included).
+//! at shards = 1, `auction_sharded` at shards ≥ 2).
 
 use isp_p2p::prelude::*;
 use isp_p2p::scenario::BUILTIN_NAMES;
@@ -32,28 +31,6 @@ fn every_builtin_is_bit_identical_to_the_nested_scheduler() {
             );
             assert!(report.runs[1].summary.transfers > 0, "{name}: the swarm must download");
         }
-    }
-}
-
-/// Warm-started flat scheduling composes with the price carry identically
-/// to the nested warm schedulers, across scenario event sequences.
-#[test]
-fn warm_flat_sweeps_match_nested_warm_sweeps() {
-    for name in ["flash_crowd", "isp_outage"] {
-        let scenario = builtin(name).unwrap().with_shards(ShardCount::Fixed(4)).quick(6);
-        let report = run_scenario(
-            &scenario,
-            vec![
-                scheduler_for(&scenario, "auction_sharded_warm").unwrap(),
-                scheduler_for(&scenario, "auction_flat_warm").unwrap(),
-            ],
-        )
-        .unwrap();
-        assert_eq!(
-            report.runs[0].recorder.slots(),
-            report.runs[1].recorder.slots(),
-            "{name}: warm flat diverged from warm sharded"
-        );
     }
 }
 

@@ -58,9 +58,9 @@ fn sim_reports_replay_byte_identically() {
 /// the same scenario produce the same bytes.
 #[test]
 fn sim_reports_are_invariant_under_cores_pins() {
-    let baseline = with_pin(None, || probed_run("lossy", "auction_sim_warm"));
+    let baseline = with_pin(None, || probed_run("lossy", "auction_sim"));
     for pin in ["1", "16"] {
-        let pinned = with_pin(Some(pin), || probed_run("lossy", "auction_sim_warm"));
+        let pinned = with_pin(Some(pin), || probed_run("lossy", "auction_sim"));
         assert_eq!(pinned.0, baseline.0, "P2P_CORES={pin} changed the summary table");
         assert_eq!(pinned.1, baseline.1, "P2P_CORES={pin} changed the RunReport JSON");
     }
