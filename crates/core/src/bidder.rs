@@ -94,7 +94,7 @@ pub fn decide_bid(
     price_of: impl Fn(ProviderIdx) -> f64,
     epsilon: f64,
 ) -> BidDecision {
-    decide_bid_with_floor(edges, price_of, epsilon, MIN_INCREMENT)
+    decide_bid_over(edges.iter().map(|e| (e.provider, e.utility, price_of(e.provider))), epsilon)
 }
 
 /// [`decide_bid`] over one instance row: the scan every in-process engine
@@ -105,8 +105,8 @@ pub fn decide_row_bid(
     price_of: impl Fn(ProviderIdx) -> f64,
     epsilon: f64,
 ) -> BidDecision {
-    let edges = row.providers().iter().zip(row.utilities()).map(|(&u, &w)| (u as usize, w));
-    decide_bid_over(edges, price_of, epsilon, MIN_INCREMENT)
+    let edges = row.providers().iter().zip(row.utilities());
+    decide_bid_over(edges.map(|(&u, &w)| (u as usize, w, price_of(u as usize))), epsilon)
 }
 
 /// The default floor under which a bid increment counts as a tie.
@@ -124,17 +124,6 @@ pub fn decide_row_bid(
 /// slots at ε = 0 this strands whole requests, far above the floor (see
 /// the ε = 0 item in `ROADMAP.md`).
 pub const MIN_INCREMENT: f64 = 1e-9;
-
-/// [`decide_bid`] with an explicit tie floor: abstain unless the effective
-/// bid increment `margin + ε` reaches `min_increment`.
-pub fn decide_bid_with_floor(
-    edges: &[EdgeView],
-    price_of: impl Fn(ProviderIdx) -> f64,
-    epsilon: f64,
-    min_increment: f64,
-) -> BidDecision {
-    decide_bid_over(edges.iter().map(|e| (e.provider, e.utility)), price_of, epsilon, min_increment)
-}
 
 /// The top-2 reduction a bid decision is made from: the best candidate
 /// (largest `φ`, earliest edge on ties) and the second-largest `φ` counting
@@ -190,21 +179,18 @@ pub(crate) fn decision_from_top2(
 }
 
 /// The sequential edge-at-a-time decision core over a `(provider,
-/// utility)` iterator: the bid scan of the nested engines (over instance
-/// rows) and of the protocol bidders (over [`EdgeView`] slices), and the
-/// oracle the flat engine's lane kernel ([`crate::csr::kernel`]) is tested
-/// against.
+/// utility, price)` iterator: the bid scan of the nested engines (over
+/// instance rows), of the protocol bidders (over their edge views and
+/// known prices) and the oracle the flat engine's lane kernel
+/// ([`crate::csr::kernel`]) is tested against.
 pub(crate) fn decide_bid_over(
-    edges: impl Iterator<Item = (ProviderIdx, f64)>,
-    price_of: impl Fn(ProviderIdx) -> f64,
+    edges: impl Iterator<Item = (ProviderIdx, f64, f64)>,
     epsilon: f64,
-    min_increment: f64,
 ) -> BidDecision {
     // Single pass: track the best and second-best net utilities.
     let mut best: Option<(usize, f64, f64, ProviderIdx)> = None; // (edge, φ, λ, u)
     let mut second_phi = f64::NEG_INFINITY;
-    for (k, (provider, utility)) in edges.enumerate() {
-        let lambda = price_of(provider);
+    for (k, (provider, utility, lambda)) in edges.enumerate() {
         let phi = utility - lambda;
         match best {
             Some((_, best_phi, _, _)) if phi <= best_phi => {
@@ -226,7 +212,7 @@ pub(crate) fn decide_bid_over(
         best_lambda,
         second_phi,
     });
-    decision_from_top2(top, epsilon, min_increment)
+    decision_from_top2(top, epsilon, MIN_INCREMENT)
 }
 
 /// The best achievable net utility `max_u (v − w − λ_u)` for a request, or

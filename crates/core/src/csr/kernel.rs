@@ -257,10 +257,8 @@ mod tests {
     fn decisions_match(providers: &[u32], utilities: &[f64], prices: &[f64], epsilon: f64) {
         let lanes = decide_row(providers, utilities, prices, epsilon);
         let scalar = decide_bid_over(
-            providers.iter().zip(utilities).map(|(&p, &u)| (p as usize, u)),
-            |p| prices[p],
+            providers.iter().zip(utilities).map(|(&p, &u)| (p as usize, u, prices[p as usize])),
             epsilon,
-            MIN_INCREMENT,
         );
         assert_eq!(lanes, scalar, "providers={providers:?} utilities={utilities:?}");
     }

@@ -26,7 +26,7 @@
 //! bid for bid.
 
 use crate::auctioneer::{Auctioneer, BidOutcome};
-use crate::bidder::{decide_bid, BidDecision, EdgeView};
+use crate::bidder::{decide_bid_over, BidDecision, EdgeView};
 use crate::instance::{ProviderIdx, RequestIdx};
 use crate::messages::AuctionMsg;
 
@@ -77,6 +77,7 @@ impl BidderNode {
     /// `price_of`: `0` for every provider with capacity, since every run
     /// starts from λ = 0, and `+∞` for zero-capacity providers so the
     /// bidder never targets them — the convention every engine shares.
+    /// Each provider may appear in `views` once, as instances guarantee.
     pub fn new(
         request: RequestIdx,
         views: Vec<EdgeView>,
@@ -84,6 +85,13 @@ impl BidderNode {
         policy: LearnPolicy,
         price_of: impl Fn(ProviderIdx) -> f64,
     ) -> Self {
+        debug_assert!(
+            views
+                .iter()
+                .enumerate()
+                .all(|(k, v)| views[..k].iter().all(|w| w.provider != v.provider)),
+            "request {request} lists a provider twice"
+        );
         let known = views.iter().map(|v| price_of(v.provider)).collect();
         BidderNode {
             request,
@@ -203,19 +211,10 @@ impl BidderNode {
         if self.cancelled || self.phase != BidderPhase::Idle {
             return BidDecision::Abstain { reason: crate::bidder::AbstainReason::NoCandidates };
         }
-        let views = &self.views;
-        let known = &self.known;
-        let decision = decide_bid(
-            views,
-            |p| {
-                views
-                    .iter()
-                    .position(|v| v.provider == p)
-                    .map(|k| known[k])
-                    .unwrap_or(f64::INFINITY)
-            },
-            self.epsilon,
-        );
+        // `known` is aligned with the edge order, so the scan reads each
+        // candidate's price in place.
+        let edges = self.views.iter().zip(&self.known).map(|(v, &l)| (v.provider, v.utility, l));
+        let decision = decide_bid_over(edges, self.epsilon);
         if let BidDecision::Bid { .. } = decision {
             self.phase = BidderPhase::Pending;
         }
@@ -355,7 +354,8 @@ impl AuctioneerNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bidder::AbstainReason;
+    use crate::bidder::{decide_bid, AbstainReason};
+    use proptest::prelude::*;
 
     fn views() -> Vec<EdgeView> {
         vec![EdgeView { provider: 0, utility: 5.0 }, EdgeView { provider: 1, utility: 3.0 }]
@@ -439,6 +439,53 @@ mod tests {
     fn aligned_refresh_rejects_mismatched_lengths() {
         let mut b = BidderNode::new(0, views(), 0.0, LearnPolicy::Monotone, |_| 0.0);
         b.refresh_prices_aligned(&[1.0]);
+    }
+
+    proptest! {
+        /// The edge-order scan decides exactly as the provider lookup it
+        /// replaced, over views with distinct providers, learned prices,
+        /// exact ties on a half-unit grid and `+∞` zero-capacity pins.
+        #[test]
+        fn decide_matches_the_provider_lookup(
+            edges in prop::collection::vec((0usize..12, 0u8..12), 0..10),
+            learned in prop::collection::vec((0usize..12, 0u8..8), 0..12),
+            latest in any::<bool>(),
+            eps in 0u8..3,
+        ) {
+            let mut views: Vec<EdgeView> = Vec::new();
+            for (provider, u) in edges {
+                if views.iter().all(|v| v.provider != provider) {
+                    views.push(EdgeView { provider, utility: f64::from(u) * 0.5 - 1.0 });
+                }
+            }
+            let policy = if latest { LearnPolicy::Latest } else { LearnPolicy::Monotone };
+            let pin = |p: ProviderIdx| if p % 5 == 4 { f64::INFINITY } else { 0.0 };
+            let mut node = BidderNode::new(0, views.clone(), f64::from(eps) * 0.25, policy, pin);
+            for (provider, price) in learned {
+                node.learn(provider, f64::from(price) * 0.5);
+            }
+            let known = node.known.clone();
+            let oracle = decide_bid(
+                &views,
+                |p| {
+                    views
+                        .iter()
+                        .position(|v| v.provider == p)
+                        .map(|k| known[k])
+                        .unwrap_or(f64::INFINITY)
+                },
+                node.epsilon,
+            );
+            prop_assert_eq!(node.decide(), oracle);
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "request 3 lists a provider twice")]
+    fn duplicate_providers_are_rejected() {
+        let twice = vec![views()[0], views()[1], views()[0]];
+        BidderNode::new(3, twice, 0.0, LearnPolicy::Monotone, |_| 0.0);
     }
 
     #[test]

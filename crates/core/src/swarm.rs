@@ -36,19 +36,20 @@
 //! trace hash, the determinism regression anchor: same seed → same hash,
 //! distinct seeds → distinct fault schedules.
 //!
-//! Reactive deliveries ride **arena-backed mailboxes**
-//! ([`p2p_sim::MailboxArena`]): the event queue carries an 8-byte
-//! generation-checked key instead of a fat message payload, and the
-//! payload buffers are recycled rather than freed, so steady-state
-//! dispatch allocates nothing. On top of that sits **event coalescing**
-//! ([`SwarmConfig::coalesce`]): while a scheduled mailbox wake-up remains
-//! the most recent queue entry at its timestamp, further deliveries to
-//! the same peer at that timestamp append to the open batch instead of
-//! pushing new events. Because same-time events pop in push order, an
-//! appended message is processed at exactly the position it would have
-//! popped on its own — delivery order, `trace_hash`, fault counters and
-//! outcomes are byte-identical to the uncoalesced run (gated by
-//! `proptest_coalesce` and by `p2p-bench`'s engine gates), while
+//! Reactive deliveries ride **mail chains**: every in-flight envelope is
+//! a node in one [`p2p_sim::ChainSlab`], the event queue carries only the
+//! index of a mailbox's head node, and the per-link resequencing buffers
+//! are chains in the same slab. Nodes are freed as they are delivered and
+//! reused by later sends, so once the slab has grown to the run's peak,
+//! dispatch allocates nothing, under faults too. On top of that sits
+//! **event coalescing** ([`SwarmConfig::coalesce`]): while a scheduled
+//! mailbox wake-up remains the most recent queue entry at its timestamp,
+//! further deliveries to the same peer at that timestamp append to its
+//! chain instead of pushing new events. Because same-time events pop in
+//! push order, an appended message is processed at exactly the position
+//! it would have popped on its own — delivery order, `trace_hash`, fault
+//! counters and outcomes are byte-identical to the uncoalesced run (gated
+//! by `proptest_coalesce` and by `p2p-bench`'s engine gates), while
 //! flash-crowd fan-in shrinks the queue by the fan-out factor.
 
 use crate::bidder::{AbstainReason, BidDecision, EdgeView};
@@ -58,7 +59,7 @@ use crate::messages::AuctionMsg;
 use crate::protocol::{AuctioneerNode, BidderNode, BidderPhase, LearnPolicy};
 use crate::solution::{Assignment, DualSolution};
 use p2p_metrics::{AuctionProbe, NoProbe};
-use p2p_sim::{derive_seed, Context, MailKey, MailboxArena, Simulation, World};
+use p2p_sim::{derive_seed, ChainSlab, Context, Simulation, World, NIL};
 use p2p_types::{P2pError, PeerId, SimDuration, SimTime};
 
 /// One microsecond per sweep position: round `k` polls request `r` at
@@ -640,9 +641,7 @@ impl SwarmAuction {
         // Flattened edge slots are the instance's edge indices: link 2e is
         // the bid direction of edge e, link 2e+1 the reply/announce
         // direction.
-        let links = (0..2 * instance.edge_count())
-            .map(|_| LinkState { sent: 0, delivered: 0, buffer: Vec::new() })
-            .collect();
+        let links = vec![LinkState { sent: 0, delivered: 0, held: NIL }; 2 * instance.edge_count()];
         let edge_delay = match self.net.cost_latency {
             Some(c) => data.edge_cost.iter().map(|w| c.one_way(w.get())).collect(),
             None => Vec::new(),
@@ -676,7 +675,7 @@ impl SwarmAuction {
             faults: FaultStats::default(),
             hash: TraceHash::new(),
             last_activity: SimTime::ZERO,
-            arena: MailboxArena::with_capacity(64),
+            mail: ChainSlab::with_capacity(64),
             open: None,
             coalesce: self.config.coalesce,
             coalesced: 0,
@@ -925,9 +924,9 @@ enum NetEv {
     /// A bidder wakes up and considers its first bid.
     Start(RequestIdx),
     /// A mailbox wake-up: one or more messages arrived for one peer at
-    /// this timestamp. The payloads live in the arena; the heap entry is
-    /// just the generation-checked key.
-    Mail(MailKey),
+    /// this timestamp. The envelopes are a chain in the mail slab; the
+    /// queue entry is just the index of its head node.
+    Mail(u32),
     /// A provider's coalesced price announcement fires.
     Broadcast(ProviderIdx),
     /// A peer leaves mid-auction (Sec. IV-C).
@@ -944,13 +943,16 @@ type Envelope = (u32, u32, AuctionMsg);
 struct OpenMail {
     at: SimTime,
     peer: PeerId,
-    key: MailKey,
+    head: u32,
+    tail: u32,
 }
 
+#[derive(Clone, Copy)]
 struct LinkState {
     sent: u32,
     delivered: u32,
-    buffer: Vec<(u32, AuctionMsg)>,
+    /// Head of the mail-slab chain of envelopes that arrived early.
+    held: u32,
 }
 
 struct NetWorld<'a, P: AuctionProbe> {
@@ -978,7 +980,8 @@ struct NetWorld<'a, P: AuctionProbe> {
     faults: FaultStats,
     hash: TraceHash,
     last_activity: SimTime,
-    arena: MailboxArena<Envelope>,
+    /// Every in-flight envelope: the mail and resequencing chains.
+    mail: ChainSlab<Envelope>,
     open: Option<OpenMail>,
     coalesce: bool,
     coalesced: u64,
@@ -1000,24 +1003,24 @@ impl<P: AuctionProbe> NetWorld<'_, P> {
         ctx.schedule_at(at, ev);
     }
 
-    /// Routes one envelope to `peer` at `at`: appends to the open batch
-    /// when that is provably order-preserving (same peer, same timestamp,
-    /// no queue entry pushed at that timestamp since the batch opened),
-    /// otherwise allocates a fresh mailbox and schedules its wake-up.
+    /// Routes one envelope to `peer` at `at`: appends to the open batch's
+    /// chain when that is provably order-preserving (same peer, same
+    /// timestamp, no queue entry pushed at that timestamp since the batch
+    /// opened), otherwise starts a fresh chain and schedules its wake-up.
     fn deliver(&mut self, ctx: &mut Context<'_, NetEv>, at: SimTime, peer: PeerId, env: Envelope) {
+        let node = self.mail.alloc(env, NIL);
         if self.coalesce {
-            if let Some(o) = self.open {
+            if let Some(o) = &mut self.open {
                 if o.at == at && o.peer == peer {
-                    self.arena.push(o.key, env);
+                    self.mail.set_next(o.tail, node);
+                    o.tail = node;
                     self.coalesced += 1;
                     return;
                 }
             }
         }
-        let key = self.arena.alloc();
-        self.arena.push(key, env);
-        self.push_event(ctx, at, NetEv::Mail(key));
-        self.open = Some(OpenMail { at, peer, key });
+        self.push_event(ctx, at, NetEv::Mail(node));
+        self.open = Some(OpenMail { at, peer, head: node, tail: node });
     }
 
     /// Ships one message over a link: partition deferral, seeded retry
@@ -1097,46 +1100,42 @@ impl<P: AuctionProbe> NetWorld<'_, P> {
     }
 
     /// Receiver-side resequencing: per-link FIFO restored from sequence
-    /// numbers; duplicates (seq already consumed or already buffered)
+    /// numbers; duplicates (seq already consumed or already held)
     /// discarded.
     #[inline]
     fn on_deliver(&mut self, ctx: &mut Context<'_, NetEv>, link: u32, seq: u32, msg: AuctionMsg) {
-        {
+        let due = self.links[link as usize].delivered;
+        if seq < due || (seq > due && self.find_held(link, seq).is_some()) {
+            self.faults.duplicates_discarded += 1;
+        } else if seq > due {
             let ls = &mut self.links[link as usize];
-            if seq < ls.delivered {
-                self.faults.duplicates_discarded += 1;
-                return;
-            }
-            if seq > ls.delivered {
-                if ls.buffer.iter().any(|&(s, _)| s == seq) {
-                    self.faults.duplicates_discarded += 1;
-                } else {
-                    ls.buffer.push((seq, msg));
-                    self.faults.resequenced += 1;
+            ls.held = self.mail.alloc((link, seq, msg), ls.held);
+            self.faults.resequenced += 1;
+        } else {
+            let mut msg = msg;
+            loop {
+                self.links[link as usize].delivered += 1;
+                self.process(ctx, msg);
+                let due = self.links[link as usize].delivered;
+                let Some((prev, node)) = self.find_held(link, due) else { break };
+                let ((_, _, next_msg), next) = self.mail.take(node);
+                match prev {
+                    NIL => self.links[link as usize].held = next,
+                    prev => self.mail.set_next(prev, next),
                 }
-                return;
-            }
-            ls.delivered += 1;
-        }
-        self.process(ctx, msg);
-        loop {
-            let next = {
-                let ls = &mut self.links[link as usize];
-                let due = ls.delivered;
-                match ls.buffer.iter().position(|&(s, _)| s == due) {
-                    Some(pos) => {
-                        let (_, m) = ls.buffer.swap_remove(pos);
-                        ls.delivered += 1;
-                        Some(m)
-                    }
-                    None => None,
-                }
-            };
-            match next {
-                Some(m) => self.process(ctx, m),
-                None => break,
+                msg = next_msg;
             }
         }
+    }
+
+    /// The held node carrying `seq` on `link`, with its predecessor in
+    /// the link's chain ([`NIL`] at the head).
+    fn find_held(&self, link: u32, seq: u32) -> Option<(u32, u32)> {
+        let (mut prev, mut node) = (NIL, self.links[link as usize].held);
+        while node != NIL && self.mail.get(node).1 != seq {
+            (prev, node) = (node, self.mail.next(node));
+        }
+        (node != NIL).then_some((prev, node))
     }
 
     /// Handles one in-order protocol message at its destination actor.
@@ -1246,18 +1245,21 @@ impl<P: AuctionProbe> World for NetWorld<'_, P> {
                     self.send_bid(ctx, bid);
                 }
             }
-            NetEv::Mail(key) => {
+            NetEv::Mail(head) => {
                 // The batch stops being appendable the moment it pops:
                 // a zero-latency send during processing must open a new
                 // wake-up, not write into the one being drained.
-                if self.open.is_some_and(|o| o.key == key) {
+                if self.open.is_some_and(|o| o.head == head) {
                     self.open = None;
                 }
-                let mut batch = self.arena.take(key);
-                for (link, seq, msg) in batch.drain(..) {
+                // Each node is freed before its message is processed, so
+                // the sends it triggers can reuse it.
+                let mut node = head;
+                while node != NIL {
+                    let ((link, seq, msg), next) = self.mail.take(node);
                     self.on_deliver(ctx, link, seq, msg);
+                    node = next;
                 }
-                self.arena.recycle(key, batch);
             }
             NetEv::Broadcast(u) => {
                 self.broadcast_pending[u] = false;

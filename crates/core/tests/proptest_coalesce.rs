@@ -19,22 +19,24 @@ use p2p_types::{ChunkId, Cost, PeerId, RequestId, SimDuration, SimTime, Valuatio
 use proptest::prelude::*;
 
 /// A randomly generated welfare instance with continuous utilities (same
-/// generator family as `proptest_swarm`).
+/// generator family as `proptest_swarm`). Requests draw their downstream
+/// peer from four, so one peer often owns several requests, as in a
+/// streaming slot, and replies to different requests share its mailbox.
 fn arb_instance() -> impl Strategy<Value = WelfareInstance> {
     let providers = prop::collection::vec(1u32..=5, 1..8);
     providers.prop_flat_map(|caps| {
         let p = caps.len();
         let edge = (0..p, 0.8f64..8.0, 0.0f64..10.0);
-        let request = prop::collection::vec(edge, 0..=p);
+        let request = (0u32..4, prop::collection::vec(edge, 0..=p));
         let requests = prop::collection::vec(request, 0..16);
         (Just(caps), requests).prop_map(|(caps, reqs)| {
             let mut b = WelfareInstance::builder();
             for (i, cap) in caps.iter().enumerate() {
                 b.add_provider(PeerId::new(1000 + i as u32), *cap);
             }
-            for (d, edges) in reqs.into_iter().enumerate() {
+            for (d, (peer, edges)) in reqs.into_iter().enumerate() {
                 let r = b.add_request(RequestId::new(
-                    PeerId::new(d as u32),
+                    PeerId::new(peer),
                     ChunkId::new(VideoId::new(0), d as u32),
                 ));
                 let mut seen = std::collections::HashSet::new();
@@ -218,4 +220,37 @@ fn quantized_partition_burst_actually_coalesces() {
     assert_eq!(out.faults, off.faults);
     assert_eq!(out.assignment, off.assignment);
     assert!(out.events < off.events);
+}
+
+/// A same-instant push that is not a delivery closes the open batch. One
+/// peer owns two requests; both bid at once for a one-unit provider, which
+/// accepts the first (scheduling its price broadcast one 1 ms window
+/// later), then accepts the second and evicts the first. The first
+/// `Accepted`, the broadcast and the second batch (`Accepted` + `Evicted`)
+/// all land at 2 ms. Appending the second batch to the first would process
+/// the eviction, and send the evicted request's rebid, before the
+/// broadcast sends its price updates, so every later delivery at 3 ms
+/// would run in another order.
+#[test]
+fn a_same_instant_broadcast_closes_the_open_batch() {
+    let mut b = WelfareInstance::builder();
+    let full = b.add_provider(PeerId::new(100), 1);
+    let spare = b.add_provider(PeerId::new(101), 1);
+    let owner = PeerId::new(0);
+    let first = b.add_request(RequestId::new(owner, ChunkId::new(VideoId::new(0), 0)));
+    let second = b.add_request(RequestId::new(owner, ChunkId::new(VideoId::new(0), 1)));
+    b.add_edge(first, full, Valuation::new(6.0), Cost::new(1.0)).unwrap();
+    b.add_edge(first, spare, Valuation::new(5.0), Cost::new(1.0)).unwrap();
+    b.add_edge(second, full, Valuation::new(7.0), Cost::new(1.0)).unwrap();
+    let inst = b.build().unwrap();
+    let net = NetworkModel {
+        base_latency: SimDuration::from_millis(1),
+        broadcast_window: SimDuration::from_millis(1),
+        ..NetworkModel::ideal()
+    };
+    let (on, off) = run_both(&inst, &net, 0, 0.01);
+    assert!(on.coalesced_events > 0, "the slot must coalesce: {on:?}");
+    assert_byte_identical(&on, &off);
+    assert_eq!(on.assignment.provider_of(&inst, second), Some(full));
+    assert_eq!(on.assignment.provider_of(&inst, first), Some(spare), "the evicted request rebids");
 }

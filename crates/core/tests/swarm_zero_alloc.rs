@@ -1,7 +1,7 @@
 //! The coalesced swarm loop's zero-allocation steady state, asserted with
-//! a counting global allocator: once the event queue, arena mailboxes and
-//! per-node buffers have grown to the run's working size, event dispatch
-//! and mailbox recycling allocate nothing.
+//! a counting global allocator: once the event queue's and the mail's
+//! chain slabs and the per-node buffers have grown to the run's working
+//! size, event dispatch, mail delivery and resequencing allocate nothing.
 //!
 //! Unlike the CSR engine (`csr_zero_alloc`), a swarm run builds its world
 //! fresh per call, so warm-up cannot be a separate slot — the window is
@@ -174,6 +174,22 @@ fn swarm_dispatch_allocates_nothing_in_steady_state() {
         "reactive dispatch + mailbox recycling must not allocate after warm-up"
     );
     let tol = 0.01 * (inst.request_count() as f64 + 1.0);
+    assert!(verify_optimality(&inst, &out.assignment, &out.duals, tol).is_optimal());
+
+    // The lossy preset: drops, duplicates and reorder detours park
+    // out-of-order arrivals in the links' resequencing chains, which share
+    // the mail slab, so faulty dispatch is allocation-free too.
+    let mut trace = AllocTrace::with_capacity(1 << 16);
+    let out =
+        SwarmAuction::new(config, NetworkModel::lossy()).run_probed(&inst, 42, &mut trace).unwrap();
+    assert!(out.converged);
+    assert!(out.faults.resequenced > 0, "the resequencer must actually run: {:?}", out.faults);
+    assert!(trace.snaps.len() >= 64, "probe window too small: {}", trace.snaps.len());
+    assert_eq!(
+        trace.tail_allocations(),
+        0,
+        "lossy dispatch + resequencing must not allocate after warm-up"
+    );
     assert!(verify_optimality(&inst, &out.assignment, &out.duals, tol).is_optimal());
 
     // Ideal mode: the synchronous sweep replayed on virtual time. The

@@ -1,162 +1,117 @@
-//! Arena-backed mailboxes: a slab of reusable message buffers addressed
-//! by generation-checked keys.
-//!
-//! The reactive swarm simulator used to push one heap event per delivered
-//! message. At 10⁶ peers the event queue becomes the hot structure: every
-//! push/pop sifts a fat payload through the binary heap, and every
-//! delivery allocates. [`MailboxArena`] splits the two concerns: the heap
-//! carries a thin [`MailKey`] (8 bytes) while the message payloads live in
-//! per-batch `Vec`s that are recycled — *not freed* — after delivery, so
-//! steady-state dispatch allocates nothing once every buffer has grown to
-//! its working size.
-//!
-//! Keys are generation-checked: [`recycle`](MailboxArena::recycle) bumps
-//! the slot's generation, so a stale key kept across a recycle panics
-//! loudly instead of silently reading another batch's mail. Slots handed
-//! out by [`take`](MailboxArena::take) stay off the free list until they
-//! are recycled, so re-entrant allocation during batch processing can
-//! never alias the batch being drained.
+//! A slab arena of intrusive FIFO chains: one `Vec` of singly linked
+//! nodes with a free list. It grows to the run's peak of live nodes and
+//! then reuses them, so a steady state that links and frees nodes
+//! allocates nothing. Any number of chains share one slab; a chain is
+//! the index of its head node, plus that of its tail where something
+//! appends to it. The event queue keeps its buckets in one
+//! ([`crate::EventQueue`]), the swarm simulator its mailboxes and
+//! per-link reorder buffers.
 //!
 //! # Examples
 //!
 //! ```
-//! use p2p_sim::MailboxArena;
+//! use p2p_sim::{ChainSlab, NIL};
 //!
-//! let mut arena: MailboxArena<u32> = MailboxArena::new();
-//! let key = arena.alloc();
-//! arena.push(key, 7);
-//! arena.push(key, 8);
-//! let mut batch = arena.take(key);
-//! assert_eq!(batch, vec![7, 8]);
-//! batch.clear();
-//! arena.recycle(key, batch);
-//! // The slot is reused, but the old key is dead.
-//! let next = arena.alloc();
-//! assert_ne!(next, key);
+//! let mut slab = ChainSlab::with_capacity(2);
+//! let head = slab.alloc('a', NIL);
+//! let tail = slab.alloc('b', NIL);
+//! slab.set_next(head, tail);
+//! assert_eq!(slab.take(head), ('a', tail));
+//! assert_eq!(slab.take(tail), ('b', NIL));
+//! assert!(slab.is_empty());
+//! // The last freed node is the first reused.
+//! assert_eq!(slab.alloc('c', NIL), tail);
 //! ```
 
-/// Generation-checked handle to one mailbox slot in a [`MailboxArena`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct MailKey {
-    index: u32,
-    gen: u32,
+/// The index of no node: the end of a chain.
+pub const NIL: u32 = u32::MAX;
+
+#[derive(Debug, Clone)]
+struct Node<T> {
+    /// `None` while the node is free.
+    item: Option<T>,
+    /// The next node of its chain, or of the free list.
+    next: u32,
 }
 
-#[derive(Debug)]
-struct Slot<T> {
-    gen: u32,
-    /// `None` while the batch is out via [`MailboxArena::take`].
-    items: Option<Vec<T>>,
+/// A slab of chain nodes (see module docs). A freed node holds no item,
+/// so every method given a free node panics ("chain node is free")
+/// instead of silently reaching into the chain that reuses it later.
+#[derive(Debug, Clone)]
+pub struct ChainSlab<T> {
+    nodes: Vec<Node<T>>,
+    /// Head of the free list, threaded through the free nodes' `next`.
+    free: u32,
+    live: usize,
 }
 
-/// A slab of reusable mailbox buffers with a freelist (see module docs).
-#[derive(Debug, Default)]
-pub struct MailboxArena<T> {
-    slots: Vec<Slot<T>>,
-    free: Vec<u32>,
-}
-
-impl<T> MailboxArena<T> {
-    /// An empty arena.
-    pub fn new() -> Self {
-        MailboxArena { slots: Vec::new(), free: Vec::new() }
+impl<T> ChainSlab<T> {
+    /// An empty slab with room for `nodes` nodes before it grows.
+    pub fn with_capacity(nodes: usize) -> Self {
+        ChainSlab { nodes: Vec::with_capacity(nodes), free: NIL, live: 0 }
     }
 
-    /// An empty arena with space reserved for `slots` concurrent batches.
-    pub fn with_capacity(slots: usize) -> Self {
-        MailboxArena { slots: Vec::with_capacity(slots), free: Vec::with_capacity(slots) }
+    /// Number of live (allocated, not yet taken) nodes.
+    pub fn len(&self) -> usize {
+        self.live
     }
 
-    /// Allocates an empty mailbox, reusing a recycled slot (and its buffer
-    /// capacity) when one is free.
-    pub fn alloc(&mut self) -> MailKey {
-        match self.free.pop() {
-            Some(index) => {
-                let slot = &mut self.slots[index as usize];
-                debug_assert!(slot.items.as_ref().is_some_and(Vec::is_empty));
-                MailKey { index, gen: slot.gen }
-            }
-            None => {
-                let index = u32::try_from(self.slots.len()).expect("mailbox arena overflow");
-                self.slots.push(Slot { gen: 0, items: Some(Vec::new()) });
-                MailKey { index, gen: 0 }
-            }
-        }
-    }
-
-    /// Appends one item to a live mailbox.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` is stale (the slot was recycled) or the batch is
-    /// currently out via [`take`](Self::take).
-    pub fn push(&mut self, key: MailKey, item: T) {
-        let slot = &mut self.slots[key.index as usize];
-        assert_eq!(slot.gen, key.gen, "stale mailbox key");
-        slot.items.as_mut().expect("mailbox batch is out").push(item);
-    }
-
-    /// Number of items currently queued in a live mailbox.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` is stale or the batch is out.
-    pub fn len(&self, key: MailKey) -> usize {
-        let slot = &self.slots[key.index as usize];
-        assert_eq!(slot.gen, key.gen, "stale mailbox key");
-        slot.items.as_ref().expect("mailbox batch is out").len()
-    }
-
-    /// Whether `key` still addresses a live (not recycled) mailbox.
-    pub fn is_live(&self, key: MailKey) -> bool {
-        self.slots.get(key.index as usize).is_some_and(|s| s.gen == key.gen)
-    }
-
-    /// Moves the batch out for processing. The slot stays reserved (off
-    /// the freelist) until the buffer comes back via
-    /// [`recycle`](Self::recycle), so allocations made while the batch is
-    /// being drained can never alias it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` is stale or the batch is already out.
-    pub fn take(&mut self, key: MailKey) -> Vec<T> {
-        let slot = &mut self.slots[key.index as usize];
-        assert_eq!(slot.gen, key.gen, "stale mailbox key");
-        slot.items.take().expect("mailbox batch is out")
-    }
-
-    /// Returns a drained buffer to its slot and frees the slot for reuse.
-    /// The buffer is cleared (capacity retained) and the generation bumps,
-    /// killing every outstanding key to this slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` is stale or the batch was never taken.
-    pub fn recycle(&mut self, key: MailKey, mut buffer: Vec<T>) {
-        let slot = &mut self.slots[key.index as usize];
-        assert_eq!(slot.gen, key.gen, "stale mailbox key");
-        assert!(slot.items.is_none(), "recycle without a matching take");
-        buffer.clear();
-        slot.items = Some(buffer);
-        slot.gen = slot.gen.wrapping_add(1);
-        self.free.push(key.index);
-    }
-
-    /// Total slots ever created (live + free); the arena's high-water mark
-    /// of concurrent batches.
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Slots currently live (allocated and not yet recycled).
-    pub fn live(&self) -> usize {
-        self.slots.len() - self.free.len()
-    }
-
-    /// Whether no slot is live.
+    /// Whether no node is live.
     pub fn is_empty(&self) -> bool {
-        self.live() == 0
+        self.live == 0
+    }
+
+    /// Stores `item` in a node whose successor is `next`, the last freed
+    /// node if there is one, and returns the node's index.
+    #[inline]
+    pub fn alloc(&mut self, item: T, next: u32) -> u32 {
+        self.live += 1;
+        if self.free != NIL {
+            let index = self.free;
+            let node = &mut self.nodes[index as usize];
+            self.free = node.next;
+            *node = Node { item: Some(item), next };
+            return index;
+        }
+        let index = u32::try_from(self.nodes.len())
+            .ok()
+            .filter(|&i| i != NIL)
+            .expect("chain slab overflow");
+        self.nodes.push(Node { item: Some(item), next });
+        index
+    }
+
+    /// The item in a live node.
+    #[inline]
+    pub fn get(&self, node: u32) -> &T {
+        self.nodes[node as usize].item.as_ref().expect("chain node is free")
+    }
+
+    /// The successor of a live node ([`NIL`] at the end of its chain).
+    #[inline]
+    pub fn next(&self, node: u32) -> u32 {
+        let node = &self.nodes[node as usize];
+        assert!(node.item.is_some(), "chain node is free");
+        node.next
+    }
+
+    /// Makes `next` the successor of a live node.
+    #[inline]
+    pub fn set_next(&mut self, node: u32, next: u32) {
+        let node = &mut self.nodes[node as usize];
+        assert!(node.item.is_some(), "chain node is free");
+        node.next = next;
+    }
+
+    /// Frees a live node, returning its item and its successor.
+    #[inline]
+    pub fn take(&mut self, node: u32) -> (T, u32) {
+        let slot = &mut self.nodes[node as usize];
+        let item = slot.item.take().expect("chain node is free");
+        let next = std::mem::replace(&mut slot.next, self.free);
+        self.free = node;
+        self.live -= 1;
+        (item, next)
     }
 }
 
@@ -164,97 +119,122 @@ impl<T> MailboxArena<T> {
 mod tests {
     use super::*;
 
+    /// Allocates `items` as one chain and returns its head.
+    fn chain<T: Copy>(slab: &mut ChainSlab<T>, items: &[T]) -> u32 {
+        items.iter().rev().fold(NIL, |next, &item| slab.alloc(item, next))
+    }
+
+    /// Frees a whole chain, returning its items in order.
+    fn drain<T>(slab: &mut ChainSlab<T>, mut node: u32) -> Vec<T> {
+        let mut out = Vec::new();
+        while node != NIL {
+            let (item, next) = slab.take(node);
+            out.push(item);
+            node = next;
+        }
+        out
+    }
+
     #[test]
     fn push_take_recycle_roundtrip() {
-        let mut arena: MailboxArena<&'static str> = MailboxArena::new();
-        let key = arena.alloc();
-        arena.push(key, "a");
-        arena.push(key, "b");
-        assert_eq!(arena.len(key), 2);
-        assert_eq!(arena.live(), 1);
-        let batch = arena.take(key);
-        assert_eq!(batch, vec!["a", "b"]);
-        arena.recycle(key, batch);
-        assert!(arena.is_empty());
+        let mut slab = ChainSlab::with_capacity(0);
+        let head = slab.alloc("a", NIL);
+        let tail = slab.alloc("b", NIL);
+        slab.set_next(head, tail);
+        assert_eq!(slab.len(), 2);
+        assert_eq!(slab.get(head), &"a");
+        assert_eq!(slab.next(head), tail);
+        assert_eq!(drain(&mut slab, head), vec!["a", "b"]);
+        assert!(slab.is_empty());
     }
 
     #[test]
-    fn recycled_slots_are_reused_with_fresh_generations() {
-        let mut arena: MailboxArena<u64> = MailboxArena::new();
-        let first = arena.alloc();
-        arena.push(first, 1);
-        let buf = arena.take(first);
-        arena.recycle(first, buf);
-        let second = arena.alloc();
-        // Same slot, new generation: the old key is dead.
-        assert_eq!(arena.slot_count(), 1);
-        assert_ne!(first, second);
-        assert!(!arena.is_live(first));
-        assert!(arena.is_live(second));
+    fn recycled_nodes_are_reused() {
+        let mut slab = ChainSlab::with_capacity(0);
+        let first = slab.alloc(1, NIL);
+        slab.take(first);
+        let second = slab.alloc(2, NIL);
+        assert_eq!(second, first, "the freed node comes back");
+        assert_eq!(slab.get(second), &2);
     }
 
     #[test]
-    fn recycled_buffers_keep_their_capacity() {
-        let mut arena: MailboxArena<u64> = MailboxArena::new();
-        let key = arena.alloc();
-        for i in 0..64 {
-            arena.push(key, i);
+    fn recycled_nodes_keep_the_slab_at_its_peak() {
+        let mut slab = ChainSlab::with_capacity(0);
+        let head = chain(&mut slab, &(0..64).collect::<Vec<u64>>());
+        drain(&mut slab, head);
+        for round in 0..4 {
+            let head = chain(&mut slab, &(0..64).map(|i| i + round).collect::<Vec<_>>());
+            let mut node = head;
+            while node != NIL {
+                assert!(node < 64, "refilling to the peak must reuse the first 64 nodes");
+                node = slab.next(node);
+            }
+            drain(&mut slab, head);
         }
-        let batch = arena.take(key);
-        let grown = batch.capacity();
-        assert!(grown >= 64);
-        arena.recycle(key, batch);
-        let again = arena.alloc();
-        assert_eq!(arena.take(again).capacity(), grown);
     }
 
     #[test]
-    fn taken_slot_is_not_reallocated_until_recycled() {
-        let mut arena: MailboxArena<u8> = MailboxArena::new();
-        let key = arena.alloc();
-        arena.push(key, 9);
-        let batch = arena.take(key);
-        // A concurrent allocation during processing must not alias.
-        let other = arena.alloc();
-        assert_ne!(other.index, key.index);
-        arena.recycle(key, batch);
+    fn live_nodes_are_never_reallocated() {
+        let mut slab = ChainSlab::with_capacity(0);
+        let live = slab.alloc(9u8, NIL);
+        let freed = slab.alloc(8, NIL);
+        slab.take(freed);
+        let a = slab.alloc(7, NIL);
+        let b = slab.alloc(6, NIL);
+        assert_eq!(a, freed);
+        assert!(b != live && b != a, "an allocation must not alias a live node");
+        assert_eq!(slab.get(live), &9);
     }
 
     #[test]
-    #[should_panic(expected = "stale mailbox key")]
+    #[should_panic(expected = "chain node is free")]
     fn stale_key_panics() {
-        let mut arena: MailboxArena<u8> = MailboxArena::new();
-        let key = arena.alloc();
-        let buf = arena.take(key);
-        arena.recycle(key, buf);
-        arena.alloc();
-        arena.push(key, 1);
+        let mut slab = ChainSlab::with_capacity(0);
+        let node = slab.alloc(1u8, NIL);
+        slab.take(node);
+        slab.get(node);
     }
 
     #[test]
-    #[should_panic(expected = "mailbox batch is out")]
+    #[should_panic(expected = "chain node is free")]
     fn pushing_while_batch_is_out_panics() {
-        let mut arena: MailboxArena<u8> = MailboxArena::new();
-        let key = arena.alloc();
-        let _batch = arena.take(key);
-        arena.push(key, 1);
+        let mut slab = ChainSlab::with_capacity(0);
+        let tail = slab.alloc(1u8, NIL);
+        // The batch pops: its nodes are freed, so appending to it is a bug.
+        slab.take(tail);
+        slab.set_next(tail, NIL);
+    }
+
+    #[test]
+    #[should_panic(expected = "chain node is free")]
+    fn double_take_panics() {
+        let mut slab = ChainSlab::with_capacity(0);
+        let node = slab.alloc(1u8, NIL);
+        slab.take(node);
+        slab.take(node);
     }
 
     #[test]
     fn many_slots_interleave() {
-        let mut arena: MailboxArena<usize> = MailboxArena::new();
-        let keys: Vec<MailKey> = (0..8).map(|_| arena.alloc()).collect();
-        for (i, &k) in keys.iter().enumerate() {
-            arena.push(k, i);
+        let mut slab = ChainSlab::with_capacity(0);
+        // Eight chains built round-robin, so their nodes interleave.
+        let mut ends = [(NIL, NIL); 8];
+        for i in 0..32 {
+            let (head, tail) = &mut ends[i % 8];
+            let node = slab.alloc(i, NIL);
+            if *head == NIL {
+                *head = node;
+            } else {
+                slab.set_next(*tail, node);
+            }
+            *tail = node;
         }
-        assert_eq!(arena.live(), 8);
-        // Drain out of order.
-        for &k in keys.iter().rev() {
-            let batch = arena.take(k);
-            assert_eq!(batch.len(), 1);
-            arena.recycle(k, batch);
+        assert_eq!(slab.len(), 32);
+        // Drain out of order; each chain keeps its own FIFO order.
+        for (c, &(head, _)) in ends.iter().enumerate().rev() {
+            assert_eq!(drain(&mut slab, head), vec![c, c + 8, c + 16, c + 24]);
         }
-        assert!(arena.is_empty());
-        assert_eq!(arena.slot_count(), 8);
+        assert!(slab.is_empty());
     }
 }

@@ -1,11 +1,11 @@
 //! Deterministic discrete-event simulation engine.
 //!
 //! A minimal, reusable DES core: a time-ordered event queue with stable
-//! FIFO tie-breaking, a virtual clock, and a [`World`] trait the domain
-//! logic implements. The streaming emulator uses it to run the paper's
-//! in-slot distributed auctions with realistic message latencies, replacing
-//! the authors' blade-server emulator with a reproducible substrate (see
-//! DESIGN.md §2).
+//! FIFO tie-breaking (a radix heap over chains in a [`ChainSlab`]), a
+//! virtual clock, and a [`World`] trait the domain logic implements. The
+//! streaming emulator uses it to run the paper's in-slot distributed
+//! auctions with realistic message latencies, replacing the authors'
+//! blade-server emulator with a reproducible substrate (see DESIGN.md §2).
 //!
 //! # Examples
 //!
@@ -39,7 +39,7 @@ pub mod arena;
 pub mod queue;
 pub mod rng;
 
-pub use arena::{MailKey, MailboxArena};
+pub use arena::{ChainSlab, NIL};
 pub use queue::EventQueue;
 pub use rng::{derive_seed, seeded_rng};
 
@@ -75,10 +75,9 @@ impl<'a, E> Context<'a, E> {
     /// # Panics
     ///
     /// Panics if `at` is in the past (determinism guard: the engine never
-    /// reorders history).
+    /// reorders history). The queue checks it: `now` is its last pop.
     #[inline]
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
-        assert!(at >= self.now, "cannot schedule into the past");
         self.queue.push(at, event);
     }
 

@@ -1,43 +1,40 @@
 //! Time-ordered event queue with stable FIFO tie-breaking.
 
+use crate::arena::{ChainSlab, NIL};
 use p2p_types::SimTime;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
-/// Internal heap entry ordered by `(time, insertion sequence)` so that
-/// simultaneous events pop in insertion order — a requirement for
-/// deterministic simulation.
-#[derive(Debug)]
-struct Entry<E> {
-    at: SimTime,
-    seq: u64,
-    event: E,
+/// One bucket: a head/tail chain in the slab and its smallest key.
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    head: u32,
+    tail: u32,
+    min: u64,
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
+const EMPTY: Bucket = Bucket { head: NIL, tail: NIL, min: u64::MAX };
 
-impl<E> Eq for Entry<E> {}
+/// Bucket 0 plus one bucket per bit of a `u64` key.
+const BUCKETS: usize = 65;
 
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse: BinaryHeap is a max-heap but we want the earliest entry
-        // on top.
-        other.at.cmp(&self.at).then_with(|| other.seq.cmp(&self.seq))
-    }
+/// The bucket of `key` relative to the last popped key: 0 if equal, else
+/// one more than the index of the highest bit in which they differ.
+#[inline]
+fn bucket_of(key: u64, last: u64) -> usize {
+    (u64::BITS - (key ^ last).leading_zeros()) as usize
 }
 
 /// A min-priority queue of `(SimTime, E)` pairs with FIFO order among
-/// equal-time entries.
+/// equal-time entries, for monotone use: a push may not precede the last
+/// popped time, as no event of a simulation schedules into its past.
+///
+/// It is a radix heap over virtual microseconds whose buckets are chains
+/// in one [`ChainSlab`]. Bucket 0 holds the keys equal to `last`, the
+/// last popped key, and bucket `i ≥ 1` those whose highest bit differing
+/// from `last` is bit `i − 1`, so every key in a bucket is smaller than
+/// every key in the next. When bucket 0 is empty, a pop first makes the
+/// lowest non-empty bucket's smallest key the new `last` and relinks that
+/// bucket's nodes into lower buckets. Equal keys always share a bucket
+/// and every link appends, so they pop in push order.
 ///
 /// # Examples
 ///
@@ -48,59 +45,120 @@ impl<E> Ord for Entry<E> {
 /// let mut q = EventQueue::new();
 /// q.push(SimTime::from_secs_f64(2.0), "late");
 /// q.push(SimTime::from_secs_f64(1.0), "early");
+/// q.push(SimTime::from_secs_f64(1.0), "tied");
 /// assert_eq!(q.pop().unwrap().1, "early");
+/// assert_eq!(q.pop().unwrap().1, "tied");
 /// assert_eq!(q.pop().unwrap().1, "late");
 /// assert!(q.pop().is_none());
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    seq: u64,
+    slab: ChainSlab<(SimTime, E)>,
+    buckets: [Bucket; BUCKETS],
+    /// Bit `i` is set while bucket `i` holds a node.
+    occupied: u128,
+    /// The last popped key, in microseconds.
+    last: u64,
 }
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        EventQueue { heap: BinaryHeap::new(), seq: 0 }
+        EventQueue::with_capacity(0)
     }
 
-    /// Creates an empty queue with space for `capacity` events — swarm
-    /// runs schedule one poll per peer up front, and preallocating avoids
-    /// the doubling-regrowth churn at 10⁵ peers.
+    /// Creates an empty queue with space for `capacity` events: swarm runs
+    /// schedule one per peer up front, so they skip the slab's regrowth.
     pub fn with_capacity(capacity: usize) -> Self {
-        EventQueue { heap: BinaryHeap::with_capacity(capacity), seq: 0 }
+        EventQueue {
+            slab: ChainSlab::with_capacity(capacity),
+            buckets: [EMPTY; BUCKETS],
+            occupied: 0,
+            last: 0,
+        }
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.slab.len()
     }
 
     /// Returns `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.slab.is_empty()
     }
 
     /// Enqueues an event at `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is before the last popped time.
+    #[inline]
     pub fn push(&mut self, at: SimTime, event: E) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Entry { at, seq, event });
+        let key = at.as_micros();
+        assert!(key >= self.last, "cannot schedule into the past");
+        let node = self.slab.alloc((at, event), NIL);
+        self.link(bucket_of(key, self.last), node, key);
     }
 
     /// Dequeues the earliest event.
+    #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|e| (e.at, e.event))
+        if self.buckets[0].head == NIL {
+            if self.occupied == 0 {
+                return None;
+            }
+            self.refill();
+        }
+        let bucket = &mut self.buckets[0];
+        let (entry, next) = self.slab.take(bucket.head);
+        bucket.head = next;
+        if next == NIL {
+            *bucket = EMPTY;
+            self.occupied &= !1;
+        }
+        Some(entry)
     }
 
     /// Time stamp of the earliest pending event.
     pub fn next_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
+        match self.occupied.trailing_zeros() {
+            0 => Some(SimTime::from_micros(self.last)),
+            128 => None,
+            b => Some(SimTime::from_micros(self.buckets[b as usize].min)),
+        }
     }
 
-    /// Removes every pending event.
-    pub fn clear(&mut self) {
-        self.heap.clear();
+    /// Appends `node` (key `key`) to bucket `b`.
+    #[inline]
+    fn link(&mut self, b: usize, node: u32, key: u64) {
+        let bucket = &mut self.buckets[b];
+        if bucket.head == NIL {
+            bucket.head = node;
+            self.occupied |= 1 << b;
+        } else {
+            self.slab.set_next(bucket.tail, node);
+        }
+        bucket.tail = node;
+        bucket.min = bucket.min.min(key);
+    }
+
+    /// With bucket 0 empty and another bucket not: advances `last` to the
+    /// smallest pending key and relinks the lowest non-empty bucket into
+    /// lower ones, that key's nodes into bucket 0.
+    fn refill(&mut self) {
+        let b = self.occupied.trailing_zeros() as usize;
+        let Bucket { head, min, .. } = std::mem::replace(&mut self.buckets[b], EMPTY);
+        self.occupied &= !(1 << b);
+        self.last = min;
+        let mut node = head;
+        while node != NIL {
+            let next = self.slab.next(node);
+            let key = self.slab.get(node).0.as_micros();
+            self.slab.set_next(node, NIL);
+            self.link(bucket_of(key, min), node, key);
+            node = next;
+        }
     }
 }
 
@@ -148,7 +206,9 @@ mod tests {
         q.push(SimTime::from_secs_f64(3.0), ());
         assert_eq!(q.len(), 2);
         assert_eq!(q.next_time(), Some(SimTime::from_secs_f64(3.0)));
-        q.clear();
+        q.pop();
+        assert_eq!(q.next_time(), Some(SimTime::from_secs_f64(7.0)));
+        q.pop();
         assert!(q.is_empty());
     }
 

@@ -4,6 +4,12 @@
 use p2p_sim::{Context, EventQueue, Simulation, World};
 use p2p_types::{SimDuration, SimTime};
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// Offsets past the last popped time a push may take: ties at zero, and
+/// spans that reach the queue's low, middle and high radix buckets.
+const SHIFTS: [u32; 4] = [0, 3, 17, 40];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -30,6 +36,39 @@ proptest! {
             last = Some((at, idx));
         }
         prop_assert_eq!(count, times.len());
+    }
+
+    /// Interleaved pushes and pops, every push at or after the last popped
+    /// time and most of them tied with another, pop exactly as a binary
+    /// heap ordered by `(time, insertion sequence)` pops them.
+    #[test]
+    fn queue_matches_a_binary_heap_oracle(
+        ops in prop::collection::vec((0u8..3, 0u64..4, 0usize..4), 0..400),
+    ) {
+        let mut q = EventQueue::new();
+        let mut oracle = BinaryHeap::new();
+        let mut last = 0;
+        for (seq, &(kind, delta, shift)) in ops.iter().enumerate() {
+            if kind == 0 {
+                let got = q.pop().map(|(at, s)| (at.as_micros(), s));
+                let want = oracle.pop().map(|Reverse(entry)| entry);
+                prop_assert_eq!(got, want);
+                if let Some((at, _)) = got {
+                    last = at;
+                }
+            } else {
+                let at = last + (delta << SHIFTS[shift]);
+                q.push(SimTime::from_micros(at), seq);
+                oracle.push(Reverse((at, seq)));
+            }
+            prop_assert_eq!(q.len(), oracle.len());
+            let next = oracle.peek().map(|Reverse((at, _))| SimTime::from_micros(*at));
+            prop_assert_eq!(q.next_time(), next);
+        }
+        while let Some(Reverse(want)) = oracle.pop() {
+            prop_assert_eq!(q.pop().map(|(at, s)| (at.as_micros(), s)), Some(want));
+        }
+        prop_assert!(q.pop().is_none());
     }
 
     /// A world that re-schedules events never observes time running
@@ -86,4 +125,13 @@ proptest! {
         prop_assert_eq!(sim.world().0, times.len() as u64);
         prop_assert_eq!(sim.pending(), 0);
     }
+}
+
+#[test]
+#[should_panic(expected = "cannot schedule into the past")]
+fn pushing_before_the_last_popped_time_panics() {
+    let mut q = EventQueue::new();
+    q.push(SimTime::from_micros(10), ());
+    q.pop();
+    q.push(SimTime::from_micros(9), ());
 }
