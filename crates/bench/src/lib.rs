@@ -7,7 +7,7 @@
 //! Each binary prints the series it regenerates, renders a quick ASCII
 //! plot, and writes CSV files under `results/`. `tests/engine_gates.rs`
 //! holds the equivalence, certificate and timing gates of the auction's
-//! executions on [`random_instance`] slots.
+//! executions on [`random_instance`] and [`grid_instance`] slots.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -16,7 +16,7 @@ pub mod experiments;
 pub mod instances;
 
 pub use experiments::{run_dynamic, run_static, ComparisonRun};
-pub use instances::random_instance;
+pub use instances::{grid_instance, random_instance};
 
 /// The workspace's one strict command-line parser, re-exported so every
 /// harness binary keeps importing it from here.

@@ -10,13 +10,18 @@
 //! as unprofitable or candidate-less could never bid again: the sweep
 //! retires it and stops re-scanning it, which changes no outcome.
 //!
-//! This is the readable reference oracle the other engines are checked
-//! against; the message-level execution with latencies and faults lives
-//! in [`crate::swarm`].
+//! The sweep step itself is [`Sweep`]. [`SyncAuction`], the readable
+//! reference oracle the other engines are checked against, is its plainest
+//! driver; the swarm simulator's ideal world ([`crate::swarm`]) and the
+//! networked tracker (`p2p_net`) drive the same `Sweep`, so they replay it
+//! by construction. The message-level execution with latencies and faults
+//! lives in [`crate::swarm`].
 
-use crate::auctioneer::{Auctioneer, BidOutcome};
+use crate::auctioneer::Auctioneer;
 use crate::bidder::{decide_row_bid, AbstainReason, BidDecision};
-use crate::instance::{CsrData, WelfareInstance};
+use crate::instance::{CsrData, RequestIdx, WelfareInstance};
+use crate::messages::AuctionMsg;
+use crate::protocol::{AuctioneerNode, BidReply};
 use crate::solution::{Assignment, DualSolution};
 use p2p_metrics::{AuctionProbe, NoProbe};
 use p2p_types::{P2pError, SimTime};
@@ -111,84 +116,184 @@ impl SyncAuction {
         instance: &WelfareInstance,
         probe: &mut impl AuctionProbe,
     ) -> Result<AuctionOutcome, P2pError> {
-        let epsilon = self.config.epsilon;
-        let (mut auctioneers, mut eff_price) = zero_price_auctioneers(instance);
-
-        let mut assigned: Vec<Option<usize>> = vec![None; instance.request_count()];
-        let mut retired: Vec<bool> = vec![false; instance.request_count()];
-        let mut rounds = 0u64;
-        let mut bids_submitted = 0u64;
-
+        let mut sweep = Sweep::new(instance, self.config);
         loop {
-            rounds += 1;
-            if rounds > self.config.max_rounds {
-                return Err(P2pError::AuctionDiverged { iterations: rounds - 1 });
-            }
-            let mut bids_this_round = 0u64;
-            let mut conflicts_this_round = 0u64;
-            let mut retired_this_round = 0u64;
+            sweep.begin_round()?;
             for r in 0..instance.request_count() {
-                if assigned[r].is_some() || retired[r] {
-                    continue;
-                }
-                match decide_row_bid(instance.request(r), |p| eff_price[p], epsilon) {
-                    // Prices are monotone within a run, so an unprofitable
-                    // (or candidate-less) request stays so forever and is
-                    // never re-scanned. A zero-margin tie can still be
-                    // broken by a second-best price rise, so it stays live.
-                    BidDecision::Abstain {
-                        reason: AbstainReason::Unprofitable | AbstainReason::NoCandidates,
-                    } => {
-                        retired[r] = true;
-                        retired_this_round += 1;
-                    }
-                    BidDecision::Abstain { reason: AbstainReason::ZeroMargin } => {}
-                    BidDecision::Bid { edge, provider, amount } => {
-                        bids_this_round += 1;
-                        match auctioneers[provider].handle_bid(r, amount) {
-                            BidOutcome::Rejected { .. } => {
-                                // Unreachable with up-to-date prices: the
-                                // bidder only bids strictly above λ.
-                                debug_assert!(false, "synchronous bid rejected");
-                            }
-                            BidOutcome::Accepted { evicted, new_price } => {
-                                assigned[r] = Some(edge);
-                                if let Some(loser) = evicted {
-                                    assigned[loser] = None;
-                                    conflicts_this_round += 1;
-                                }
-                                if let Some(p) = new_price {
-                                    probe.price_change(
-                                        provider,
-                                        eff_price[provider],
-                                        p,
-                                        SimTime::ZERO,
-                                    );
-                                    eff_price[provider] = p;
-                                }
-                            }
-                        }
-                    }
+                if sweep.is_open(r) {
+                    let decision = sweep.decide(r);
+                    sweep.apply(r, decision, SimTime::ZERO, probe);
                 }
             }
-            bids_submitted += bids_this_round;
-            probe.round(rounds, bids_this_round, conflicts_this_round, 0, retired_this_round);
-            if bids_this_round == 0 {
-                break;
+            if sweep.end_round(probe) {
+                return Ok(sweep.finish(probe));
             }
         }
+    }
+}
 
-        let lambda =
-            final_prices_from(instance, auctioneers.iter().map(Auctioneer::price).collect());
+/// The sequential sweep step of the auction: the auctioneers, the prices
+/// bidders see, who holds a unit, who is retired, and the round counters.
+///
+/// A driver opens each round with [`begin_round`](Sweep::begin_round),
+/// applies one decision per [open](Sweep::is_open) request in index order
+/// (a request evicted later in the round is open again at its own
+/// position), closes the round with [`end_round`](Sweep::end_round) and,
+/// once a round is quiet, takes the outcome with [`finish`](Sweep::finish).
+/// [`SyncAuction`], the swarm's ideal world and the networked tracker are
+/// such drivers (see the module docs).
+#[derive(Debug)]
+pub struct Sweep<'a> {
+    instance: &'a WelfareInstance,
+    config: AuctionConfig,
+    auctioneers: Vec<AuctioneerNode>,
+    /// λ per provider, +∞ for zero-capacity providers so nobody targets
+    /// them.
+    prices: Vec<f64>,
+    assigned: Vec<Option<usize>>,
+    /// Requests priced out for good (unprofitable or candidate-less).
+    retired: Vec<bool>,
+    rounds: u64,
+    bids_submitted: u64,
+    round_bids: u64,
+    round_conflicts: u64,
+    round_retired: u64,
+}
+
+impl<'a> Sweep<'a> {
+    /// A sweep of `instance` from λ = 0, before its first round.
+    pub fn new(instance: &'a WelfareInstance, config: AuctionConfig) -> Self {
+        let n = instance.request_count();
+        Sweep {
+            instance,
+            config,
+            auctioneers: instance
+                .providers()
+                .enumerate()
+                .map(|(u, p)| AuctioneerNode::new(u, p.capacity.chunks_per_slot()))
+                .collect(),
+            prices: instance
+                .providers()
+                .map(|p| if p.capacity.is_zero() { f64::INFINITY } else { 0.0 })
+                .collect(),
+            assigned: vec![None; n],
+            retired: vec![false; n],
+            rounds: 0,
+            bids_submitted: 0,
+            round_bids: 0,
+            round_conflicts: 0,
+            round_retired: 0,
+        }
+    }
+
+    /// Opens the next round.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`P2pError::AuctionDiverged`] once `max_rounds` rounds have
+    /// run without a quiet one.
+    pub fn begin_round(&mut self) -> Result<(), P2pError> {
+        if self.rounds >= self.config.max_rounds {
+            return Err(P2pError::AuctionDiverged { iterations: self.rounds });
+        }
+        self.rounds += 1;
+        self.round_bids = 0;
+        self.round_conflicts = 0;
+        self.round_retired = 0;
+        Ok(())
+    }
+
+    /// Whether request `r` takes its turn: unassigned and not retired.
+    pub fn is_open(&self, r: RequestIdx) -> bool {
+        self.assigned[r].is_none() && !self.retired[r]
+    }
+
+    /// The price every bidder sees per provider: its λ, or +∞ for a
+    /// zero-capacity provider.
+    pub fn prices(&self) -> &[f64] {
+        &self.prices
+    }
+
+    /// The live prices of request `r`'s candidates, in edge order: what a
+    /// poll carries and what a bidder node refreshes from.
+    pub fn row_prices(&self, r: RequestIdx) -> impl ExactSizeIterator<Item = f64> + '_ {
+        self.instance.request(r).providers().iter().map(|&u| self.prices[u as usize])
+    }
+
+    /// Request `r`'s decision at the live prices (Sec. IV-B top-2 rule).
+    pub fn decide(&self, r: RequestIdx) -> BidDecision {
+        decide_row_bid(self.instance.request(r), |u| self.prices[u], self.config.epsilon)
+    }
+
+    /// Applies one decision at request `r`'s sweep position and returns
+    /// the auctioneer's reply to a bid (`None` for an abstention), for the
+    /// transport to route: `reply` to the bidder, `evicted` to the
+    /// displaced request. Price changes reach the probe stamped `at`.
+    ///
+    /// A request that abstains as unprofitable or candidate-less is
+    /// retired (prices only rise, so it could never bid again); a
+    /// zero-margin tie stays open, since a second-best price rise can break
+    /// it. A bid must name one of `r`'s edges and lie strictly above the
+    /// live price, as every decision over the live prices does; the
+    /// tracker refuses any other wire bid before applying it.
+    pub fn apply(
+        &mut self,
+        r: RequestIdx,
+        decision: BidDecision,
+        at: SimTime,
+        probe: &mut impl AuctionProbe,
+    ) -> Option<BidReply> {
+        let (edge, provider, amount) = match decision {
+            BidDecision::Bid { edge, provider, amount } => (edge, provider, amount),
+            BidDecision::Abstain {
+                reason: AbstainReason::Unprofitable | AbstainReason::NoCandidates,
+            } => {
+                self.retired[r] = true;
+                self.round_retired += 1;
+                return None;
+            }
+            BidDecision::Abstain { reason: AbstainReason::ZeroMargin } => return None,
+        };
+        self.round_bids += 1;
+        let reply = self.auctioneers[provider].on_bid(r, amount);
+        match reply.reply {
+            AuctionMsg::Accepted { .. } => self.assigned[r] = Some(edge),
+            _ => debug_assert!(false, "a bid above the live price was rejected"),
+        }
+        if let Some(AuctionMsg::Evicted { request: loser, .. }) = reply.evicted {
+            self.assigned[loser] = None;
+            self.round_conflicts += 1;
+        }
+        if let Some(p) = reply.price_changed {
+            probe.price_change(provider, self.prices[provider], p, at);
+            self.prices[provider] = p;
+        }
+        Some(reply)
+    }
+
+    /// Closes the round, reports its counters to the probe, and returns
+    /// whether it was quiet (no bids): the auction has converged.
+    pub fn end_round(&mut self, probe: &mut impl AuctionProbe) -> bool {
+        self.bids_submitted += self.round_bids;
+        probe.round(self.rounds, self.round_bids, self.round_conflicts, 0, self.round_retired);
+        self.round_bids == 0
+    }
+
+    /// The converged outcome; its Theorem 1 certificate goes to the probe.
+    pub fn finish(self, probe: &mut impl AuctionProbe) -> AuctionOutcome {
+        let lambda = final_prices_from(
+            self.instance,
+            self.auctioneers.iter().map(AuctioneerNode::price).collect(),
+        );
         let outcome = AuctionOutcome {
-            assignment: Assignment::new(assigned),
-            duals: DualSolution::from_prices(instance, lambda),
-            rounds,
-            bids_submitted,
+            assignment: Assignment::new(self.assigned),
+            duals: DualSolution::from_prices(self.instance, lambda),
+            rounds: self.rounds,
+            bids_submitted: self.bids_submitted,
             converged: true,
         };
-        report_complete(instance, &outcome, probe);
-        Ok(outcome)
+        report_complete(self.instance, &outcome, probe);
+        outcome
     }
 }
 

@@ -22,7 +22,9 @@
 //! provided, plus a classic reference:
 //!
 //! * [`engine::SyncAuction`] — deterministic synchronous rounds, the
-//!   readable reference oracle;
+//!   readable reference oracle. Its sweep step, [`engine::Sweep`], is the
+//!   one the swarm's ideal world and the networked tracker apply their
+//!   decisions through;
 //! * [`shard::ShardedAuction`] — sharded Jacobi rounds with batched price
 //!   updates and price-delta worklists, for 10³–10⁴-request slots (parallel
 //!   across cores when the machine has them);
@@ -95,7 +97,7 @@ mod ordf64;
 pub use bidder::{BidDecision, EdgeView};
 pub use codec::{decode_msg, encode_msg, MAX_FRAME_LEN, WIRE_VERSION};
 pub use csr::{CsrInstance, FlatAuction, FlatOutcome};
-pub use engine::{AuctionConfig, AuctionOutcome, SyncAuction};
+pub use engine::{AuctionConfig, AuctionOutcome, Sweep, SyncAuction};
 pub use instance::{EdgeSpec, InstanceBuilder, ProviderSpec, RequestView, WelfareInstance};
 pub use p2p_metrics::{
     AuctionProbe, CountingProbe, EngineReport, NoProbe, PricePoint, PriceRecorder,

@@ -20,10 +20,12 @@
 //! [`BidderNode::poll`] (emit a bid if one is due) is what lets one state
 //! machine serve both execution styles: reactive transports call
 //! [`BidderNode::on_message`] (absorb + poll) so every delivery can trigger
-//! a counter-bid immediately, while the synchronous-rounds transport
-//! absorbs deliveries silently and polls each bidder exactly once per
-//! sweep — reproducing the Gauss–Seidel order of [`crate::SyncAuction`]
-//! bid for bid.
+//! a counter-bid immediately, while the synchronous-rounds transports (the
+//! swarm's ideal world, the tracker with its peers) absorb deliveries
+//! silently, ask each open bidder to [`decide`](BidderNode::decide) once
+//! per turn at the live prices, and apply that decision through the one
+//! [`Sweep`](crate::Sweep) that [`crate::SyncAuction`] drives — the
+//! Gauss–Seidel order, bid for bid, by construction.
 
 use crate::auctioneer::{Auctioneer, BidOutcome};
 use crate::bidder::{decide_bid_over, BidDecision, EdgeView};
@@ -144,33 +146,21 @@ impl BidderNode {
         }
     }
 
-    /// Overwrites the known price of every *live* candidate (entries
-    /// currently `+∞` mark zero-capacity providers and stay pinned there).
-    /// The ideal zero-latency transport uses this as its price oracle: at
-    /// each poll the bidder sees exact current prices, just as the
-    /// synchronous sweep reads `eff_price` live.
-    pub fn refresh_prices(&mut self, price_of: impl Fn(ProviderIdx) -> f64) {
-        for (k, v) in self.views.iter().enumerate() {
-            if self.known[k].is_finite() {
-                self.known[k] = price_of(v.provider);
-            }
-        }
-    }
-
-    /// [`refresh_prices`](Self::refresh_prices) from a price slice aligned
-    /// with the edge order (`prices[k]` belongs to `views()[k]`) — the
-    /// layout polls travel in on the wire, so transports can refresh
-    /// without building a provider-keyed map first. Live entries are
-    /// overwritten; `+∞` zero-capacity pins stay pinned.
+    /// Overwrites the known price of every live candidate from `prices`,
+    /// the row's prices in edge order (the `k`-th belongs to `views()[k]`):
+    /// what a poll carries on the wire, or what the ideal zero-latency
+    /// transport reads off [`Sweep::row_prices`](crate::Sweep::row_prices),
+    /// so the bidder sees exact current prices. Entries currently `+∞`
+    /// mark zero-capacity providers and stay pinned there.
     ///
     /// # Panics
     ///
-    /// Panics if `prices.len()` differs from the number of edges.
-    pub fn refresh_prices_aligned(&mut self, prices: &[f64]) {
+    /// Panics unless `prices` holds one price per candidate edge.
+    pub fn refresh_prices(&mut self, prices: impl ExactSizeIterator<Item = f64>) {
         assert_eq!(prices.len(), self.views.len(), "one price per candidate edge");
-        for (k, p) in prices.iter().enumerate() {
-            if self.known[k].is_finite() {
-                self.known[k] = *p;
+        for (known, p) in self.known.iter_mut().zip(prices) {
+            if known.is_finite() {
+                *known = p;
             }
         }
     }
@@ -417,28 +407,16 @@ mod tests {
     fn zero_capacity_knowledge_survives_refresh() {
         let price_of = |p: ProviderIdx| if p == 1 { f64::INFINITY } else { 0.0 };
         let mut b = BidderNode::new(0, views(), 0.0, LearnPolicy::Monotone, price_of);
-        b.refresh_prices(|_| 2.5);
+        b.refresh_prices([2.5, 1.25].into_iter());
         assert_eq!(b.known[0], 2.5);
         assert_eq!(b.known[1], f64::INFINITY, "zero-capacity entries stay pinned");
-    }
-
-    #[test]
-    fn aligned_refresh_matches_the_oracle_refresh() {
-        let price_of = |p: ProviderIdx| if p == 1 { f64::INFINITY } else { 0.0 };
-        let mut by_oracle = BidderNode::new(0, views(), 0.0, LearnPolicy::Monotone, price_of);
-        let mut by_slice = by_oracle.clone();
-        by_oracle.refresh_prices(|p| if p == 0 { 4.5 } else { 1.25 });
-        by_slice.refresh_prices_aligned(&[4.5, 1.25]);
-        assert_eq!(by_oracle.known, by_slice.known);
-        assert_eq!(by_slice.known[1], f64::INFINITY, "pins survive the aligned path too");
-        assert_eq!(by_oracle.decide(), by_slice.decide());
     }
 
     #[test]
     #[should_panic(expected = "one price per candidate edge")]
     fn aligned_refresh_rejects_mismatched_lengths() {
         let mut b = BidderNode::new(0, views(), 0.0, LearnPolicy::Monotone, |_| 0.0);
-        b.refresh_prices_aligned(&[1.0]);
+        b.refresh_prices([1.0].into_iter());
     }
 
     proptest! {

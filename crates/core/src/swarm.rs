@@ -7,11 +7,13 @@
 //!
 //! * **Ideal mode** ([`NetworkModel::ideal`], zero latency and zero
 //!   faults): the swarm replays the synchronous Gauss–Seidel sweep of
-//!   [`crate::SyncAuction`] on virtual time — one `Poll` event per live
-//!   request per round, bids resolved instantly, evicted losers re-polled
-//!   at their sweep position. The outcome (assignment, duals, rounds,
-//!   bids) is **bit-identical** to the in-process engines; the
-//!   engine-equivalence harness enforces it.
+//!   [`crate::SyncAuction`] on virtual time — one `Poll` event per open
+//!   request per round (unassigned and not retired as priced out), bids
+//!   resolved instantly, evicted losers re-polled at their sweep position.
+//!   Each bidder node's decision is applied through the same [`Sweep`]
+//!   `SyncAuction` drives, so the outcome (assignment, duals, rounds,
+//!   bids) is **bit-identical** to the in-process engines by
+//!   construction; the engine gates check it too.
 //! * **Reactive mode** (any model with latency or faults): every message
 //!   travels a per-link channel with seeded latency, drop/duplicate/
 //!   reorder faults and ISP-level partitions, all derived from
@@ -52,11 +54,11 @@
 //! by `proptest_coalesce` and by `p2p-bench`'s engine gates), while
 //! flash-crowd fan-in shrinks the queue by the fan-out factor.
 
-use crate::bidder::{AbstainReason, BidDecision, EdgeView};
-use crate::engine::{final_prices_from, report_complete, AuctionOutcome};
+use crate::bidder::{BidDecision, EdgeView};
+use crate::engine::{final_prices_from, report_complete, AuctionConfig, AuctionOutcome, Sweep};
 use crate::instance::{ProviderIdx, RequestIdx, WelfareInstance};
 use crate::messages::AuctionMsg;
-use crate::protocol::{AuctioneerNode, BidderNode, BidderPhase, LearnPolicy};
+use crate::protocol::{AuctioneerNode, BidderNode, LearnPolicy};
 use crate::solution::{Assignment, DualSolution};
 use p2p_metrics::{AuctionProbe, NoProbe};
 use p2p_sim::{derive_seed, ChainSlab, Context, Simulation, World, NIL};
@@ -498,9 +500,8 @@ impl SwarmAuction {
 
     /// [`run`](SwarmAuction::run) with an observer probe.
     ///
-    /// The ideal mode reports the synchronous sweep's per-round counters
-    /// (bids, conflicts and retirements, each bidder's first unprofitable
-    /// or candidate-less abstention counting as one), equal to
+    /// The ideal mode reports the per-round counters (bids, conflicts and
+    /// retirements) of the [`Sweep`] it drives, which are
     /// [`crate::SyncAuction`]'s. The reactive mode has no rounds, so it
     /// reports no round counters; both report price changes and the run's
     /// completion.
@@ -548,38 +549,27 @@ impl SwarmAuction {
     }
 
     /// Ideal mode: the synchronous sweep replayed as `Poll` events on
-    /// virtual time. Bit-identical to [`crate::SyncAuction`], though it
-    /// polls every idle bidder each round where `SyncAuction` retires
-    /// priced-out requests: such a bidder can only abstain, and an
-    /// abstention sends no message, so assignment, duals, rounds, bids,
-    /// messages and trace hash all agree. The world still counts each
-    /// bidder's first such abstention, so the probe's retirement counts
-    /// match `SyncAuction`'s too.
+    /// virtual time. Every decision is applied through the [`Sweep`] that
+    /// [`crate::SyncAuction`] drives, so assignment, duals, rounds, bids
+    /// and the probe's round counters agree with it by construction. Like
+    /// every sweep, each round polls only the open requests: a request
+    /// retired as priced out takes no further turn.
     fn run_ideal<P: AuctionProbe>(
         &self,
         instance: &WelfareInstance,
         probe: &mut P,
     ) -> Result<(AuctionOutcome, SideStats), P2pError> {
-        if self.config.max_rounds == 0 {
-            return Err(P2pError::AuctionDiverged { iterations: 0 });
-        }
         let n = instance.request_count();
-        let (bidders, auctioneers) =
-            build_nodes(instance, self.config.epsilon, LearnPolicy::Monotone);
+        let config =
+            AuctionConfig { epsilon: self.config.epsilon, max_rounds: self.config.max_rounds };
+        let mut sweep = Sweep::new(instance, config);
+        sweep.begin_round()?;
         let world = IdealWorld {
             probe,
-            bidders,
-            auctioneers,
-            assigned_edge: vec![None; n],
-            retired: vec![false; n],
-            round: 1,
+            sweep,
+            bidders: build_bidders(instance, self.config.epsilon, LearnPolicy::Monotone),
             round_start: SimTime::ZERO,
-            bids_this_round: 0,
-            conflicts_this_round: 0,
-            retired_this_round: 0,
-            bids_total: 0,
-            max_rounds: self.config.max_rounds,
-            diverged: false,
+            diverged: None,
             messages: 0,
             hash: TraceHash::new(),
             converged_at: SimTime::ZERO,
@@ -591,8 +581,8 @@ impl SwarmAuction {
         sim.schedule_at(SimTime::ZERO + SWEEP_STEP * n as u64, IdealEv::RoundEnd);
         let stats = sim.run_to_completion();
         let world = sim.into_world();
-        if world.diverged {
-            return Err(P2pError::AuctionDiverged { iterations: world.round });
+        if let Some(diverged) = world.diverged {
+            return Err(diverged);
         }
 
         let side = SideStats {
@@ -604,19 +594,7 @@ impl SwarmAuction {
             coalesced: 0,
             peak_queue: stats.peak_pending as u64,
         };
-        let lambda = final_prices_from(
-            instance,
-            world.auctioneers.iter().map(AuctioneerNode::price).collect(),
-        );
-        let outcome = AuctionOutcome {
-            assignment: Assignment::new(world.assigned_edge),
-            duals: DualSolution::from_prices(instance, lambda),
-            rounds: world.round,
-            bids_submitted: world.bids_total,
-            converged: true,
-        };
-        report_complete(instance, &outcome, world.probe);
-        Ok((outcome, side))
+        Ok((world.sweep.finish(world.probe), side))
     }
 
     /// Reactive mode: per-link channels with seeded latency and faults.
@@ -633,7 +611,12 @@ impl SwarmAuction {
         // decrease; per-link FIFO keeps each link's observations ordered.
         let policy =
             if departures.is_empty() { LearnPolicy::Monotone } else { LearnPolicy::Latest };
-        let (bidders, auctioneers) = build_nodes(instance, self.config.epsilon, policy);
+        let bidders = build_bidders(instance, self.config.epsilon, policy);
+        let auctioneers = instance
+            .providers()
+            .enumerate()
+            .map(|(u, p)| AuctioneerNode::new(u, p.capacity.chunks_per_slot()))
+            .collect();
 
         let data = &*instance.data;
         let bidder_peer: Vec<PeerId> = data.request_id.iter().map(|id| id.downstream()).collect();
@@ -720,14 +703,10 @@ impl SwarmAuction {
     }
 }
 
-/// Builds the protocol nodes shared by both modes, every price at 0 as the
+/// Builds the bidder nodes of both modes, every price at 0 as the
 /// synchronous engine starts.
-fn build_nodes(
-    instance: &WelfareInstance,
-    epsilon: f64,
-    policy: LearnPolicy,
-) -> (Vec<BidderNode>, Vec<AuctioneerNode>) {
-    let bidders = instance
+fn build_bidders(instance: &WelfareInstance, epsilon: f64, policy: LearnPolicy) -> Vec<BidderNode> {
+    instance
         .requests()
         .enumerate()
         .map(|(r, row)| {
@@ -745,13 +724,7 @@ fn build_nodes(
                 }
             })
         })
-        .collect();
-    let auctioneers = instance
-        .providers()
-        .enumerate()
-        .map(|(u, p)| AuctioneerNode::new(u, p.capacity.chunks_per_slot()))
-        .collect();
-    (bidders, auctioneers)
+        .collect()
 }
 
 fn assemble(outcome: AuctionOutcome, side: &SideStats) -> SwarmOutcome {
@@ -783,20 +756,10 @@ enum IdealEv {
 
 struct IdealWorld<'a, P: AuctionProbe> {
     probe: &'a mut P,
+    sweep: Sweep<'a>,
     bidders: Vec<BidderNode>,
-    auctioneers: Vec<AuctioneerNode>,
-    assigned_edge: Vec<Option<usize>>,
-    /// Per bidder: whether its first unprofitable or candidate-less
-    /// abstention was counted (a counter only; such bidders stay polled).
-    retired: Vec<bool>,
-    round: u64,
     round_start: SimTime,
-    bids_this_round: u64,
-    conflicts_this_round: u64,
-    retired_this_round: u64,
-    bids_total: u64,
-    max_rounds: u64,
-    diverged: bool,
+    diverged: Option<P2pError>,
     messages: u64,
     hash: TraceHash,
     converged_at: SimTime,
@@ -817,99 +780,51 @@ impl<P: AuctionProbe> World for IdealWorld<'_, P> {
     fn handle(&mut self, ctx: &mut Context<'_, IdealEv>, ev: IdealEv) {
         match ev {
             IdealEv::Poll(r) => {
-                if self.bidders[r].phase() != BidderPhase::Idle {
+                if !self.sweep.is_open(r) {
                     return;
                 }
-                // Poll-time price oracle: zero latency means the bidder
-                // reads exact current prices, just as the synchronous
-                // sweep reads `eff_price` live (∞ entries for
-                // zero-capacity providers stay pinned).
-                let auctioneers = &self.auctioneers;
-                self.bidders[r].refresh_prices(|u| auctioneers[u].price());
-                match self.bidders[r].decide() {
-                    // An abstention sends no message, so polling a bidder
-                    // that can only abstain again is invisible in every
-                    // outcome, count and trace hash. The synchronous sweep
-                    // retires it here, so the round counts it once.
-                    BidDecision::Abstain {
-                        reason: AbstainReason::Unprofitable | AbstainReason::NoCandidates,
-                    } => {
-                        if !self.retired[r] {
-                            self.retired[r] = true;
-                            self.retired_this_round += 1;
-                        }
-                    }
-                    BidDecision::Abstain { reason: AbstainReason::ZeroMargin } => {}
-                    BidDecision::Bid { edge, provider, amount } => {
-                        self.bids_this_round += 1;
-                        let now = ctx.now();
-                        let bid = AuctionMsg::Bid { request: r, edge, provider, amount };
-                        self.record(now, &bid);
-                        let before = self.auctioneers[provider].price();
-                        let reply = self.auctioneers[provider].on_bid(r, amount);
-                        // With exact prices the bid is strictly above λ,
-                        // so synchronous rejections are unreachable.
-                        debug_assert!(
-                            matches!(reply.reply, AuctionMsg::Accepted { .. }),
-                            "ideal-mode bid rejected"
+                // Zero latency: the bidder reads the exact live prices, as
+                // the synchronous sweep does.
+                self.bidders[r].refresh_prices(self.sweep.row_prices(r));
+                let decision = self.bidders[r].decide();
+                let now = ctx.now();
+                if let BidDecision::Bid { edge, provider, amount } = decision {
+                    self.record(now, &AuctionMsg::Bid { request: r, edge, provider, amount });
+                }
+                let Some(reply) = self.sweep.apply(r, decision, now, self.probe) else {
+                    return;
+                };
+                self.record(now, &reply.reply);
+                self.bidders[r].absorb(&reply.reply);
+                if let Some(notice @ AuctionMsg::Evicted { request: loser, .. }) = reply.evicted {
+                    self.record(now, &notice);
+                    self.bidders[loser].absorb(&notice);
+                    if loser > r {
+                        // The loser's sweep position is still ahead this
+                        // round: re-poll it there, exactly the synchronous
+                        // re-scan.
+                        ctx.schedule_at(
+                            self.round_start + SWEEP_STEP * loser as u64,
+                            IdealEv::Poll(loser),
                         );
-                        self.record(now, &reply.reply);
-                        self.bidders[r].absorb(&reply.reply);
-                        if matches!(reply.reply, AuctionMsg::Accepted { .. }) {
-                            self.assigned_edge[r] = Some(edge);
-                        }
-                        if let Some(notice) = reply.evicted {
-                            self.record(now, &notice);
-                            if let AuctionMsg::Evicted { request: loser, .. } = notice {
-                                self.assigned_edge[loser] = None;
-                                self.conflicts_this_round += 1;
-                                self.bidders[loser].absorb(&notice);
-                                if loser > r {
-                                    // The loser's sweep position is still
-                                    // ahead this round: re-poll it there,
-                                    // exactly the synchronous re-scan.
-                                    ctx.schedule_at(
-                                        self.round_start + SWEEP_STEP * loser as u64,
-                                        IdealEv::Poll(loser),
-                                    );
-                                }
-                            }
-                        }
-                        if let Some(p) = reply.price_changed {
-                            self.probe.price_change(provider, before, p, now);
-                        }
-                        self.converged_at = now;
                     }
                 }
+                self.converged_at = now;
             }
             IdealEv::RoundEnd => {
-                self.bids_total += self.bids_this_round;
-                self.probe.round(
-                    self.round,
-                    self.bids_this_round,
-                    self.conflicts_this_round,
-                    0,
-                    self.retired_this_round,
-                );
-                if self.bids_this_round == 0 {
+                if self.sweep.end_round(self.probe) {
                     ctx.stop();
                     return;
                 }
-                if self.round + 1 > self.max_rounds {
-                    self.diverged = true;
+                if let Err(diverged) = self.sweep.begin_round() {
+                    self.diverged = Some(diverged);
                     ctx.stop();
                     return;
                 }
-                self.round += 1;
                 self.round_start = ctx.now();
-                self.bids_this_round = 0;
-                self.conflicts_this_round = 0;
-                self.retired_this_round = 0;
                 let n = self.bidders.len();
-                for r in 0..n {
-                    if self.bidders[r].phase() == BidderPhase::Idle {
-                        ctx.schedule_at(self.round_start + SWEEP_STEP * r as u64, IdealEv::Poll(r));
-                    }
+                for r in (0..n).filter(|&r| self.sweep.is_open(r)) {
+                    ctx.schedule_at(self.round_start + SWEEP_STEP * r as u64, IdealEv::Poll(r));
                 }
                 ctx.schedule_at(self.round_start + SWEEP_STEP * n as u64, IdealEv::RoundEnd);
             }

@@ -6,10 +6,11 @@
 //! [`AuctioneerNode`](p2p_core::AuctioneerNode) state machines every other
 //! runtime drives; the tracker replays the synchronous Gauss–Seidel sweep
 //! over the wire (exact current prices in every poll, index-order
-//! scheduling, FIFO notices), which makes the networked outcome —
-//! assignment, duals, rounds, bids, and the Theorem 1 `n·ε` certificate —
-//! bit-identical to [`p2p_core::SyncAuction`] and therefore to the sharded,
-//! flat and ideal-swarm engines it is already equivalent to. By default
+//! scheduling, FIFO notices) and applies every reply through the same
+//! [`p2p_core::Sweep`] that [`p2p_core::SyncAuction`] drives, which makes
+//! the networked outcome — assignment, duals, rounds, bids, and the
+//! Theorem 1 `n·ε` certificate — bit-identical to `SyncAuction` and
+//! therefore to the sharded, flat and ideal-swarm engines. By default
 //! the sweep ships as *batched* polls — one [`NetMsg::PollBatch`] per peer
 //! per round instead of a frame per request — with tracker-side snapshot
 //! revalidation keeping the batched sweep bit-identical to the per-request

@@ -3,9 +3,10 @@
 //!
 //! The peer is a pure message servant — it holds no auction schedule of
 //! its own. Every `Poll` carries exact current prices for the polled
-//! bidder's candidate edges; the peer refreshes the bidder's knowledge
-//! ([`BidderNode::refresh_prices`], which leaves `+∞` zero-capacity pins
-//! alone), asks it to [`decide`](BidderNode::decide), and replies.
+//! bidder's candidate edges, in edge order; the peer refreshes the
+//! bidder's knowledge ([`BidderNode::refresh_prices`], which leaves `+∞`
+//! zero-capacity pins alone), asks it to [`decide`](BidderNode::decide),
+//! and replies.
 //! `Notice`s (accepts, evictions) are absorbed silently, exactly like the
 //! synchronous transport's silent-absorb/poll-once-per-sweep split.
 //!
@@ -128,6 +129,14 @@ impl Peer {
                         .map(|b| {
                             let prices: HashMap<usize, f64> =
                                 b.edges.iter().map(|&(p, _, price)| (p, price)).collect();
+                            if prices.len() != b.edges.len() {
+                                return Err(P2pError::WireMalformed {
+                                    reason: format!(
+                                        "init lists a provider twice for request {}",
+                                        b.request
+                                    ),
+                                });
+                            }
                             let views: Vec<EdgeView> = b
                                 .edges
                                 .iter()
@@ -140,9 +149,9 @@ impl Peer {
                                 LearnPolicy::Monotone,
                                 |p| prices.get(&p).copied().unwrap_or(f64::INFINITY),
                             );
-                            (b.request, node)
+                            Ok((b.request, node))
                         })
-                        .collect();
+                        .collect::<Result<_>>()?;
                 }
                 NetMsg::Poll { request, prices } => {
                     self.check_poll_budget(&mut polls_served)?;
@@ -216,7 +225,7 @@ fn decide_one(
             ),
         });
     }
-    bidder.refresh_prices_aligned(prices);
+    bidder.refresh_prices(prices.iter().copied());
     Ok(bidder.decide())
 }
 

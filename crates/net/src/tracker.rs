@@ -1,14 +1,14 @@
 //! The tracker: swarm membership, heartbeats, and the coordinator that
 //! replays the synchronous Gauss–Seidel sweep over TCP.
 //!
-//! The tracker hosts the [`AuctioneerNode`]s and owns the sweep schedule;
-//! peers host the [`BidderNode`](p2p_core::BidderNode)s. Each round the
-//! tracker polls every open request (unassigned, and not retired as priced
-//! out) *in index order* with the exact current prices, exactly as
-//! [`p2p_core::SyncAuction`]'s sweep reads its live price vector — so the
-//! networked outcome (assignment, duals, rounds, bids) is bit-identical to
-//! the in-process engines' by the same argument that makes the sharded,
-//! flat and ideal-swarm engines agree.
+//! The tracker hosts the [`AuctioneerNode`](p2p_core::AuctioneerNode)s and
+//! owns the sweep schedule; peers host the
+//! [`BidderNode`](p2p_core::BidderNode)s. Each round the tracker polls
+//! every open request (unassigned, and not retired as priced out) *in
+//! index order* with the exact current prices, and applies each reply
+//! through the same [`p2p_core::Sweep`] that [`p2p_core::SyncAuction`]
+//! drives — so the networked outcome (assignment, duals, rounds, bids) is
+//! bit-identical to the in-process engines' by construction.
 //! Per-connection FIFO delivery guarantees an `Accepted`/`Evicted` notice
 //! reaches a peer before that peer's next `Poll`, so bidder phase and the
 //! tracker's assignment view never disagree.
@@ -25,10 +25,13 @@
 //! aligned polls and `LearnPolicy::Monotone`, a polled bidder's decision
 //! is a pure function of the live prices) and queues a rejection so the
 //! peer's parked bidder re-idles before its next poll. Both drivers
-//! funnel every authoritative decision through `Sweep::apply`, so the
+//! apply every authoritative decision through [`Sweep::apply`], so the
 //! outcome is bit-identical either way — the batched driver just spends
 //! ~`2 × peers × rounds` frames where the per-request one spends
-//! `2 × polls + notices`.
+//! `2 × polls + notices`. A wire bid reaches `Sweep::apply` only after the
+//! tracker has checked it names one of the request's edges and lies
+//! strictly above the live price (after the snapshot check, in the batched
+//! driver); any other is [`P2pError::WireMalformed`].
 //!
 //! # Threads and reads
 //!
@@ -49,12 +52,9 @@
 
 use crate::frame::FrameConn;
 use crate::proto::{decode_net, encode_net, NetMsg, WireBidder};
-use p2p_core::bidder::{decide_row_bid, AbstainReason};
-use p2p_core::engine::{final_prices_from, report_complete};
 use p2p_core::messages::AuctionMsg;
-use p2p_core::protocol::AuctioneerNode;
 use p2p_core::{
-    Assignment, AuctionOutcome, AuctionProbe, BidDecision, DualSolution, WelfareInstance,
+    AuctionConfig, AuctionOutcome, AuctionProbe, BidDecision, BidReply, Sweep, WelfareInstance,
 };
 use p2p_types::{P2pError, Result, SimTime};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -287,22 +287,16 @@ impl Tracker {
         }
     }
 
-    /// One full sweep to quiescence — the networked image of
-    /// `SyncAuction::run_probed`, counter for counter.
+    /// One full sweep to quiescence: the networked driver of the
+    /// [`Sweep`] that `SyncAuction::run_probed` drives.
     fn run_pass<P: AuctionProbe>(
         &mut self,
         instance: &WelfareInstance,
         probe: &mut P,
     ) -> Result<AuctionOutcome> {
-        let mut auctioneers: Vec<AuctioneerNode> = instance
-            .providers()
-            .enumerate()
-            .map(|(u, p)| AuctioneerNode::new(u, p.capacity.chunks_per_slot()))
-            .collect();
-        let mut eff_price: Vec<f64> = instance
-            .providers()
-            .map(|p| if p.capacity.is_zero() { f64::INFINITY } else { 0.0 })
-            .collect();
+        let config =
+            AuctionConfig { epsilon: self.config.epsilon, max_rounds: self.config.max_rounds };
+        let mut sweep = Sweep::new(instance, config);
 
         // Hand out the slot's bidders: request r lives on peer r mod N.
         let n = instance.request_count();
@@ -315,7 +309,8 @@ impl Tracker {
                         .providers()
                         .iter()
                         .zip(row.utilities())
-                        .map(|(&u, &utility)| (u as usize, utility, eff_price[u as usize]))
+                        .zip(sweep.row_prices(r))
+                        .map(|((&u, &utility), price)| (u as usize, utility, price))
                         .collect();
                     WireBidder { request: r, edges }
                 })
@@ -324,39 +319,18 @@ impl Tracker {
             self.frames_sent += 1;
         }
 
-        let mut assigned: Vec<Option<usize>> = vec![None; n];
-        let mut retired: Vec<bool> = vec![false; n];
+        // Notices owed to each peer, delivered at the head of its next
+        // `PollBatch` (batched mode only; the per-request driver sends
+        // notices inline and leaves these queues empty).
         let mut notices_q: Vec<Vec<AuctionMsg>> = vec![Vec::new(); self.peer_count];
-        let mut rounds = 0u64;
-        let mut bids_submitted = 0u64;
-
         loop {
-            rounds += 1;
-            if rounds > self.config.max_rounds {
-                return Err(P2pError::AuctionDiverged { iterations: rounds - 1 });
-            }
-            let mut sweep = Sweep {
-                instance,
-                auctioneers: &mut auctioneers,
-                eff_price: &mut eff_price,
-                assigned: &mut assigned,
-                retired: &mut retired,
-                notices_q: &mut notices_q,
-                peer_count: self.peer_count,
-                bids: 0,
-                conflicts: 0,
-                newly_retired: 0,
-            };
+            sweep.begin_round()?;
             if self.config.batch_polls {
-                self.sweep_batched(&mut sweep, probe)?;
+                self.sweep_batched(instance, &mut sweep, &mut notices_q, probe)?;
             } else {
-                self.sweep_unbatched(&mut sweep, probe)?;
+                self.sweep_unbatched(instance, &mut sweep, probe)?;
             }
-            let (bids_this_round, conflicts_this_round, retired_this_round) =
-                (sweep.bids, sweep.conflicts, sweep.newly_retired);
-            bids_submitted += bids_this_round;
-            probe.round(rounds, bids_this_round, conflicts_this_round, 0, retired_this_round);
-            if bids_this_round == 0 {
+            if sweep.end_round(probe) {
                 break;
             }
         }
@@ -369,18 +343,7 @@ impl Tracker {
                 self.send_counted(owner, &NetMsg::Notice(msg))?;
             }
         }
-
-        let lambda =
-            final_prices_from(instance, auctioneers.iter().map(AuctioneerNode::price).collect());
-        let outcome = AuctionOutcome {
-            assignment: Assignment::new(assigned),
-            duals: DualSolution::from_prices(instance, lambda),
-            rounds,
-            bids_submitted,
-            converged: true,
-        };
-        report_complete(instance, &outcome, probe);
-        Ok(outcome)
+        Ok(sweep.finish(probe))
     }
 
     /// One per-request sweep round: poll every open request individually
@@ -388,24 +351,24 @@ impl Tracker {
     /// two frames (plus notices) per poll.
     fn sweep_unbatched<P: AuctionProbe>(
         &mut self,
+        instance: &WelfareInstance,
         sweep: &mut Sweep<'_>,
         probe: &mut P,
     ) -> Result<()> {
-        let n = sweep.assigned.len();
-        for r in 0..n {
-            if sweep.is_closed(r) {
+        for r in 0..instance.request_count() {
+            if !sweep.is_open(r) {
                 continue;
             }
             let owner = r % self.peer_count;
-            let prices = sweep.live_prices(r);
+            let prices = sweep.row_prices(r).collect();
             self.send_counted(owner, &NetMsg::Poll { request: r, prices })?;
             let decision = self.await_reply(owner, r)?;
-            if let BidDecision::Bid { edge, provider, .. } = decision {
-                check_bid_shape(sweep.instance, r, edge, provider)?;
-            }
-            let notices = sweep.apply(r, decision, probe);
-            for (target, msg) in notices {
-                self.send_counted(target, &NetMsg::Notice(msg))?;
+            check_bid_shape(instance, r, &decision)?;
+            check_bid_amount(sweep.prices(), r, &decision)?;
+            if let Some(reply) = sweep.apply(r, decision, SimTime::ZERO, probe) {
+                for (target, msg) in route(r, reply, self.peer_count) {
+                    self.send_counted(target, &NetMsg::Notice(msg))?;
+                }
             }
         }
         Ok(())
@@ -424,24 +387,26 @@ impl Tracker {
     /// rounds)` times fewer frames.
     fn sweep_batched<P: AuctionProbe>(
         &mut self,
+        instance: &WelfareInstance,
         sweep: &mut Sweep<'_>,
+        notices_q: &mut [Vec<AuctionMsg>],
         probe: &mut P,
     ) -> Result<()> {
-        let n = sweep.assigned.len();
+        let n = instance.request_count();
         // Ship one frame per peer: queued notices, then this round's polls.
         let mut snapshots: Vec<Option<Vec<f64>>> = vec![None; n];
         let mut awaiting: Vec<bool> = vec![false; self.peer_count];
         for (owner, awaiting_reply) in awaiting.iter_mut().enumerate() {
             let mut polls: Vec<(usize, Vec<f64>)> = Vec::new();
             for r in (owner..n).step_by(self.peer_count) {
-                if sweep.is_closed(r) {
+                if !sweep.is_open(r) {
                     continue;
                 }
-                let prices = sweep.live_prices(r);
+                let prices: Vec<f64> = sweep.row_prices(r).collect();
                 snapshots[r] = Some(prices.clone());
                 polls.push((r, prices));
             }
-            let notices = std::mem::take(&mut sweep.notices_q[owner]);
+            let notices = std::mem::take(&mut notices_q[owner]);
             if polls.is_empty() && notices.is_empty() {
                 continue;
             }
@@ -468,19 +433,25 @@ impl Tracker {
 
         // Replay the sweep in index order against live prices.
         for r in 0..n {
-            if sweep.is_closed(r) {
+            if !sweep.is_open(r) {
                 continue;
             }
             let owner = r % self.peer_count;
             let decision = match spec[r].take() {
                 Some(d) => {
-                    if let BidDecision::Bid { edge, provider, .. } = d {
-                        check_bid_shape(sweep.instance, r, edge, provider)?;
-                    }
+                    check_bid_shape(instance, r, &d)?;
                     let snap = snapshots[r]
                         .as_ref()
                         .expect("every speculative reply was checked against a snapshot");
-                    if sweep.snapshot_is_live(r, snap) {
+                    // The peer decided against `snap`: its decision is the
+                    // one it would make now iff the snapshot still
+                    // bitwise-matches the live prices.
+                    let live = snap
+                        .iter()
+                        .zip(sweep.row_prices(r))
+                        .all(|(s, p)| s.to_bits() == p.to_bits());
+                    if live {
+                        check_bid_amount(sweep.prices(), r, &d)?;
                         d
                     } else {
                         // Prices moved before this sweep position: void
@@ -488,13 +459,17 @@ impl Tracker {
                         // peer's bidder in `Pending`; a rejection at the
                         // live price re-idles it before its next poll.
                         if let BidDecision::Bid { provider, .. } = d {
-                            sweep.notices_q[owner].push(AuctionMsg::Rejected {
+                            notices_q[owner].push(AuctionMsg::Rejected {
                                 request: r,
                                 provider,
-                                price: sweep.eff_price[provider],
+                                price: sweep.prices()[provider],
                             });
                         }
-                        sweep.decide_locally(r, self.config.epsilon)
+                        // Exact polls overwrite every live price entry and
+                        // a polled bidder is always `Idle`, so the peer's
+                        // decision is this pure function of the live
+                        // prices.
+                        sweep.decide(r)
                     }
                 }
                 None => {
@@ -507,12 +482,13 @@ impl Tracker {
                     // batch shipped and lost its unit mid-round. The
                     // per-request protocol would poll it now; its
                     // decision is the same pure function of live prices.
-                    sweep.decide_locally(r, self.config.epsilon)
+                    sweep.decide(r)
                 }
             };
-            let notices = sweep.apply(r, decision, probe);
-            for (target, msg) in notices {
-                sweep.notices_q[target].push(msg);
+            if let Some(reply) = sweep.apply(r, decision, SimTime::ZERO, probe) {
+                for (target, msg) in route(r, reply, self.peer_count) {
+                    notices_q[target].push(msg);
+                }
             }
         }
         Ok(())
@@ -554,110 +530,6 @@ impl Tracker {
     }
 }
 
-/// The mutable state of one sweep round, shared by the per-request and
-/// batched drivers so the two wire protocols cannot drift: both funnel
-/// every authoritative decision through [`Sweep::apply`].
-struct Sweep<'a> {
-    instance: &'a WelfareInstance,
-    auctioneers: &'a mut [AuctioneerNode],
-    eff_price: &'a mut [f64],
-    assigned: &'a mut [Option<usize>],
-    /// Requests priced out for good (unprofitable or candidate-less).
-    /// Prices only rise, so the sweep never polls them again, exactly as
-    /// `SyncAuction`'s sweep retires them.
-    retired: &'a mut [bool],
-    /// Notices owed to each peer, delivered at the head of its next
-    /// `PollBatch` (batched mode only; the per-request driver sends
-    /// notices inline and leaves these queues empty).
-    notices_q: &'a mut [Vec<AuctionMsg>],
-    peer_count: usize,
-    bids: u64,
-    conflicts: u64,
-    newly_retired: u64,
-}
-
-impl Sweep<'_> {
-    /// Whether `r` is out of this round's sweep (assigned or retired).
-    fn is_closed(&self, r: usize) -> bool {
-        self.assigned[r].is_some() || self.retired[r]
-    }
-
-    /// The live prices of `r`'s candidates, in row order — what a poll
-    /// carries.
-    fn live_prices(&self, r: usize) -> Vec<f64> {
-        self.instance.request(r).providers().iter().map(|&u| self.eff_price[u as usize]).collect()
-    }
-
-    /// Whether a batch entry's price snapshot still bitwise-matches the
-    /// live prices of `r`'s candidates — the condition under which the
-    /// peer's speculative decision equals the one it would make now.
-    fn snapshot_is_live(&self, r: usize, snap: &[f64]) -> bool {
-        snap.iter()
-            .zip(self.instance.request(r).providers())
-            .all(|(s, &u)| s.to_bits() == self.eff_price[u as usize].to_bits())
-    }
-
-    /// The decision the peer's bidder would return for a poll of `r` at
-    /// the live prices. Exact polls overwrite every live price entry and
-    /// a polled bidder is always `Idle`, so its decision is this pure
-    /// function — which lets the tracker repair stale batch entries
-    /// without a second round-trip.
-    fn decide_locally(&self, r: usize, epsilon: f64) -> BidDecision {
-        decide_row_bid(self.instance.request(r), |u| self.eff_price[u], epsilon)
-    }
-
-    /// Applies one authoritative decision at sweep position `r` — the
-    /// body of the original per-request loop — and returns the owed
-    /// notices as `(peer, message)` in delivery order.
-    fn apply<P: AuctionProbe>(
-        &mut self,
-        r: usize,
-        decision: BidDecision,
-        probe: &mut P,
-    ) -> Vec<(usize, AuctionMsg)> {
-        let mut notices = Vec::new();
-        match decision {
-            BidDecision::Abstain {
-                reason: AbstainReason::Unprofitable | AbstainReason::NoCandidates,
-            } => {
-                self.retired[r] = true;
-                self.newly_retired += 1;
-            }
-            BidDecision::Abstain { reason: AbstainReason::ZeroMargin } => {}
-            BidDecision::Bid { edge, provider, amount } => {
-                self.bids += 1;
-                let before = self.eff_price[provider];
-                let reply = self.auctioneers[provider].on_bid(r, amount);
-                match reply.reply {
-                    AuctionMsg::Accepted { .. } => {
-                        self.assigned[r] = Some(edge);
-                    }
-                    _ => {
-                        // Unreachable with exact polled prices: the
-                        // bidder only bids strictly above λ. Mirror the
-                        // sync engine (count the bid, continue) but still
-                        // notify so the bidder re-idles.
-                        debug_assert!(false, "networked bid rejected");
-                    }
-                }
-                notices.push((r % self.peer_count, reply.reply));
-                if let Some(ev) = reply.evicted {
-                    if let AuctionMsg::Evicted { request: loser, .. } = ev {
-                        self.assigned[loser] = None;
-                        self.conflicts += 1;
-                        notices.push((loser % self.peer_count, ev));
-                    }
-                }
-                if let Some(p) = reply.price_changed {
-                    probe.price_change(provider, before, p, SimTime::ZERO);
-                    self.eff_price[provider] = p;
-                }
-            }
-        }
-        notices
-    }
-}
-
 /// Whether `epsilon` is a bid increment the auction can run: finite and
 /// at least 0. The tracker refuses any other at bind time, and a peer
 /// refuses one in its `Init`.
@@ -665,14 +537,12 @@ pub(crate) fn epsilon_is_valid(epsilon: f64) -> bool {
     epsilon.is_finite() && epsilon >= 0.0
 }
 
-/// Validates that a wire bid's `(edge, provider)` pair is consistent with
-/// the request's edge list before it can index anything.
-fn check_bid_shape(
-    instance: &WelfareInstance,
-    r: usize,
-    edge: usize,
-    provider: usize,
-) -> Result<()> {
+/// Validates that a wire bid's `(edge, provider)` pair is one of the
+/// request's edges before it can index anything.
+fn check_bid_shape(instance: &WelfareInstance, r: usize, decision: &BidDecision) -> Result<()> {
+    let &BidDecision::Bid { edge, provider, .. } = decision else {
+        return Ok(());
+    };
     if instance.request(r).providers().get(edge).map(|&u| u as usize) != Some(provider) {
         return Err(P2pError::WireMalformed {
             reason: format!(
@@ -681,6 +551,44 @@ fn check_bid_shape(
         });
     }
     Ok(())
+}
+
+/// Validates that a shape-checked wire bid is a finite amount strictly
+/// above the provider's live price, as every decision over the live prices
+/// is, before it reaches an auctioneer: a non-finite bid would trip its
+/// assert, and one at or below λ would be counted as a bid that admits
+/// nothing, so a peer repeating it could keep every round busy.
+fn check_bid_amount(prices: &[f64], r: usize, decision: &BidDecision) -> Result<()> {
+    let &BidDecision::Bid { provider, amount, .. } = decision else {
+        return Ok(());
+    };
+    let price = prices[provider];
+    if !(amount.is_finite() && amount > price) {
+        return Err(P2pError::WireMalformed {
+            reason: format!(
+                "request {r} bid {amount} at provider {provider}, not a finite amount above \
+                 its live price {price}"
+            ),
+        });
+    }
+    Ok(())
+}
+
+/// Where the notices one applied bid owes go, as `(peer, message)` in
+/// delivery order: the reply to the bidder's peer, then the eviction to
+/// the displaced request's peer.
+fn route(
+    r: usize,
+    reply: BidReply,
+    peer_count: usize,
+) -> impl Iterator<Item = (usize, AuctionMsg)> {
+    let evicted = match reply.evicted {
+        Some(notice @ AuctionMsg::Evicted { request: loser, .. }) => {
+            Some((loser % peer_count, notice))
+        }
+        _ => None,
+    };
+    std::iter::once((r % peer_count, reply.reply)).chain(evicted)
 }
 
 impl Drop for Tracker {

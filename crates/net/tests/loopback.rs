@@ -6,13 +6,17 @@
 //! equivalence chain and every failure path at thread speed.
 
 use p2p_core::{
-    verify_optimality, AuctionConfig, AuctionOutcome, CountingProbe, CsrInstance, FlatAuction,
-    FlatOutcome, NoProbe, ShardCount, SyncAuction, WelfareInstance,
+    verify_optimality, AuctionConfig, AuctionOutcome, BidDecision, CountingProbe, CsrInstance,
+    FlatAuction, FlatOutcome, NoProbe, ShardCount, SyncAuction, WelfareInstance,
 };
-use p2p_net::{run_slot_local, run_slot_local_stats, NetConfig, Peer, PeerConfig, Tracker};
+use p2p_net::{
+    decode_net, encode_net, run_slot_local, run_slot_local_stats, FrameConn, NetConfig, NetMsg,
+    Peer, PeerConfig, Tracker, WireBidder,
+};
 use p2p_types::{ChunkId, Cost, P2pError, PeerId, RequestId, Valuation, VideoId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
@@ -174,25 +178,96 @@ fn a_non_finite_or_negative_epsilon_is_refused_at_bind() {
     }
 }
 
+/// A tracker impostor that completes the handshake and sends `init`;
+/// returns the error the peer stops with.
+fn peer_error_on_init(init: NetMsg) -> P2pError {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let peer = std::thread::spawn(move || {
+        Peer::connect(&addr, 0, PeerConfig::default()).and_then(|mut p| p.run())
+    });
+    let (stream, _) = listener.accept().unwrap();
+    let mut conn = FrameConn::new(stream, Some(Duration::from_secs(5))).unwrap();
+    assert!(matches!(decode_net(&conn.recv().unwrap()).unwrap(), NetMsg::Hello { .. }));
+    conn.send(&encode_net(&NetMsg::Welcome { peer_index: 0, peer_count: 1 })).unwrap();
+    conn.send(&encode_net(&init)).unwrap();
+    peer.join().unwrap().expect_err("the peer must refuse the init")
+}
+
 /// A tracker impostor whose `Init` carries an ε the auction cannot run:
 /// the peer refuses it as malformed instead of bidding with it.
 #[test]
 fn a_non_finite_or_negative_init_epsilon_is_malformed_on_the_peer() {
-    use p2p_net::{decode_net, encode_net, FrameConn, NetMsg};
     for epsilon in [f64::NAN, f64::INFINITY, -1.0] {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let peer = std::thread::spawn(move || {
-            Peer::connect(&addr, 0, PeerConfig::default()).and_then(|mut p| p.run())
-        });
-        let (stream, _) = listener.accept().unwrap();
-        let mut conn = FrameConn::new(stream, Some(Duration::from_secs(5))).unwrap();
-        assert!(matches!(decode_net(&conn.recv().unwrap()).unwrap(), NetMsg::Hello { .. }));
-        conn.send(&encode_net(&NetMsg::Welcome { peer_index: 0, peer_count: 1 })).unwrap();
-        conn.send(&encode_net(&NetMsg::Init { epsilon, bidders: Vec::new() })).unwrap();
-        let err = peer.join().unwrap().expect_err("the peer must refuse the init");
+        let err = peer_error_on_init(NetMsg::Init { epsilon, bidders: Vec::new() });
         assert!(matches!(err, P2pError::WireMalformed { .. }), "ε = {epsilon}: {err:?}");
         assert!(err.to_string().contains("epsilon"), "ε = {epsilon}: {err}");
+    }
+}
+
+/// A tracker impostor whose `Init` lists one provider twice for a bidder:
+/// the peer refuses it as malformed before building the bidder.
+#[test]
+fn an_init_bidder_listing_a_provider_twice_is_malformed_on_the_peer() {
+    let bidders = vec![WireBidder { request: 0, edges: vec![(1, 5.0, 0.0), (1, 4.0, 0.0)] }];
+    let err = peer_error_on_init(NetMsg::Init { epsilon: 0.0, bidders });
+    assert!(matches!(err, P2pError::WireMalformed { .. }), "{err:?}");
+    assert!(err.to_string().contains("twice"), "{err}");
+}
+
+/// A peer impostor against a real tracker: it completes the handshake,
+/// then answers its first poll (batched or not) with a bid of `amount` on
+/// each polled request's first edge. Returns the tracker's error.
+fn tracker_error_on_a_forged_bid(batch_polls: bool, amount: f64) -> P2pError {
+    let instance = random_instance(3, 3, 6);
+    let config = NetConfig { batch_polls, ..quick_config() };
+    let mut tracker = Tracker::bind("127.0.0.1:0", 1, config).unwrap();
+    let addr = tracker.local_addr();
+    let impostor = std::thread::spawn(move || {
+        let stream = std::net::TcpStream::connect(addr).unwrap();
+        let mut conn = FrameConn::new(stream, Some(Duration::from_secs(5))).unwrap();
+        conn.send(&encode_net(&NetMsg::Hello { peer_id: 0 })).unwrap();
+        let mut first_provider: HashMap<usize, usize> = HashMap::new();
+        loop {
+            let forge = |first: &HashMap<usize, usize>, r: usize| {
+                (r, BidDecision::Bid { edge: 0, provider: first[&r], amount })
+            };
+            let reply = match decode_net(&conn.recv().unwrap()).unwrap() {
+                NetMsg::Init { bidders, .. } => {
+                    first_provider = bidders.iter().map(|b| (b.request, b.edges[0].0)).collect();
+                    continue;
+                }
+                NetMsg::Poll { request, .. } => {
+                    let (request, decision) = forge(&first_provider, request);
+                    NetMsg::Reply { request, decision }
+                }
+                NetMsg::PollBatch { polls, .. } => NetMsg::ReplyBatch {
+                    replies: polls.iter().map(|&(r, _)| forge(&first_provider, r)).collect(),
+                },
+                _ => continue,
+            };
+            conn.send(&encode_net(&reply)).unwrap();
+            return;
+        }
+    });
+    let err = tracker.run(&instance, &mut NoProbe).expect_err("the tracker must refuse the bid");
+    impostor.join().unwrap();
+    err
+}
+
+/// A peer that bids a non-finite amount, or one not above the live price,
+/// is malformed under both wire drivers: the bid never reaches an
+/// auctioneer, where it would trip an assert or admit nothing.
+#[test]
+fn a_forged_bid_amount_is_malformed_on_the_tracker() {
+    for batch_polls in [true, false] {
+        for amount in [f64::NAN, f64::INFINITY, 0.0] {
+            let err = tracker_error_on_a_forged_bid(batch_polls, amount);
+            assert!(
+                matches!(err, P2pError::WireMalformed { .. }),
+                "batch_polls {batch_polls}, amount {amount}: {err:?}"
+            );
+        }
     }
 }
 
@@ -234,7 +309,6 @@ fn peer_drop_mid_round_is_a_typed_error_within_budget() {
 /// (A real [`Tracker`] sends `Shutdown` even from its drop handler, so
 /// rude death has to be staged manually.)
 fn dead_tracker_after_handshake(wedge: bool) -> (P2pError, Duration) {
-    use p2p_net::{decode_net, encode_net, FrameConn, NetMsg};
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     let peer_cfg = PeerConfig { io_timeout: Duration::from_millis(300), ..PeerConfig::default() };
