@@ -15,8 +15,8 @@
 //! included.
 //!
 //! Each swarm row pins its counted work (events, messages, trace hash,
-//! peak queue), so a change that adds work fails a pin and states the
-//! delta. A debug build checks correctness at small sizes. The full-size
+//! peak queue), and each probe row its `CountingProbe` counts, so a change
+//! that adds work fails a pin and states the delta. A debug build checks correctness at small sizes. The full-size
 //! rows and the three timing gates need an optimized build, so a debug
 //! build ignores them. Run everything with
 //! `cargo test --release -p p2p-bench --test engine_gates -- --include-ignored`.
@@ -24,8 +24,8 @@
 use p2p_bench::{grid_instance, random_instance};
 use p2p_core::csr::{CsrInstance, FlatAuction, FlatOutcome};
 use p2p_core::{
-    verify_optimality, AuctionConfig, AuctionOutcome, CountingProbe, NetworkModel, NoProbe,
-    ShardCount, ShardedAuction, SwarmAuction, SwarmConfig, SwarmOutcome, SyncAuction,
+    verify_optimality, AuctionConfig, AuctionOutcome, CountingProbe, EngineReport, NetworkModel,
+    NoProbe, ShardCount, ShardedAuction, SwarmAuction, SwarmConfig, SwarmOutcome, SyncAuction,
     WelfareInstance,
 };
 use p2p_net::{run_slot_local, NetConfig};
@@ -54,6 +54,30 @@ const PROBE_PASSES: u64 = 8;
 
 /// How much a live `CountingProbe` may slow the 10⁴-request flat rows.
 const MAX_PROBE_OVERHEAD_PCT: f64 = 5.0;
+
+/// The probe gate's counted twin: each probe row's `CountingProbe` counts
+/// per pass, as `(requests, shards, [rounds, bids, conflicts, retries,
+/// retired, price changes])`. Unlike the gate's wall time, code placement
+/// and a shared host cannot move them; a change that adds work fails a pin
+/// and states the delta.
+const PROBE_PINS: [(usize, usize, [u64; 6]); 16] = [
+    (400, 1, [5, 385, 292, 0, 307, 317]),
+    (400, 2, [1, 487, 394, 7, 307, 270]),
+    (400, 4, [1, 466, 373, 6, 307, 281]),
+    (400, 8, [1, 453, 360, 7, 307, 300]),
+    (1_000, 1, [7, 1_397, 1_096, 0, 699, 1_158]),
+    (1_000, 2, [1, 1_891, 1_590, 14, 699, 1_043]),
+    (1_000, 4, [1, 1_790, 1_489, 13, 699, 1_073]),
+    (1_000, 8, [1, 1_738, 1_437, 13, 699, 1_074]),
+    (3_000, 1, [7, 3_963, 3_142, 0, 2_179, 3_329]),
+    (3_000, 2, [1, 5_707, 4_886, 14, 2_179, 3_099]),
+    (3_000, 4, [1, 5_266, 4_445, 15, 2_179, 3_134]),
+    (3_000, 8, [1, 5_071, 4_250, 13, 2_179, 3_197]),
+    (10_000, 1, [9, 13_519, 10_801, 0, 7_282, 11_426]),
+    (10_000, 2, [1, 19_221, 16_503, 18, 7_282, 10_328]),
+    (10_000, 4, [1, 18_044, 15_326, 21, 7_282, 10_695]),
+    (10_000, 8, [1, 17_413, 14_695, 23, 7_282, 10_833]),
+];
 
 /// Wall limit of the 10⁵-peer ideal swarm row, 223.5 ms: the row was held
 /// to a floor of 3,259,818 events/s (its throughput before the arena
@@ -161,10 +185,11 @@ fn timed(best_ns: &mut u128, run: impl FnOnce() -> p2p_types::Result<()>) {
 
 /// Runs one flat engine bare, with `NoProbe` and with a `CountingProbe`,
 /// interleaved over [`PROBE_PASSES`] passes so clock drift and cache state
-/// hit the three modes alike, and returns each mode's best wall time in ns.
-/// Every pass must reproduce the warm-up's (welfare, rounds, bids), and the
-/// probe must count the bids of all its passes.
-fn probe_passes(requests: usize, shards: usize) -> [u128; 3] {
+/// hit the three modes alike, and returns each mode's best wall time in ns
+/// with the probe's report. Every pass must reproduce the warm-up's
+/// (welfare, rounds, bids), and the probe must count the bids of all its
+/// passes.
+fn probe_passes(requests: usize, shards: usize) -> ([u128; 3], EngineReport) {
     let row = format!("probes at {shards} shards, {requests} requests");
     let instance = engine_instance(ENGINE_SEEDS[0], requests);
     let csr = CsrInstance::compile(&instance);
@@ -185,9 +210,31 @@ fn probe_passes(requests: usize, shards: usize) -> [u128; 3] {
         timed(&mut probed, || engine.run_into_probed(&csr, &mut out, &mut probe));
         assert_eq!(fingerprint(&out), expected, "{row}: CountingProbe moved the outcome");
     }
-    let counted = probe.take_report().bids;
-    assert_eq!(counted, expected.2 * PROBE_PASSES, "{row}: the probe miscounted bids");
-    [bare, noprobe, probed]
+    let report = probe.take_report();
+    assert_eq!(report.bids, expected.2 * PROBE_PASSES, "{row}: the probe miscounted bids");
+    ([bare, noprobe, probed], report)
+}
+
+/// Checks a probe row's report against its [`PROBE_PINS`] entry: every one
+/// of the [`PROBE_PASSES`] runs must add the pinned counts.
+fn assert_probe_counts(requests: usize, shards: usize, report: &EngineReport) {
+    let row = format!("probe counts at {shards} shards, {requests} requests");
+    let pinned = PROBE_PINS
+        .iter()
+        .find(|&&(n, s, _)| (n, s) == (requests, shards))
+        .map(|&(_, _, counts)| counts)
+        .unwrap_or_else(|| panic!("{row}: no pin"));
+    let changes = report.price_deltas.total() + report.price_deltas.nonfinite();
+    let got =
+        [report.rounds, report.bids, report.conflicts, report.retries, report.retired, changes];
+    assert_eq!(report.runs, PROBE_PASSES, "{row}: runs");
+    assert_eq!(
+        got,
+        pinned.map(|c| c * PROBE_PASSES),
+        "{row} moved; per pass [rounds, bids, conflicts, retries, retired, price changes] \
+         now read {:?}",
+        got.map(|c| c / PROBE_PASSES)
+    );
 }
 
 #[test]
@@ -195,7 +242,20 @@ fn probes_change_no_outcome() {
     let _cpu = shared_cpu();
     for requests in [400, 1_000] {
         for shards in [1, 2, 4, 8] {
-            probe_passes(requests, shards);
+            let (_, report) = probe_passes(requests, shards);
+            assert_probe_counts(requests, shards, &report);
+        }
+    }
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "full-size rows: run in a release build")]
+fn probe_counts_match_their_pins_at_full_size() {
+    let _cpu = shared_cpu();
+    for requests in [3_000, 10_000] {
+        for shards in [1, 2, 4, 8] {
+            let (_, report) = probe_passes(requests, shards);
+            assert_probe_counts(requests, shards, &report);
         }
     }
 }
@@ -206,7 +266,7 @@ fn enabled_probe_costs_at_most_five_percent() {
     let _cpu = exclusive_cpu();
     for shards in [1, 2, 4, 8] {
         probe_passes(3_000, shards);
-        let [bare, _, probed] = probe_passes(10_000, shards);
+        let ([bare, _, probed], _) = probe_passes(10_000, shards);
         let pct = 100.0 * (probed as f64 - bare as f64) / bare.max(1) as f64;
         assert!(
             pct <= MAX_PROBE_OVERHEAD_PCT,

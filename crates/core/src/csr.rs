@@ -48,13 +48,20 @@
 //!
 //! # Worker threads
 //!
-//! With shards ≥ 2 and more than one worker, slice bids fan out across
-//! OS threads the engine owns. It spawns `min(shards, cores)` workers (or
-//! its [`FlatAuction::with_workers`] count) on its first sharded run and
+//! With shards ≥ 2, a slice's bid scan can split across `workers` scanners:
+//! `min(shards, cores)` of them, or the [`FlatAuction::with_workers`]
+//! count. The calling thread is the first scanner and scans the slice's
+//! first chunk itself; the other `workers − 1` are helper threads the
+//! engine owns. A slice fans out only when each scanner gets at least
+//! `FAN_OUT_ROWS` (2,048) rows, about twice the rows an inline scan gets
+//! through in the time of one handoff to a helper and back, so retry
+//! passes and small slots run on the calling thread and pay no handoff. The engine spawns its helpers at its first fan-out and
 //! parks them on a channel between slices, so repeated slot auctions on
-//! one engine spawn zero new threads; dropping the engine joins them.
-//! Thread count never affects results (slices are pure functions of their
-//! price snapshot).
+//! one engine spawn zero new threads; dropping the engine joins them. A
+//! run that never fans out spawns none. Helpers read the slice's prices
+//! from one snapshot buffer the engine rewrites in place. Thread count
+//! never affects results: slices are pure functions of their price
+//! snapshot, and the chunks' bids are reassembled in chunk order.
 //!
 //! # Examples
 //!
@@ -94,6 +101,15 @@ pub mod kernel;
 
 /// Sentinel for "request unassigned" in the flat choice vector.
 const NONE: u32 = u32::MAX;
+
+/// Rows each scanner must get before a slice fans out to helper threads.
+/// On a shared 2-vCPU host one handoff to a helper and back took ~14 µs,
+/// the time an inline scan takes for ~900 rows (~15.5 ns a row), so a
+/// two-way split pays from ~900 rows a scanner on a perfectly parallel
+/// host; this is about twice that. Retry passes and small slots stay on
+/// the calling thread, and the first-round slices of 10⁵-request slots
+/// still fan out.
+const FAN_OUT_ROWS: usize = 2_048;
 
 /// A handle on an instance's flat arrays (see the [module docs](self)).
 ///
@@ -147,8 +163,8 @@ pub(crate) struct FlatBid {
     pub(crate) provider: u32,
 }
 
-/// One slice's compute order (and, on the way back, its results): owned
-/// data only, so it can cross to leased worker threads. Buffers are
+/// One helper chunk's scan order (and, on the way back, its results):
+/// owned data only, so it can cross to a leased helper thread. Buffers are
 /// recycled through [`Lease::free`].
 struct SliceCmd {
     idx: usize,
@@ -160,62 +176,83 @@ struct SliceCmd {
     retired: Vec<u32>,
 }
 
+impl SliceCmd {
+    fn scan(&mut self) {
+        self.bids.clear();
+        self.retired.clear();
+        kernel::scan_slice(
+            &self.csr,
+            &self.chunk,
+            &self.prices,
+            self.epsilon,
+            &mut self.bids,
+            &mut self.retired,
+        );
+    }
+}
+
 /// Recyclable buffer set for one [`SliceCmd`].
 type SliceBufs = (Vec<u32>, Vec<FlatBid>, Vec<u32>);
 
-/// The engine's worker threads: one command channel per worker, one shared
+/// The engine's helper threads: `workers − 1` of them (the calling thread
+/// is the first scanner), one command channel per helper, one shared
 /// result channel back. Dropping the lease closes the command channels and
 /// joins the threads.
 struct Lease {
+    /// Scanners per fanned-out slice, the calling thread included.
     workers: usize,
     cmd_txs: Vec<mpsc::Sender<SliceCmd>>,
     res_rx: mpsc::Receiver<SliceCmd>,
     /// Joined on drop, after closing the command channels, so the lease's
-    /// end synchronously releases every worker thread.
+    /// end synchronously releases every helper thread.
     threads: Vec<JoinHandle<()>>,
+    /// The price snapshot the helpers read, rewritten in place for each
+    /// fan-out: every helper's clone comes back with its result, so the
+    /// buffer is unshared again before the next slice.
+    prices: Arc<Vec<f64>>,
     /// Recycled command buffers.
     free: Vec<SliceBufs>,
-    /// Reassembly slots (reused across slices).
+    /// Reassembly slots, one per helper chunk (reused across slices).
     pending: Vec<Option<SliceCmd>>,
 }
 
 impl Lease {
     fn spawn(workers: usize) -> Self {
         let (res_tx, res_rx) = mpsc::channel::<SliceCmd>();
-        let mut cmd_txs = Vec::with_capacity(workers);
-        let mut threads = Vec::with_capacity(workers);
-        for _ in 0..workers {
+        let helpers = workers - 1;
+        let mut cmd_txs = Vec::with_capacity(helpers);
+        let mut threads = Vec::with_capacity(helpers);
+        for _ in 0..helpers {
             let (tx, rx) = mpsc::channel::<SliceCmd>();
             cmd_txs.push(tx);
             let res_tx = res_tx.clone();
             threads.push(std::thread::spawn(move || {
                 while let Ok(mut cmd) = rx.recv() {
-                    cmd.bids.clear();
-                    cmd.retired.clear();
-                    kernel::scan_slice(
-                        &cmd.csr,
-                        &cmd.chunk,
-                        &cmd.prices,
-                        cmd.epsilon,
-                        &mut cmd.bids,
-                        &mut cmd.retired,
-                    );
+                    cmd.scan();
                     if res_tx.send(cmd).is_err() {
                         break;
                     }
                 }
             }));
         }
-        Lease { workers, cmd_txs, res_rx, threads, free: Vec::new(), pending: Vec::new() }
+        Lease {
+            workers,
+            cmd_txs,
+            res_rx,
+            threads,
+            prices: Arc::default(),
+            free: Vec::new(),
+            pending: Vec::new(),
+        }
     }
 }
 
 impl Drop for Lease {
     fn drop(&mut self) {
-        // Close the command channels (ends every worker loop), then wait
-        // for each worker thread to exit. `Drop` must not panic, so a
-        // worker's panic payload is dropped here; `exec_threaded` already
-        // computed inline any chunk a dead worker could not take.
+        // Close the command channels (ends every helper loop), then wait
+        // for each helper thread to exit. `Drop` must not panic, so a
+        // helper's panic payload is dropped here; `exec_threaded` already
+        // computed inline any chunk a dead helper could not take.
         self.cmd_txs.clear();
         for thread in self.threads.drain(..) {
             let _ = thread.join();
@@ -229,17 +266,15 @@ impl Drop for Lease {
 #[derive(Debug, Default)]
 pub struct AuctionScratch {
     // ---- auctioneer arena: per-provider heap segments ----
-    /// Per provider: start of its heap segment in the `entry_*` arrays
+    /// Per provider: start of its heap segment in `entries`
     /// (`provider_count + 1` entries). Provider `u`'s segment has
     /// `min(B(u), in-degree(u))` slots: a request holds at most one unit
     /// of `u`, so `u` never admits more requests than it has edges. Its
     /// first `filled[u]` slots are a binary min-heap on `(bid, seq)`; the
-    /// slots past `filled[u]` are never read, so the `entry_*` arrays only
-    /// grow and are never cleared between runs.
+    /// slots past `filled[u]` are never read, so `entries` only grows and
+    /// is never cleared between runs.
     segment_offsets: Vec<u32>,
-    entry_bid: Vec<f64>,
-    entry_seq: Vec<u64>,
-    entry_req: Vec<u32>,
+    entries: Vec<Entry>,
     /// Per provider: admitted count (also the provider load after a run).
     filled: Vec<u32>,
     /// Per provider: the auctioneer price λ.
@@ -286,10 +321,8 @@ impl AuctionScratch {
             self.eff_price.push(if cap == 0 { f64::INFINITY } else { 0.0 });
         }
         let slots = self.segment_offsets[providers] as usize;
-        if self.entry_bid.len() < slots {
-            self.entry_bid.resize(slots, 0.0);
-            self.entry_seq.resize(slots, 0);
-            self.entry_req.resize(slots, 0);
+        if self.entries.len() < slots {
+            self.entries.resize(slots, Entry::default());
         }
         self.filled.clear();
         self.filled.resize(providers, 0);
@@ -310,50 +343,48 @@ enum ArenaOutcome {
     Accepted { evicted: Option<u32>, new_price: Option<f64> },
 }
 
+/// One admitted bid in a provider's heap segment. The three fields share
+/// one slot, so a sift step reads and moves one entry.
+#[derive(Debug, Clone, Copy, Default)]
+struct Entry {
+    bid: f64,
+    /// Admission sequence number: the FIFO tie-break on equal bids.
+    seq: u64,
+    req: u32,
+}
+
+impl Entry {
+    /// Whether `self` orders before `other` on `(bid, seq)`.
+    fn precedes(&self, other: &Entry) -> bool {
+        self.bid < other.bid || (self.bid == other.bid && self.seq < other.seq)
+    }
+}
+
 /// One provider's admitted set: a binary min-heap on `(bid, seq)` laid out
 /// in place over its arena segment, the order of the nested auctioneer's
 /// `BinaryHeap`. `seq` values are unique, so the order is total and the
 /// root is the one entry the nested auctioneer would evict.
-struct SegmentHeap<'a> {
-    bid: &'a mut [f64],
-    seq: &'a mut [u64],
-    req: &'a mut [u32],
-}
+struct SegmentHeap<'a>(&'a mut [Entry]);
 
 impl SegmentHeap<'_> {
-    /// Whether slot `i` orders before the entry `(bid, seq)`.
-    fn precedes(&self, i: usize, bid: f64, seq: u64) -> bool {
-        self.bid[i] < bid || (self.bid[i] == bid && self.seq[i] < seq)
-    }
-
-    fn put(&mut self, i: usize, bid: f64, seq: u64, req: u32) {
-        self.bid[i] = bid;
-        self.seq[i] = seq;
-        self.req[i] = req;
-    }
-
-    fn lift(&mut self, from: usize, to: usize) {
-        self.put(to, self.bid[from], self.seq[from], self.req[from]);
-    }
-
-    /// Places an entry at the hole `i` (the heap's new last slot), moving
+    /// Places `entry` at the hole `i` (the heap's new last slot), moving
     /// each ancestor that orders after it down one level.
-    fn sift_up(&mut self, mut i: usize, bid: f64, seq: u64, req: u32) {
+    fn sift_up(&mut self, mut i: usize, entry: Entry) {
         while i > 0 {
             let parent = (i - 1) / 2;
-            if self.precedes(parent, bid, seq) {
+            if self.0[parent].precedes(&entry) {
                 break;
             }
-            self.lift(parent, i);
+            self.0[i] = self.0[parent];
             i = parent;
         }
-        self.put(i, bid, seq, req);
+        self.0[i] = entry;
     }
 
-    /// Replaces the root of a full segment with an entry, moving the
-    /// smaller child up one level until the entry orders before both.
-    fn replace_root(&mut self, bid: f64, seq: u64, req: u32) {
-        let len = self.bid.len();
+    /// Replaces the root of a full segment with `entry`, moving the
+    /// smaller child up one level until `entry` orders before both.
+    fn replace_root(&mut self, entry: Entry) {
+        let len = self.0.len();
         let mut i = 0;
         loop {
             let left = 2 * i + 1;
@@ -361,72 +392,62 @@ impl SegmentHeap<'_> {
                 break;
             }
             let right = left + 1;
-            let child = if right < len && self.precedes(right, self.bid[left], self.seq[left]) {
-                right
-            } else {
-                left
-            };
-            if !self.precedes(child, bid, seq) {
+            let child =
+                if right < len && self.0[right].precedes(&self.0[left]) { right } else { left };
+            if !self.0[child].precedes(&entry) {
                 break;
             }
-            self.lift(child, i);
+            self.0[i] = self.0[child];
             i = child;
         }
-        self.put(i, bid, seq, req);
+        self.0[i] = entry;
     }
 }
 
-/// The auctioneer state machine over the flat arena — semantically
-/// identical to [`crate::auctioneer::Auctioneer::handle_bid`]: reject at or
-/// below the price, evict the minimum `(bid, admission-seq)` entry (the
-/// heap root) when full, announce the new price (the root's bid) when the
-/// set is full and the minimum changed. The price moves per accepted bid,
-/// because later bids of one merge batch are admitted or rejected against
-/// it.
-#[allow(clippy::too_many_arguments)]
-fn arena_handle_bid(
-    capacity: &[u32],
-    segment_offsets: &[u32],
-    entry_bid: &mut [f64],
-    entry_seq: &mut [u64],
-    entry_req: &mut [u32],
-    filled: &mut [u32],
-    price: &mut [f64],
-    seq: &mut u64,
-    provider: usize,
-    request: u32,
-    amount: f64,
-) -> ArenaOutcome {
-    debug_assert!(amount.is_finite(), "bid must be finite");
-    let cap = capacity[provider];
-    if cap == 0 || amount <= price[provider] {
-        return ArenaOutcome::Rejected;
+impl AuctionScratch {
+    /// The auctioneer state machine over the flat arena — semantically
+    /// identical to [`crate::auctioneer::Auctioneer::handle_bid`]: reject
+    /// at or below the price, evict the minimum `(bid, admission-seq)`
+    /// entry (the heap root) when full, announce the new price (the root's
+    /// bid) when the set is full and the minimum changed. The price moves
+    /// per accepted bid, because later bids of one merge batch are admitted
+    /// or rejected against it.
+    fn admit(
+        &mut self,
+        capacity: &[u32],
+        provider: usize,
+        request: u32,
+        amount: f64,
+    ) -> ArenaOutcome {
+        debug_assert!(amount.is_finite(), "bid must be finite");
+        let cap = capacity[provider];
+        if cap == 0 || amount <= self.price[provider] {
+            return ArenaOutcome::Rejected;
+        }
+        let segment =
+            self.segment_offsets[provider] as usize..self.segment_offsets[provider + 1] as usize;
+        let mut heap = SegmentHeap(&mut self.entries[segment]);
+        let entry = Entry { bid: amount, seq: self.seq, req: request };
+        let mut evicted = None;
+        if self.filled[provider] == cap {
+            // A full segment holds exactly `cap` entries: its size is at
+            // most `cap`, and `filled` never passes it.
+            evicted = Some(heap.0[0].req);
+            heap.replace_root(entry);
+        } else {
+            let len = self.filled[provider] as usize;
+            debug_assert!(len < heap.0.len(), "admission past provider {provider}'s segment");
+            heap.sift_up(len, entry);
+            self.filled[provider] += 1;
+        }
+        self.seq += 1;
+        let mut new_price = None;
+        if self.filled[provider] == cap && heap.0[0].bid != self.price[provider] {
+            self.price[provider] = heap.0[0].bid;
+            new_price = Some(heap.0[0].bid);
+        }
+        ArenaOutcome::Accepted { evicted, new_price }
     }
-    let segment = segment_offsets[provider] as usize..segment_offsets[provider + 1] as usize;
-    let mut heap = SegmentHeap {
-        bid: &mut entry_bid[segment.clone()],
-        seq: &mut entry_seq[segment.clone()],
-        req: &mut entry_req[segment],
-    };
-    let mut evicted = None;
-    if filled[provider] == cap {
-        // A full segment holds exactly `cap` entries: its size is at most
-        // `cap`, and `filled` never passes it.
-        evicted = Some(heap.req[0]);
-        heap.replace_root(amount, *seq, request);
-    } else {
-        let len = filled[provider] as usize;
-        debug_assert!(len < heap.bid.len(), "admission past provider {provider}'s segment");
-        heap.sift_up(len, amount, *seq, request);
-        filled[provider] += 1;
-    }
-    *seq += 1;
-    let mut new_price = None;
-    if filled[provider] == cap && heap.bid[0] != price[provider] {
-        price[provider] = heap.bid[0];
-        new_price = Some(heap.bid[0]);
-    }
-    ArenaOutcome::Accepted { evicted, new_price }
 }
 
 /// A reusable engine result: the flat counterpart of
@@ -516,8 +537,8 @@ impl FlatOutcome {
 pub struct FlatAuction {
     config: AuctionConfig,
     shards: ShardCount,
-    /// Test/bench override for the worker-thread count (normally
-    /// `min(shards, cores)`).
+    /// Test/bench override for the scanner count, the calling thread
+    /// included (normally `min(shards, cores)`).
     workers: Option<usize>,
     scratch: AuctionScratch,
     lease: Option<Lease>,
@@ -583,8 +604,11 @@ impl FlatAuction {
         self.shards.resolve_for(requests)
     }
 
-    /// Forces the worker-thread count regardless of the machine's core
-    /// count (builder-style). Results are unaffected.
+    /// Forces the number of scanners per fanned-out slice regardless of
+    /// the machine's core count (builder-style): `workers` counts the
+    /// calling thread, so the engine leases `workers − 1` helper threads
+    /// and `with_workers(1)` never spawns one. The count is capped at the
+    /// shard count. Results are unaffected.
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
@@ -677,19 +701,7 @@ impl FlatAuction {
                     BidDecision::Abstain { reason: AbstainReason::ZeroMargin } => {}
                     BidDecision::Bid { edge, provider, amount } => {
                         bids_this_round += 1;
-                        match arena_handle_bid(
-                            &data.capacity,
-                            &s.segment_offsets,
-                            &mut s.entry_bid,
-                            &mut s.entry_seq,
-                            &mut s.entry_req,
-                            &mut s.filled,
-                            &mut s.price,
-                            &mut s.seq,
-                            provider,
-                            r as u32,
-                            amount,
-                        ) {
+                        match s.admit(&data.capacity, provider, r as u32, amount) {
                             ArenaOutcome::Rejected => {
                                 // Unreachable with up-to-date prices: the
                                 // bidder only bids strictly above λ.
@@ -743,9 +755,6 @@ impl FlatAuction {
             .unwrap_or_else(|| shards.min(crate::shard::available_cores()))
             .max(1)
             .min(shards);
-        if workers > 1 && self.lease.as_ref().is_none_or(|l| l.workers != workers) {
-            self.lease = Some(Lease::spawn(workers));
-        }
         let data = csr.data();
         let s = &mut self.scratch;
         s.reset(data);
@@ -800,18 +809,19 @@ impl FlatAuction {
                 bids.clear();
                 slice_retired.clear();
                 // Compute the slice's bids: inline on this thread, or
-                // fanned out across the leased workers for big slices
+                // split across it and the leased helpers when every
+                // scanner gets enough rows to pay for the handoff
                 // (identical results either way — pure function of the
                 // snapshot).
-                if workers > 1 && slice.len() >= 2 * workers {
-                    let lease = self.lease.as_mut().expect("leased above");
+                if workers > 1 && slice.len() >= workers * FAN_OUT_ROWS {
+                    self.lease.take_if(|lease| lease.workers != workers);
+                    let lease = self.lease.get_or_insert_with(|| Lease::spawn(workers));
                     exec_threaded(
                         lease,
                         csr,
                         slice,
                         &s.eff_price,
                         epsilon,
-                        workers,
                         &mut bids,
                         &mut slice_retired,
                     );
@@ -851,19 +861,7 @@ impl FlatAuction {
                     });
                 }
                 for bid in &bids {
-                    match arena_handle_bid(
-                        &data.capacity,
-                        &s.segment_offsets,
-                        &mut s.entry_bid,
-                        &mut s.entry_seq,
-                        &mut s.entry_req,
-                        &mut s.filled,
-                        &mut s.price,
-                        &mut s.seq,
-                        bid.provider as usize,
-                        bid.request,
-                        bid.amount,
-                    ) {
+                    match s.admit(&data.capacity, bid.provider as usize, bid.request, bid.amount) {
                         ArenaOutcome::Rejected => {
                             spill.push(bid.request);
                             round_conflicts += 1;
@@ -924,64 +922,61 @@ impl FlatAuction {
     }
 }
 
-/// Fans one slice out across the leased workers and reassembles the
-/// results in chunk order (so the merge input — and every outcome field —
-/// is independent of thread timing, as in the nested engine).
-#[allow(clippy::too_many_arguments)]
+/// Scans one slice across the calling thread and the lease's helpers. The
+/// slice splits into `lease.workers` contiguous chunks: helper `i` scans
+/// chunk `i + 1` against the lease's price snapshot while the caller scans
+/// chunk 0 straight into `bids` and `retired`, then the helpers' results
+/// are appended in chunk order. The merge input is therefore the inline
+/// scan's, bid for bid, whatever the thread timing (as in the nested
+/// engine).
 fn exec_threaded(
     lease: &mut Lease,
     csr: &CsrInstance,
     slice: &[u32],
     prices: &[f64],
     epsilon: f64,
-    workers: usize,
     bids: &mut Vec<FlatBid>,
     retired: &mut Vec<u32>,
 ) {
-    let snapshot = Arc::new(prices.to_vec());
-    let per = slice.len().div_ceil(workers).max(1);
-    // One reassembly slot per chunk (not per successful send): a chunk
-    // computed inline because its worker died still lands at its own
-    // index, and a live worker's result index can never exceed the slot
-    // count.
-    let chunk_count = slice.len().div_ceil(per);
+    let per = slice.len().div_ceil(lease.workers).max(1);
+    let (own, rest) = slice.split_at(per.min(slice.len()));
+    // Unshared here (see `Lease::prices`), so this rewrites the buffer in
+    // place; a clone still held by a dying helper makes it copy instead.
+    let snapshot = Arc::make_mut(&mut lease.prices);
+    snapshot.clear();
+    snapshot.extend_from_slice(prices);
+    // One reassembly slot per helper chunk (not per successful send): a
+    // chunk computed inline because its helper died still lands at its
+    // own index, and a live helper's result index can never exceed the
+    // slot count.
     lease.pending.clear();
-    lease.pending.resize_with(chunk_count, || None);
+    lease.pending.resize_with(rest.len().div_ceil(per), || None);
     let mut active = 0usize;
-    for (w, chunk) in slice.chunks(per).enumerate() {
+    for (i, chunk) in rest.chunks(per).enumerate() {
         let (mut chunk_buf, bid_buf, retired_buf) = lease.free.pop().unwrap_or_default();
         chunk_buf.clear();
         chunk_buf.extend_from_slice(chunk);
         let cmd = SliceCmd {
-            idx: w,
+            idx: i,
             chunk: chunk_buf,
             csr: Arc::clone(&csr.data),
-            prices: Arc::clone(&snapshot),
+            prices: Arc::clone(&lease.prices),
             epsilon,
             bids: bid_buf,
             retired: retired_buf,
         };
-        match lease.cmd_txs[w].send(cmd) {
+        match lease.cmd_txs[i].send(cmd) {
             Ok(()) => active += 1,
-            // A worker died (its thread panicked earlier); fall back
-            // to computing the chunk inline, parked at its own reassembly
-            // slot so the merge order stays chunk order — results are
-            // identical.
+            // A helper died (its thread panicked earlier); compute its
+            // chunk inline, parked at its own reassembly slot so the merge
+            // order stays chunk order — results are identical.
             Err(mpsc::SendError(mut cmd)) => {
-                cmd.bids.clear();
-                cmd.retired.clear();
-                kernel::scan_slice(
-                    csr.data(),
-                    &cmd.chunk,
-                    prices,
-                    epsilon,
-                    &mut cmd.bids,
-                    &mut cmd.retired,
-                );
-                lease.pending[w] = Some(cmd);
+                cmd.scan();
+                lease.pending[i] = Some(cmd);
             }
         }
     }
+    kernel::scan_slice(csr.data(), own, prices, epsilon, bids, retired);
     for _ in 0..active {
         match lease.res_rx.recv() {
             Ok(cmd) => {
@@ -989,8 +984,9 @@ fn exec_threaded(
                 lease.pending[idx] = Some(cmd);
             }
             Err(_) => {
-                // Every worker died mid-slice; recompute the whole slice
-                // inline (pure function — same result).
+                // Every helper died mid-slice; discard the caller's chunk
+                // and rescan the whole slice inline (pure function — same
+                // result).
                 bids.clear();
                 retired.clear();
                 kernel::scan_slice(csr.data(), slice, prices, epsilon, bids, retired);
@@ -1155,24 +1151,57 @@ mod tests {
         }
     }
 
+    /// A flash-crowd-shaped slot: one provider of capacity 1–4 per 16
+    /// requests, and 4 distinct candidates a request.
+    fn crowd_instance(requests: u64) -> WelfareInstance {
+        let mut b = WelfareInstance::builder();
+        let providers = requests / 16;
+        let us: Vec<_> = (0..providers)
+            .map(|i| {
+                b.add_provider(
+                    PeerId::new(1_000_000 + i as u32),
+                    1 + (unit(i * 7 + 5) * 4.0) as u32,
+                )
+            })
+            .collect();
+        for d in 0..requests {
+            let r = b.add_request(rid(d as u32, 0));
+            let base = (unit(d * 13 + 3) * providers as f64) as u64;
+            for k in 0..4 {
+                let u = us[((base + k * (providers / 4)) % providers) as usize];
+                let v = 2.0 + 6.0 * unit(d * 31 + k * 7 + 1);
+                let w = 0.2 + 3.0 * unit(d * 17 + k * 13 + 2);
+                b.add_edge(r, u, Valuation::new(v), Cost::new(w)).unwrap();
+            }
+        }
+        b.build().unwrap()
+    }
+
+    /// Three shards cut the first round into 12 slices of
+    /// `3 · FAN_OUT_ROWS` rows, so 2 and 3 scanners both fan out: the
+    /// threaded path must reproduce the inline one and the nested engine,
+    /// price trace included.
     #[test]
     fn forced_worker_threads_match_the_inline_path() {
-        let inst = contended_instance(64);
+        let inst = crowd_instance(12 * 3 * FAN_OUT_ROWS as u64);
         let csr = CsrInstance::compile(&inst);
         let cfg = AuctionConfig::with_epsilon(0.01);
-        let mut inline = FlatAuction::new(cfg, ShardCount::Fixed(4)).with_workers(1);
-        let mut threaded = FlatAuction::new(cfg, ShardCount::Fixed(4)).with_workers(3);
-        let (a, a_trace) = traced(&mut inline, &csr);
-        let (b, b_trace) = traced(&mut threaded, &csr);
-        assert_eq!(a.assignment, b.assignment);
-        assert_eq!(a.duals, b.duals);
-        assert_eq!(a.rounds, b.rounds);
-        assert_eq!(a.bids_submitted, b.bids_submitted);
-        assert!(!a_trace.is_empty());
-        assert_eq!(a_trace, b_trace);
-        // The lease persists: a second run reuses the same workers.
-        let c = threaded.run(&csr).unwrap();
-        assert_eq!(a.assignment, c.assignment);
+        let shards = ShardCount::Fixed(3);
+        let mut nested_trace = PriceRecorder::new();
+        let nested = ShardedAuction::new(cfg, shards).run_probed(&inst, &mut nested_trace).unwrap();
+        assert!(!nested_trace.points.is_empty());
+        for workers in [1, 2, 3] {
+            let mut flat = FlatAuction::new(cfg, shards).with_workers(workers);
+            let (out, trace) = traced(&mut flat, &csr);
+            assert_eq!(flat.lease.is_some(), workers > 1, "workers={workers}: fan-out");
+            assert_eq!(out.assignment, nested.assignment, "workers={workers}");
+            assert_eq!(out.duals, nested.duals, "workers={workers}");
+            assert_eq!(out.rounds, nested.rounds, "workers={workers}");
+            assert_eq!(out.bids_submitted, nested.bids_submitted, "workers={workers}");
+            assert_eq!(trace, nested_trace.points, "workers={workers}: price traces diverge");
+            // A second run on the kept lease decides the same.
+            assert_eq!(flat.run(&csr).unwrap().assignment, nested.assignment);
+        }
     }
 
     #[test]
@@ -1329,8 +1358,6 @@ mod tests {
         let mut flat = FlatAuction::new(AuctionConfig::with_epsilon(0.01), ShardCount::Fixed(1));
         let out = flat.run(&CsrInstance::compile(&inst)).unwrap();
         assert_eq!(out.assignment.assigned_count(), 3);
-        assert_eq!(flat.scratch.entry_bid.len(), 3);
-        assert_eq!(flat.scratch.entry_seq.len(), 3);
-        assert_eq!(flat.scratch.entry_req.len(), 3);
+        assert_eq!(flat.scratch.entries.len(), 3);
     }
 }

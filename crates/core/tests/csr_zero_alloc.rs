@@ -1,10 +1,11 @@
 //! The flat engine's zero-allocation guarantee, asserted with a counting
 //! global allocator: after the first (warm-up) slot, the CSR hot loop —
 //! runs into a reusable [`FlatOutcome`] — performs **zero** heap
-//! allocations on same-shaped slots. The instance layout is pinned
-//! too: building an instance grows a fixed set of flat arrays (no
-//! allocation per request), and [`CsrInstance::compile`] is a handle on
-//! those arrays that allocates nothing.
+//! allocations on same-shaped slots, with one worker and with two. The
+//! instance layout is pinned too: building an instance grows a fixed set
+//! of flat arrays (no allocation per request), and
+//! [`CsrInstance::compile`] is a handle on those arrays that allocates
+//! nothing.
 //!
 //! This file holds exactly one `#[test]` so no sibling test can allocate
 //! concurrently inside the measured windows.
@@ -22,8 +23,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// channel-park context (`std::sync::mpmc::Context`) at an arbitrary
 /// moment, so an unscoped counter flakes when that one-time allocation
 /// races into the measured window. The hot loop under test runs entirely
-/// on the test's own thread (shards=1 is sequential and shards=4 runs
-/// single-worker inline), so thread-scoping loses no coverage.
+/// on the test's own thread (shards=1 is sequential, and at shards=4 every
+/// slice is far below the fan-out threshold, so even two workers scan it
+/// inline), so thread-scoping loses no coverage.
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -138,12 +140,13 @@ fn hot_loop_allocates_nothing_after_the_first_slot() {
     let csr2 = CsrInstance::compile(&slot2);
 
     // shards = 1 exercises the sequential sweep, 4 the batched sharded
-    // schedule (single worker: the threaded fan-out trades a few control
-    // allocations per slice for parallelism and is exercised elsewhere).
-    for shards in [1usize, 4] {
+    // schedule. Its slices hold at most 15 rows, so with two workers too
+    // each stays on the calling thread: no helper, no price snapshot, no
+    // channel traffic.
+    for (shards, workers) in [(1usize, 1usize), (4, 1), (4, 2)] {
         let mut engine =
             FlatAuction::new(AuctionConfig::with_epsilon(0.01), ShardCount::Fixed(shards))
-                .with_workers(1);
+                .with_workers(workers);
         let mut out = FlatOutcome::default();
 
         // Warm-up slots: buffers grow to the slot shape here.
@@ -165,9 +168,13 @@ fn hot_loop_allocates_nothing_after_the_first_slot() {
         assert_eq!(
             after - before,
             0,
-            "shards={shards}: the CSR hot loop must not allocate after warm-up"
+            "shards={shards}, workers={workers}: the CSR hot loop must not allocate after warm-up"
         );
         assert!(out.welfare() > 0.0);
-        assert_eq!(out.welfare(), warmup_welfare, "shards={shards}: runs stay deterministic");
+        assert_eq!(
+            out.welfare(),
+            warmup_welfare,
+            "shards={shards}, workers={workers}: runs stay deterministic"
+        );
     }
 }
